@@ -10,15 +10,27 @@ Two implementations share that definition:
 * ``boundary_values_naive`` accumulates one boundary node at a time; it is
   the reference oracle, with cost O(N^(2d-1)/d).
 * ``boundary_values_fast`` rearranges each face's double (triple) sum into a
-  per-slice discrete convolution, evaluated with zero-padded FFTs, for
-  O(N log N) total work.  Slices are independent, so they are farmed out to a
-  thread pool; the per-face reduction is serial and in ascending slice order,
-  which makes the output bitwise independent of the thread count.
+  sum over source slices of in-face discrete convolutions, evaluated with
+  zero-padded FFTs, for O(N log N) total work.
+
+On an in-face axis with M panels the kernel has 2M-1 samples (offsets
+-(M-1)..M-1) and a slice's data M-1, so the full linear convolution has
+3M-3 entries, of which the face needs the window [M-2, 2M-1).  A period
+P >= 2M-1 maps every other entry (indices below M-2 or above 2M-2) to a
+position outside that window, so padding to the smallest 7-smooth P >= 2M-1
+is alias-free (Hockney and Eastwood's minimal padding).  Since the FFT is
+linear, the slices are summed in frequency space: each slice is transformed
+once, its spectrum times the kernel spectra of both opposite faces is added
+to one accumulator per face, and each face needs a single inverse FFT.
+Kernel spectra are built for one pair of normal distances at a time and
+dropped after use, so memory stays O(face).  ``thread_count`` is passed to
+``scipy.fft`` as ``workers``; each 1D transform is computed the same way on
+any worker and the accumulation order is fixed, which makes the output
+bitwise independent of the thread count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,46 +99,36 @@ def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues
 
 @dataclass(frozen=True)
 class FaceConvolutionPlan:
-    """Shapes and index windows for one face's per-slice convolutions.
+    """Shapes and index windows of the convolutions for both faces normal to ``axis``.
 
     For each source slice along the face normal, a kernel sampled at in-face
     offsets -(M_s-1)..+(M_s-1) is convolved with the slice's interior data;
     the window [M_s-2, 2M_s-1) of the full convolution holds the values at
-    the face's own node range 0..M_s.
+    the face's own node range 0..M_s.  The FFT period per in-face axis is
+    the smallest 7-smooth length >= 2M_s-1, the kernel length.
     """
 
     axis: int
-    side: int
     in_axes: tuple[int, ...]
     kernel_shape: tuple[int, ...]
-    data_shape: tuple[int, ...]
     padded_shape: tuple[int, ...]
     wanted: tuple[tuple[int, int], ...]
-    normal_slices: range
 
 
-def _plan_face(grid: UniformGrid, axis: int, side: int) -> FaceConvolutionPlan:
+def _plan_face(grid: UniformGrid, axis: int) -> FaceConvolutionPlan:
     in_axes = tuple(s for s in range(grid.dim) if s != axis)
     kernel_shape = tuple(2 * grid.panels[s] - 1 for s in in_axes)
-    data_shape = tuple(grid.panels[s] - 1 for s in in_axes)
-    full = tuple(k + d - 1 for k, d in zip(kernel_shape, data_shape))
-    padded = tuple(next_smooth_length(n) for n in full)
-    wanted = tuple(
-        (grid.panels[s] - 2, 2 * grid.panels[s] - 1) for s in in_axes
-    )
     return FaceConvolutionPlan(
         axis=axis,
-        side=side,
         in_axes=in_axes,
         kernel_shape=kernel_shape,
-        data_shape=data_shape,
-        padded_shape=padded,
-        wanted=wanted,
-        normal_slices=range(1, grid.panels[axis]),
+        padded_shape=tuple(next_smooth_length(k) for k in kernel_shape),
+        wanted=tuple((grid.panels[s] - 2, 2 * grid.panels[s] - 1) for s in in_axes),
     )
 
 
-def _kernel_fft(grid: UniformGrid, plan: FaceConvolutionPlan, dist_panels: int):
+def _kernel_fft(grid: UniformGrid, plan: FaceConvolutionPlan, dist_panels: int,
+                workers: int):
     """FFT of the kernel slice at a whole-panel normal distance.
 
     The in-face Trapezoidal weights are folded into the kernel, so each
@@ -135,8 +137,8 @@ def _kernel_fft(grid: UniformGrid, plan: FaceConvolutionPlan, dist_panels: int):
     h_normal = grid.mesh[plan.axis]
     fixed = dist_panels * h_normal
     offsets = [
-        (np.arange(2 * grid.panels[s] - 1) - (grid.panels[s] - 1)) * grid.mesh[s]
-        for s in plan.in_axes
+        (np.arange(k) - (grid.panels[s] - 1)) * grid.mesh[s]
+        for k, s in zip(plan.kernel_shape, plan.in_axes)
     ]
     dist_sq = np.array(fixed * fixed)
     for i, off in enumerate(offsets):
@@ -145,20 +147,13 @@ def _kernel_fft(grid: UniformGrid, plan: FaceConvolutionPlan, dist_panels: int):
         dist_sq = dist_sq + (off * off).reshape(shape)
     kernel = green_values(grid.dim, np.sqrt(dist_sq))
     kernel *= float(np.prod([grid.mesh[s] for s in plan.in_axes]))
-    return sfft.rfftn(kernel, plan.padded_shape)
+    return sfft.rfftn(kernel, plan.padded_shape, workers=workers)
 
 
 def _slice_data(rho: GridFunction, axis: int, p: int) -> np.ndarray:
     sl = [slice(1, -1)] * rho.grid.dim
     sl[axis] = p
     return rho.values[tuple(sl)]
-
-
-def _convolve_slice(data: np.ndarray, kernel_fft, plan: FaceConvolutionPlan):
-    out = sfft.irfftn(sfft.rfftn(data, plan.padded_shape) * kernel_fft,
-                      plan.padded_shape)
-    window = tuple(slice(a, b) for a, b in plan.wanted)
-    return out[window]
 
 
 def _boundary_1d(rho: GridFunction) -> BoundaryValues:
@@ -175,13 +170,16 @@ def _boundary_1d(rho: GridFunction) -> BoundaryValues:
 
 
 def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryValues:
-    """Boundary sums via per-slice FFT convolutions; O(N log N).
+    """Boundary sums via FFT convolutions summed in frequency space; O(N log N).
 
     Mathematically identical to :func:`boundary_values_naive` (the slices
     cover exactly the interior sources); agreement is limited only by FFT
-    roundoff.  ``thread_count`` bounds the worker threads used for the
-    independent slice convolutions; the result is bitwise identical for any
-    value.
+    roundoff.  Per axis, each non-empty source slice is transformed once;
+    its spectrum times the kernel spectrum at its distance to each of the
+    two faces is added to that face's accumulator, and one inverse FFT per
+    face finishes the sum.  ``thread_count`` is the ``workers`` count of
+    every ``scipy.fft`` call, and the accumulation order is fixed, so the
+    result is bitwise identical for any value.
     """
     if thread_count < 1:
         raise ValueError("thread_count must be positive")
@@ -190,59 +188,29 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     if grid.dim == 1:
         return _boundary_1d(rho)
 
-    plans = {
-        (axis, side): _plan_face(grid, axis, side)
-        for axis in range(grid.dim)
-        for side in (0, 1)
-    }
-
-    slice_tasks = []  # (face key, normal index p, data array)
-    for key, plan in sorted(plans.items()):
-        for p in plan.normal_slices:
-            data = _slice_data(rho, plan.axis, p)
-            if np.any(data):
-                slice_tasks.append((key, p, data))
-
-    kernel_ffts = {}
-    results = {}
-
-    def build_kernel(key):
-        axis, d = key
-        return key, _kernel_fft(grid, plans[(axis, 0)], d)
-
-    def run_slice(task):
-        key, p, data = task
-        axis, side = key
-        dist = p if side == 0 else grid.panels[axis] - p
-        return (key, p), _convolve_slice(data, kernel_ffts[(axis, dist)], plans[key])
-
-    # Kernel transforms are keyed by (axis, whole-panel distance); distance d
-    # serves slice p=d of the lower face and slice M-d of the upper face.
-    needed = sorted(
-        {
-            (key[0], p if key[1] == 0 else grid.panels[key[0]] - p)
-            for key, p, _ in slice_tasks
-        }
-    )
-    if thread_count == 1:
-        for k in needed:
-            kernel_ffts.update([build_kernel(k)])
-        for task in slice_tasks:
-            k, v = run_slice(task)
-            results[k] = v
-    else:
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            kernel_ffts.update(pool.map(build_kernel, needed))
-            for k, v in pool.map(run_slice, slice_tasks):
-                results[k] = v
-
     faces = {}
-    for key, plan in sorted(plans.items()):
-        face_shape = tuple(grid.panels[s] + 1 for s in plan.in_axes)
-        acc = np.zeros(face_shape)
-        for p in plan.normal_slices:  # fixed ascending order: deterministic
-            w = results.get((key, p))
-            if w is not None:
-                acc += w
-        faces[key] = acc * grid.mesh[plan.axis]
+    for axis in range(grid.dim):
+        plan = _plan_face(grid, axis)
+        m = grid.panels[axis]
+        half = plan.padded_shape[:-1] + (plan.padded_shape[-1] // 2 + 1,)
+        acc = np.zeros((2,) + half, dtype=complex)  # lower, upper face
+        # Slice p lies p panels from the lower face and m - p from the upper
+        # one, so the slices p = d and p = m - d need the kernels at those
+        # two distances only; walking the pairs keeps one pair's kernel
+        # spectra alive at a time.
+        for d in range(1, m // 2 + 1):
+            pair = sorted({d, m - d})
+            data = [(p, _slice_data(rho, axis, p)) for p in pair]
+            data = [(p, x) for p, x in data if np.any(x)]
+            if not data:
+                continue
+            kernels = {q: _kernel_fft(grid, plan, q, thread_count) for q in pair}
+            for p, x in data:  # fixed order: deterministic
+                spectrum = sfft.rfftn(x, plan.padded_shape, workers=thread_count)
+                acc[0] += spectrum * kernels[p]
+                acc[1] += spectrum * kernels[m - p]
+        window = tuple(slice(a, b) for a, b in plan.wanted)
+        for side in (0, 1):
+            out = sfft.irfftn(acc[side], plan.padded_shape, workers=thread_count)
+            faces[(axis, side)] = out[window] * grid.mesh[axis]
     return BoundaryValues(grid, faces)

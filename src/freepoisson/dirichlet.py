@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import SupportViolationError
+from .errors import ShapeError, SupportViolationError
 from .grid import GridFunction, UniformGrid
 from .transforms import InteriorModeArray, forward_dst, inverse_dst
 
@@ -42,13 +42,22 @@ def continuous_eigenvalues(grid: UniformGrid) -> np.ndarray:
 
 
 def check_support(rho: GridFunction, rtol: float = SUPPORT_RTOL) -> float:
-    """Verify the density vanishes on the grid boundary.
+    """Verify the density is finite and vanishes on the grid boundary.
 
-    Returns max boundary |rho|; raises SupportViolationError when it exceeds
+    Returns max boundary |rho|.  Raises ShapeError when any value is NaN or
+    infinite, and SupportViolationError when the boundary maximum exceeds
     ``rtol * max |rho|``.
     """
+    lo, hi = float(np.min(rho.values)), float(np.max(rho.values))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = np.argwhere(~np.isfinite(rho.values))
+        raise ShapeError(
+            f"density contains {len(bad)} non-finite value(s) (NaN or inf), "
+            f"the first at node {tuple(int(i) for i in bad[0])}; "
+            f"the solver needs finite samples"
+        )
     boundary_max = rho.boundary_abs_max()
-    scale = float(np.max(np.abs(rho.values)))
+    scale = max(hi, -lo)
     if boundary_max > rtol * scale:
         raise SupportViolationError(
             f"density is nonzero on the boundary (max {boundary_max:.3e}, "

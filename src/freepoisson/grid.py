@@ -142,17 +142,13 @@ class GridFunction:
         return self.values[(slice(1, -1),) * self.grid.dim]
 
     def boundary_abs_max(self) -> float:
-        """Largest |value| over all boundary nodes."""
-        mask = np.zeros(self.grid.shape, dtype=bool)
-        for axis in range(self.grid.dim):
-            sl = [slice(None)] * self.grid.dim
-            sl[axis] = 0
-            mask[tuple(sl)] = True
-            sl[axis] = -1
-            mask[tuple(sl)] = True
-        if not mask.any():
-            return 0.0
-        return float(np.max(np.abs(self.values[mask])))
+        """Largest |value| over all boundary nodes (NaN if any of them is NaN)."""
+        face_maxima = [
+            np.max(np.abs(self.values[(slice(None),) * axis + (end,)]))
+            for axis in range(self.grid.dim)
+            for end in (0, -1)
+        ]
+        return float(np.max(face_maxima))
 
     def assert_finite(self) -> "GridFunction":
         if not np.all(np.isfinite(self.values)):

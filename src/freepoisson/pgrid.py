@@ -30,6 +30,7 @@ _MAGIC = "PGRID 1"
 _ORDER_LINE = "order x y z row-major"
 _DATA_TEXT = "data text"
 _DATA_BINARY = "data binary little-endian f64"
+_TEXT_CHUNK = 65536  # values formatted per % operation in text mode
 
 
 def write_pgrid(path, f: GridFunction, binary: bool = False) -> None:
@@ -54,9 +55,9 @@ def write_pgrid(path, f: GridFunction, binary: bool = False) -> None:
             if binary:
                 fh.write(flat.tobytes())
             else:
-                fh.write(
-                    "".join(f"{v:.17g}\n" for v in flat).encode("ascii")
-                )
+                for lo in range(0, flat.size, _TEXT_CHUNK):
+                    chunk = tuple(flat[lo:lo + _TEXT_CHUNK].tolist())
+                    fh.write((("%.17g\n" * len(chunk)) % chunk).encode("ascii"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -13,6 +13,8 @@ from freepoisson import (
     boundary_values_naive,
     green_value,
 )
+from freepoisson.boundary import _plan_face
+from freepoisson.transforms import next_smooth_length
 
 
 def rel_face_diff(a: BoundaryValues, b: BoundaryValues) -> float:
@@ -120,6 +122,40 @@ def test_thread_count_bitwise_invariance():
         )
 
 
+@pytest.mark.parametrize("panels", [(200, 300), (40, 48, 56)])
+def test_thread_count_bitwise_invariance_on_larger_grids(panels):
+    # The 3D faces are large enough for scipy.fft to split each transform's
+    # rows over the workers; a 2D face is a single 1D transform.
+    rng = np.random.default_rng(13)
+    dim = len(panels)
+    g = UniformGrid([-1.0] * dim, [1.0 + 0.25 * s for s in range(dim)], panels)
+    rho = random_density(g, rng)
+    ref = boundary_values_fast(rho, 1)
+    for threads in (2, 3):
+        other = boundary_values_fast(rho, threads)
+        assert all(
+            np.array_equal(ref.faces[k], other.faces[k]) for k in ref.faces
+        )
+
+
+@pytest.mark.parametrize(
+    "panels", [(8, 11), (13, 14), (18, 8), (11, 13, 14), (8, 18, 11)]
+)
+def test_fast_matches_naive_at_minimal_fft_period(panels):
+    # 2M-1 is 7-smooth for M = 8, 11, 13, 14, 18 (15, 21, 25, 27, 35), so
+    # the FFT period equals the kernel length and an off-by-one in the
+    # padding or in the window aliases into the face values.
+    dim = len(panels)
+    g = UniformGrid([-1.0] * dim, [1.0 + 0.5 * s for s in range(dim)], panels)
+    for axis in range(dim):
+        plan = _plan_face(g, axis)
+        assert plan.padded_shape == plan.kernel_shape
+    rho = random_density(g, np.random.default_rng(sum(panels)), collar=1)
+    assert rel_face_diff(
+        boundary_values_naive(rho), boundary_values_fast(rho)
+    ) <= 1e-11
+
+
 def test_face_consistency_on_shared_nodes():
     rng = np.random.default_rng(31)
     g = UniformGrid([-1, -1, -1], [1, 1, 1], [8, 9, 10])
@@ -171,14 +207,19 @@ def test_nonzero_boundary_density_rejected():
 
 
 def test_fast_plan_kernel_covers_all_offsets():
-    from freepoisson.boundary import _plan_face
-
     g = UniformGrid([-1, -1, -1], [1, 1, 1], [6, 8, 10])
-    plan = _plan_face(g, 0, 0)
+    plan = _plan_face(g, 0)
     assert plan.in_axes == (1, 2)
     assert plan.kernel_shape == (15, 19)  # 2M-1: covers -(M-1)..+(M-1)
-    assert plan.data_shape == (7, 9)
+    assert plan.padded_shape == (15, 20)
     assert plan.wanted == ((6, 15), (8, 19))
-    for k, d, (a, b) in zip(plan.kernel_shape, plan.data_shape, plan.wanted):
+    for s, k, n, (a, b) in zip(
+        plan.in_axes, plan.kernel_shape, plan.padded_shape, plan.wanted
+    ):
+        d = g.panels[s] - 1  # interior data length
+        assert n == next_smooth_length(2 * g.panels[s] - 1)
         assert 0 <= a <= b <= k + d - 1
         assert b - a == (k + 1) // 2 + 1  # one value per face node
+        # period n moves no entry of the full convolution [0, k+d-1) that
+        # lies outside the window [a, b) into it
+        assert n >= b and (k + d - 2) - n < a

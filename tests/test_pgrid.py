@@ -60,3 +60,18 @@ def test_text_values_preserve_precision(tmp_path):
     path = tmp_path / "prec.pgrid"
     write_pgrid(path, f)
     assert np.array_equal(read_pgrid(path).values, f.values)
+
+
+def test_text_values_match_repr_format_bytewise(tmp_path):
+    # More values than one formatting chunk, so a chunk boundary is crossed.
+    rng = np.random.default_rng(4)
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, np.inf,
+               -np.inf, np.nan, 1e16, -1.7976931348623157e308, 0.1]
+    g = UniformGrid([0, 0], [1, 1], [299, 299])
+    values = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300, g.shape)
+    values.flat[: len(special)] = special
+    values.flat[-len(special):] = special
+    path = tmp_path / "bytes.pgrid"
+    write_pgrid(path, GridFunction(g, values))
+    data = path.read_bytes().split(b"\n", 6)[6]
+    assert data == "".join(f"{v:.17g}\n" for v in values.ravel()).encode("ascii")

@@ -7,6 +7,7 @@ from freepoisson import (
     AlignmentError,
     GridFunction,
     PolyBump,
+    ShapeError,
     SolverConfig,
     SupportViolationError,
     UniformGrid,
@@ -15,6 +16,7 @@ from freepoisson import (
     pad_domain,
     solve_free_space,
 )
+from freepoisson.dirichlet import check_support
 
 CENTER_3D = (1.0 / math.sqrt(31.0), 0.2, 0.1)
 
@@ -173,6 +175,25 @@ def test_support_violation_detected():
     vals = np.ones(g.shape)  # nonzero up to and including the boundary
     with pytest.raises(SupportViolationError):
         solve_free_space(GridFunction(g, vals), config=SolverConfig())
+
+
+@pytest.mark.parametrize(
+    "node, value",
+    [((0, 7), math.nan), ((8, 5), math.inf)],
+    ids=["boundary-nan", "interior-inf"],
+)
+def test_non_finite_density_rejected_at_entry(node, value):
+    # A boundary NaN enters neither sum and compares False against the
+    # support bound, so only an explicit finiteness check can catch it.
+    g = UniformGrid([-1, -1], [1, 1], [16, 16])
+    bump = PolyBump.from_differentiability(2, 6, 0.4, (0.1, 0.2))
+    rho = GridFunction.from_callable(g, bump)
+    rho.values[node] = value
+    message = r"density contains 1 non-finite value.*node \(%d, %d\)" % node
+    with pytest.raises(ShapeError, match=message):
+        check_support(rho)
+    with pytest.raises(ShapeError, match="density contains"):
+        solve_free_space(rho, config=SolverConfig())
 
 
 def test_padding_enables_wide_density():
