@@ -120,14 +120,19 @@ class PolyBump:
     def differentiability(self) -> int:
         return self.p - 1
 
-    def _radius(self, coords) -> np.ndarray:
+    def _square_distance(self, coords) -> np.ndarray:
+        """|x - center|^2 as a new array (safe to update in place)."""
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinate arrays")
-        sq = sum(
-            (np.asarray(c, dtype=np.float64) - c0) ** 2
-            for c, c0 in zip(coords, self.center)
+        return np.asarray(
+            sum(
+                (np.asarray(c, dtype=np.float64) - c0) ** 2
+                for c, c0 in zip(coords, self.center)
+            )
         )
-        return np.sqrt(sq)
+
+    def _radius(self, coords) -> np.ndarray:
+        return np.sqrt(self._square_distance(coords))
 
     def density_radial(self, r) -> np.ndarray:
         """Density as a function of distance from the center; exactly 0 for r >= eps."""
@@ -151,8 +156,19 @@ class PolyBump:
         return np.where(inside, interior, far)
 
     def density(self, *coords) -> np.ndarray:
-        """Density sampled at coordinate arrays (broadcasting)."""
-        return self.density_radial(self._radius(coords))
+        """Density sampled at coordinate arrays (broadcasting).
+
+        Evaluated from the squared distance, u = |x - center|^2 / eps^2, as
+        gamma * max(1 - u, 0)^p: no square root, and exactly 0 outside the
+        support.
+        """
+        w = self._square_distance(coords)
+        w /= self.epsilon**2
+        np.subtract(1.0, w, out=w)
+        np.maximum(w, 0.0, out=w)
+        w **= self.p
+        w *= self.gamma
+        return w
 
     def potential(self, *coords) -> np.ndarray:
         """Exact potential sampled at coordinate arrays (broadcasting)."""

@@ -21,24 +21,21 @@ from .errors import ShapeError, SupportViolationError
 from .grid import GridFunction, UniformGrid
 from .transforms import InteriorModeArray, forward_dst, inverse_dst
 
-__all__ = ["continuous_eigenvalues", "solve_phi_star"]
+__all__ = ["continuous_eigenvalues", "phi_star_modes", "solve_phi_star"]
 
 SUPPORT_RTOL = 1e-14
 
 
 def continuous_eigenvalues(grid: UniformGrid) -> np.ndarray:
     """Continuous Laplacian eigenvalue per interior sine mode (all negative)."""
-    terms = []
+    total = np.zeros(grid.interior_shape)
     for s in range(grid.dim):
         length = grid.upper[s] - grid.lower[s]
         k = np.arange(1, grid.panels[s])
         shape = [1] * grid.dim
         shape[s] = k.size
-        terms.append(((k * math.pi / length) ** 2).reshape(shape))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return -np.broadcast_to(total, grid.interior_shape).copy()
+        total -= ((k * math.pi / length) ** 2).reshape(shape)
+    return total
 
 
 def check_support(rho: GridFunction, rtol: float = SUPPORT_RTOL) -> float:
@@ -66,6 +63,16 @@ def check_support(rho: GridFunction, rtol: float = SUPPORT_RTOL) -> float:
     return boundary_max
 
 
+def phi_star_modes(rho: GridFunction) -> InteriorModeArray:
+    """Sine coefficients of phi*: the density's, divided by the eigenvalues.
+
+    The density is not checked here; callers run :func:`check_support`.
+    """
+    modes = forward_dst(rho)
+    modes.coefficients /= continuous_eigenvalues(rho.grid)
+    return modes
+
+
 def solve_phi_star(rho: GridFunction) -> GridFunction:
     """Solve Laplacian(phi) = rho with zero Dirichlet boundary values.
 
@@ -74,6 +81,4 @@ def solve_phi_star(rho: GridFunction) -> GridFunction:
     zero boundary values.
     """
     check_support(rho)
-    beta = forward_dst(rho)
-    alpha = beta.coefficients / continuous_eigenvalues(rho.grid)
-    return inverse_dst(InteriorModeArray(rho.grid, alpha)).assert_finite()
+    return inverse_dst(phi_star_modes(rho)).assert_finite()

@@ -130,9 +130,15 @@ class GridFunction:
     @classmethod
     def from_callable(cls, grid: UniformGrid, fn) -> "GridFunction":
         """Sample ``fn(x[, y[, z]])`` at all nodes; fn must broadcast."""
-        coords = grid.coordinate_arrays()
-        values = np.broadcast_to(np.asarray(fn(*coords), dtype=np.float64), grid.shape)
-        return cls(grid, values.copy())
+        values = np.asarray(fn(*grid.coordinate_arrays()), dtype=np.float64)
+        try:
+            full = np.broadcast_to(values, grid.shape)
+        except ValueError:
+            raise ShapeError(
+                f"callable returned an array of shape {values.shape}, which does "
+                f"not broadcast to the grid nodes {grid.shape}"
+            ) from None
+        return cls(grid, full.copy())
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())

@@ -26,14 +26,38 @@ compact operator.  Near the boundary, where the width-two stencils do not
 fit, the right-hand side is filled by cubic extrapolation along the inward
 normal of the nearest face (averaged over ties at edges and corners).
 
+:func:`harmonic_modes` returns the solution as sine coefficients, so the
+free-space solver adds them to the spectral Poisson component's and
+evaluates both with one shared inverse DST.  Only what must touch the
+whole volume does:
+
+* Shell transfer.  The boundary data reach the right-hand side only on the
+  depth-1 layer of interior nodes, so the 9/19-point operator is evaluated
+  there alone, on a 3-node slab behind each face.  The layer is split into
+  one block per face; an edge or corner node belongs to the face of its
+  lowest axis.
+* Layer DST.  A field on that layer is transformed block by block: a DST
+  over the face axes times the 1D sine factor of the block's node along the
+  normal, 2 sin(k pi / M) or 2 sin(k pi (M-1) / M).  The 4th order
+  coefficients need no full-volume transform.
+* Separable correction.  The width-two operator sum_{r != s} c_rs D4_r D2_s
+  is applied as sum_r D4_r (sum_{s != r} c_rs D2_s u) with 1D differences,
+  and the extrapolated layer is filled face, edge and corner block by block.
+
+At 6th order one inverse DST evaluates the 4th order solution (into the
+boundary-extended array, which the caller reuses for the final field) and
+one forward DST transforms the correction plus the boundary layer.
+
 In one dimension the exact solution is linear, so no machinery is needed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import ShapeError
 from .grid import BoundaryValues, GridFunction, UniformGrid
@@ -45,6 +69,8 @@ __all__ = [
     "compact_operator_stencil",
     "correlate_valid",
     "transfer_boundary_to_rhs",
+    "layer_dst",
+    "harmonic_modes",
     "solve_harmonic_4th",
     "sixth_order_rhs",
     "solve_harmonic_6th",
@@ -52,9 +78,10 @@ __all__ = [
 ]
 
 _D2 = np.array([1.0, -2.0, 1.0])
-_D4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0])  # D2 applied twice
 _DELTA3 = np.array([0.0, 1.0, 0.0])
-_DELTA5 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+
+# Fewest panels per axis each order's stencils fit in.
+MIN_PANELS = {4: 4, 6: 7}
 
 
 def _outer(arrays) -> np.ndarray:
@@ -116,7 +143,9 @@ def build_operator_symbol(grid: UniformGrid) -> CompactOperatorSymbol:
         shape = [1] * grid.dim
         shape[s] = l.size
         axed.append(l.reshape(shape))
-    symbol = sum(np.broadcast_to(a, grid.interior_shape).copy() for a in axed)
+    symbol = np.zeros(grid.interior_shape)
+    for a in axed:
+        symbol += a
     for r in range(grid.dim):
         for s in range(r + 1, grid.dim):
             symbol += (h[r] ** 2 + h[s] ** 2) / 12.0 * axed[r] * axed[s]
@@ -143,6 +172,60 @@ def correlate_valid(values: np.ndarray, stencil: np.ndarray) -> np.ndarray:
     return out
 
 
+def _d2(values: np.ndarray, axis: int) -> np.ndarray:
+    """Second difference v[i-1] - 2 v[i] + v[i+1] along one axis where it fits."""
+    n = values.shape[axis] - 2
+    lead = (slice(None),) * axis
+    out = values[lead + (slice(0, n),)] + values[lead + (slice(2, n + 2),)]
+    centre = values[lead + (slice(1, n + 1),)]
+    out -= centre
+    out -= centre
+    return out
+
+
+def _cross_d2(u: np.ndarray, h, r: int) -> np.ndarray:
+    """sum_{s != r} c_rs D2_s u / (h_r^4 h_s^2), c_rs = h_r^4/240 + h_r^2 h_s^2/144.
+
+    Evaluated on the nodes that D4_r reads for the deep region: every node
+    along r, depth >= 2 along the other axes.
+    """
+    d = u.ndim
+    w = None
+    for s in range(d):
+        if s == r:
+            continue
+        sl = [slice(2, -2)] * d
+        sl[r] = slice(None)
+        sl[s] = slice(1, -1)
+        term = _d2(u[tuple(sl)], s)
+        term *= 1.0 / (240.0 * h[s] ** 2) + 1.0 / (144.0 * h[r] ** 2)
+        if w is None:
+            w = term
+        else:
+            w += term
+    return w
+
+
+def _layer_blocks(grid: UniformGrid) -> dict[tuple[int, int], tuple[slice, ...]]:
+    """Split the depth-1 layer of interior nodes into one block per face.
+
+    ``blocks[(axis, side)]`` are node slices of the full array.  An edge or
+    corner node belongs to the face of its lowest axis, so every layer node
+    lies in exactly one block.
+    """
+    blocks = {}
+    for axis in range(grid.dim):
+        m = grid.panels[axis]
+        for side in (0, 1):
+            block = [
+                slice(2, n - 1) if s < axis else slice(1, n)
+                for s, n in enumerate(grid.panels)
+            ]
+            block[axis] = slice(1, 2) if side == 0 else slice(m - 1, m)
+            blocks[(axis, side)] = tuple(block)
+    return blocks
+
+
 def transfer_boundary_to_rhs(
     g: BoundaryValues, stencil: np.ndarray | CompactOperatorSymbol
 ) -> GridFunction:
@@ -150,51 +233,110 @@ def transfer_boundary_to_rhs(
 
     Returns the grid function that is nonzero only on the first interior
     layer: minus the compact operator applied to the boundary-extended field
-    (interior zero).  Interior nodes at depth two or more come out exactly
-    zero because the width-one stencil cannot reach the boundary from there.
+    (interior zero).  Interior nodes at depth two or more are exactly zero
+    because the width-one stencil cannot reach the boundary from there, so
+    the operator is evaluated on the layer only, each block of
+    :func:`_layer_blocks` from the slab one node wider on every side.
     """
     if isinstance(stencil, CompactOperatorSymbol):
         stencil = stencil.stencil
-    grid = g.grid
     extended = g.as_full_array()
-    extended[(slice(1, -1),) * grid.dim] = 0.0
-    rhs = GridFunction.zeros(grid)
-    rhs.values[(slice(1, -1),) * grid.dim] = -correlate_valid(extended, stencil)
+    rhs = GridFunction.zeros(g.grid)
+    for block in _layer_blocks(g.grid).values():
+        slab = tuple(slice(b.start - 1, b.stop + 1) for b in block)
+        rhs.values[block] = -correlate_valid(extended[slab], stencil)
     return rhs
 
 
-def _spectral_solve(
-    symbol: CompactOperatorSymbol, rhs_interior: np.ndarray, g: BoundaryValues
-) -> GridFunction:
-    coeff = forward_dst(GridFunction(symbol.grid, _embed_interior(symbol.grid, rhs_interior)))
-    modes = InteriorModeArray(symbol.grid, coeff.coefficients / symbol.values)
-    u = inverse_dst(modes)
-    full = g.as_full_array()
-    full[(slice(1, -1),) * symbol.grid.dim] = u.interior()
-    return GridFunction(symbol.grid, full).assert_finite()
+def layer_dst(f: GridFunction) -> InteriorModeArray:
+    """:func:`forward_dst` of a field that vanishes off the depth-1 layer.
+
+    Each face's block of the layer (:func:`_layer_blocks`) is transformed
+    over the face axes and spread along the normal by the 1D sine factor of
+    its node i, 2 sin(k pi i / M) with i = 1 or M - 1, so no full-volume
+    transform is needed.  Values off the layer are not read.
+    """
+    grid = f.grid
+    d = grid.dim
+    blocks = _layer_blocks(grid)
+    coeff = np.zeros(grid.interior_shape)
+    for axis in range(d):
+        faces = []
+        for side in (0, 1):
+            block = blocks[(axis, side)]
+            face_shape = list(grid.interior_shape)
+            face_shape[axis] = 1
+            face = np.zeros(face_shape)
+            face[
+                tuple(
+                    slice(None) if s == axis else slice(b.start - 1, b.stop - 1)
+                    for s, b in enumerate(block)
+                )
+            ] = f.values[block]
+            faces.append(sfft.dstn(face, type=1, axes=[s for s in range(d) if s != axis]))
+        m = grid.panels[axis]
+        shape = [1] * d
+        shape[axis] = m - 1
+        factor = 2.0 * np.sin(np.arange(1, m) * np.pi / m).reshape(shape)
+        # 2 sin(k pi (M-1) / M) = (-1)^(k+1) 2 sin(k pi / M): odd k see the
+        # sum of the two faces' transforms, even k their difference.
+        for parity, pair in ((0, faces[0] + faces[1]), (1, faces[0] - faces[1])):
+            sel = [slice(None)] * d
+            sel[axis] = slice(parity, None, 2)
+            coeff[tuple(sel)] += factor[tuple(sel)] * pair
+    coeff *= 1.0 / np.prod([float(m) for m in grid.panels])
+    return InteriorModeArray(grid, coeff)
 
 
-def _embed_interior(grid: UniformGrid, interior: np.ndarray) -> np.ndarray:
-    full = np.zeros(grid.shape)
-    full[(slice(1, -1),) * grid.dim] = interior
-    return full
+def _check_panels(grid: UniformGrid, order: int) -> None:
+    if min(grid.panels) < MIN_PANELS[order]:
+        raise ShapeError(
+            f"{order}th order harmonic solve needs at least {MIN_PANELS[order]} "
+            f"panels per axis, got {grid.panels}"
+        )
+
+
+def harmonic_modes(g: BoundaryValues, order: int, field: np.ndarray) -> InteriorModeArray:
+    """Sine coefficients of the 4th or 6th order harmonic extension of g.
+
+    ``field`` is g's boundary-extended node array (``g.as_full_array()``).
+    The 6th order sweep evaluates the 4th order solution into its interior,
+    so the caller can reuse the array for the final field.
+    """
+    grid = g.grid
+    _check_panels(grid, order)
+    symbol = build_operator_symbol(grid)
+    g_rhs = transfer_boundary_to_rhs(g, symbol)
+    modes = layer_dst(g_rhs)
+    modes.coefficients /= symbol.values
+    if order == 4:
+        return modes
+    u1 = inverse_dst(modes, field)
+    del modes  # one coefficient array less during the correction
+    rhs = sixth_order_rhs(u1)
+    for block in _layer_blocks(grid).values():
+        rhs.values[block] += g_rhs.values[block]
+    modes = forward_dst(rhs)
+    modes.coefficients /= symbol.values
+    return modes
+
+
+def _solve(g: BoundaryValues, order: int) -> GridFunction:
+    field = g.as_full_array()
+    return inverse_dst(harmonic_modes(g, order, field), field).assert_finite()
 
 
 def solve_harmonic_4th(g: BoundaryValues) -> GridFunction:
     """4th order discrete-harmonic extension of the boundary data."""
-    grid = g.grid
-    if min(grid.panels) < 4:
-        raise ShapeError("4th order harmonic solve needs at least 4 panels per axis")
-    symbol = build_operator_symbol(grid)
-    g_rhs = transfer_boundary_to_rhs(g, symbol)
-    return _spectral_solve(symbol, g_rhs.interior().copy(), g)
+    return _solve(g, 4)
 
 
 def sixth_order_rhs(u1: GridFunction) -> GridFunction:
     """Deferred-correction right-hand side built from a 4th order solution.
 
     Applies the width-two truncation-error operators where they fit (all
-    node coordinates at depth >= 2 from the boundary) and fills the layer
+    node coordinates at depth >= 2 from the boundary), as sums of 1D
+    differences D4_r (sum_{s != r} c_rs D2_s u1), and fills the layer
     adjacent to the boundary by cubic extrapolation along the inward normal
     of the nearest face; where several faces tie (edges, corners) the tied
     directions are averaged.
@@ -202,7 +344,7 @@ def sixth_order_rhs(u1: GridFunction) -> GridFunction:
     grid = u1.grid
     if grid.dim not in (2, 3):
         raise ShapeError("sixth order correction is defined for dim 2 and 3")
-    if min(grid.panels) < 7:
+    if min(grid.panels) < MIN_PANELS[6]:
         # Extrapolation reads four directly-computed values along the normal,
         # which requires a deep interior at least four nodes wide.
         raise ShapeError(
@@ -211,67 +353,36 @@ def sixth_order_rhs(u1: GridFunction) -> GridFunction:
         )
     h = grid.mesh
     d = grid.dim
-
-    stencil = np.zeros((5,) * d)
-    for r in range(d):
-        for s in range(d):
-            if r == s:
-                continue
-            # coefficient of D2_r D2_r D2_s
-            coeff = h[r] ** 4 / 240.0 + h[r] ** 2 * h[s] ** 2 / 144.0
-            parts = [_DELTA5] * d
-            parts[r] = _D4 / h[r] ** 4
-            parts[s] = np.pad(_D2, 1) / h[s] ** 2
-            stencil += coeff * _outer(parts)
-
     rhs = np.zeros(grid.shape)
-    deep = tuple(slice(2, -2) for _ in range(d))
-    rhs[deep] = correlate_valid(u1.values, stencil)
+    deep = rhs[(slice(2, -2),) * d]
+    for r in range(d):
+        deep += _d2(_d2(_cross_d2(u1.values, h, r), r), r)
 
-    # Depth-1 layer by cubic extrapolation, corners after edges after faces.
-    depth = []
-    for s in range(d):
-        idx = np.arange(grid.panels[s] + 1)
-        shape = [1] * d
-        shape[s] = idx.size
-        depth.append(np.minimum(idx, grid.panels[s] - idx).reshape(shape))
-    tie_count = sum((dp == 1).astype(int) for dp in depth)
-    tie_count = np.broadcast_to(tie_count, grid.shape)
-
-    for current_tie in range(1, d + 1):
-        contrib = np.zeros(grid.shape)
-        counts = np.zeros(grid.shape, dtype=int)
-        for axis in range(d):
-            for side in (0, 1):
-                m_ax = grid.panels[axis]
-                base = [slice(1, -1)] * d
-                base[axis] = 1 if side == 0 else m_ax - 1
-
-                def ray(k):
-                    sel = list(base)
-                    sel[axis] = 1 + k if side == 0 else m_ax - 1 - k
-                    return rhs[tuple(sel)]
-
-                extrap = 4.0 * ray(1) - 6.0 * ray(2) + 4.0 * ray(3) - ray(4)
-                layer = tuple(base)
-                mask = tie_count[layer] == current_tie
-                contrib[layer][mask] += extrap[mask]
-                counts[layer][mask] += 1
-        filled = counts > 0
-        rhs[filled] = contrib[filled] / counts[filled]
+    # Depth-1 layer by cubic extrapolation: nodes at depth 1 along t axes
+    # average the t normal extrapolations, faces (t = 1) first, then edges,
+    # then corners, each reading only values filled before it.
+    for t in range(1, d + 1):
+        for axes in itertools.combinations(range(d), t):
+            for sides in itertools.product((0, 1), repeat=t):
+                node = [slice(2, -2)] * d
+                for a, side in zip(axes, sides):
+                    node[a] = 1 if side == 0 else grid.panels[a] - 1
+                total = 0.0
+                for a, side in zip(axes, sides):
+                    step = 1 if side == 0 else -1
+                    r1, r2, r3, r4 = (
+                        rhs[tuple(node[:a]) + (node[a] + step * k,) + tuple(node[a + 1 :])]
+                        for k in (1, 2, 3, 4)
+                    )
+                    total = total + (4.0 * r1 - 6.0 * r2 + 4.0 * r3 - r4)
+                rhs[tuple(node)] = total / t
 
     return GridFunction(grid, rhs).assert_finite()
 
 
 def solve_harmonic_6th(g: BoundaryValues) -> GridFunction:
     """6th order harmonic extension: 4th order solve plus one correction sweep."""
-    grid = g.grid
-    symbol = build_operator_symbol(grid)
-    g_rhs = transfer_boundary_to_rhs(g, symbol)
-    u1 = _spectral_solve(symbol, g_rhs.interior().copy(), g)
-    correction = sixth_order_rhs(u1)
-    total = g_rhs.interior() + correction.interior()
-    return _spectral_solve(symbol, total, g)
+    return _solve(g, 6)
 
 
 def solve_harmonic_1d(g_left: float, g_right: float, grid: UniformGrid) -> GridFunction:

@@ -53,18 +53,24 @@ def forward_dst(f: GridFunction) -> InteriorModeArray:
     """Sine-series coefficients of a grid function (interior values only)."""
     grid = f.grid
     interior = f.interior()
-    scale = 1.0 / np.prod([float(m) for m in grid.panels])
-    coeff = sfft.dstn(interior, type=1) * scale
+    coeff = sfft.dstn(interior, type=1)
+    coeff *= 1.0 / np.prod([float(m) for m in grid.panels])
     return InteriorModeArray(grid, coeff)
 
 
-def inverse_dst(c: InteriorModeArray) -> GridFunction:
-    """Evaluate a sine series at all grid nodes; boundary nodes are exactly 0."""
+def inverse_dst(c: InteriorModeArray, out: np.ndarray | None = None) -> GridFunction:
+    """Evaluate a sine series at all grid nodes.
+
+    Boundary nodes are exactly 0, unless a node array ``out`` is given: the
+    series is then written into its interior and its boundary nodes keep
+    their values, so the result carries Dirichlet data without another full
+    array.
+    """
     grid = c.grid
-    values = np.zeros(grid.shape)
-    values[(slice(1, -1),) * grid.dim] = sfft.dstn(c.coefficients, type=1) / (
-        2.0 ** grid.dim
-    )
+    values = np.zeros(grid.shape) if out is None else out
+    series = sfft.dstn(c.coefficients, type=1)
+    series /= 2.0**grid.dim
+    values[(slice(1, -1),) * grid.dim] = series
     return GridFunction(grid, values)
 
 

@@ -155,3 +155,20 @@ def test_invalid_parameters_rejected():
         PolyBump(3, 0.4, 0, [0, 0, 0])
     with pytest.raises(ValueError):
         PolyBump(2, 0.4, 3, [0.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 4, 7])
+def test_density_matches_density_radial(dim, p):
+    # density works from the squared distance without a square root; it must
+    # agree with the radial profile to roundoff and vanish on the same nodes.
+    bump = PolyBump(dim, 0.4, p, (0.31, -0.2, 0.05)[:dim])
+    axes = [np.linspace(-0.5, 0.9, n) for n in (97, 61, 45)[:dim]]
+    coords = np.meshgrid(*axes, indexing="ij", sparse=True)
+    radius = np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(coords, bump.center)))
+    got = bump.density(*coords)
+    want = bump.density_radial(radius)
+    assert got.shape == want.shape
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-15 * bump.gamma
+    assert np.any(got == 0.0) and np.max(got) > 0.9 * bump.gamma

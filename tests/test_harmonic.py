@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from freepoisson import (
     BoundaryValues,
@@ -13,10 +14,12 @@ from freepoisson import (
     transfer_boundary_to_rhs,
 )
 from freepoisson.harmonic import (
+    _layer_blocks,
     build_operator_symbol,
     compact_operator_stencil,
     correlate_valid,
     discrete_eigenvalues,
+    layer_dst,
 )
 
 RNG = np.random.default_rng(2024)
@@ -339,3 +342,84 @@ def test_size_preconditions():
     g1 = UniformGrid([0], [1], [8])
     with pytest.raises(ShapeError):
         solve_harmonic_4th(BoundaryValues.zeros(g1))
+
+
+def random_boundary(g: UniformGrid) -> BoundaryValues:
+    full = RNG.standard_normal(g.shape)
+    full[(slice(1, -1),) * g.dim] = 0.0
+    return BoundaryValues.from_full_array(g, full)
+
+
+@pytest.mark.parametrize("panels", [(9, 7), (8, 11, 6)])
+def test_transfer_shell_matches_full_volume_pass_bitwise(panels):
+    # Reference: the 9/19-point stencil applied to the whole boundary-extended
+    # array (interior zero); the layer-only evaluation must agree bit for bit.
+    g = UniformGrid([-1.0] * len(panels), [1.0, 0.5, 2.0][: len(panels)], panels)
+    bv = random_boundary(g)
+    stencil = compact_operator_stencil(g)
+    want = np.zeros(g.shape)
+    want[(slice(1, -1),) * g.dim] = -correlate_valid(bv.as_full_array(), stencil)
+    assert np.array_equal(transfer_boundary_to_rhs(bv, stencil).values, want)
+
+
+@pytest.mark.parametrize("panels", [(9, 7), (4, 4), (8, 11, 6), (4, 5, 4)])
+def test_layer_blocks_partition_the_layer(panels):
+    g = UniformGrid([0.0] * len(panels), [1.0] * len(panels), panels)
+    count = np.zeros(g.shape, dtype=int)
+    for block in _layer_blocks(g).values():
+        count[block] += 1
+    layer = np.zeros(g.shape, dtype=bool)
+    layer[(slice(1, -1),) * g.dim] = True
+    layer[(slice(2, -2),) * g.dim] = False
+    assert np.array_equal(count, layer.astype(int))
+
+
+@pytest.mark.parametrize("panels", [(9, 7), (12, 10), (8, 11, 6), (13, 9, 10)])
+def test_layer_dst_matches_dstn(panels):
+    # A random field on the whole depth-1 layer, edges and corners included.
+    g = UniformGrid([-1.0] * len(panels), [1.0, 0.5, 2.0][: len(panels)], panels)
+    layer = np.zeros(g.shape, dtype=bool)
+    layer[(slice(1, -1),) * g.dim] = True
+    layer[(slice(2, -2),) * g.dim] = False
+    values = np.where(layer, RNG.standard_normal(g.shape), 0.0)
+    want = scipy.fft.dstn(values[(slice(1, -1),) * g.dim], type=1) / np.prod(panels)
+    got = layer_dst(GridFunction(g, values)).coefficients
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_sixth_order_rhs_deep_region_matches_dense_stencil_3d():
+    # Reference: the dense 5x5x5 stencil sum_{r != s} c_rs D4_r D2_s.
+    g = UniformGrid([-1.0, -0.5, -1.0], [1.0, 1.0, 0.8], [14, 12, 16])
+    h = g.mesh
+    u1 = GridFunction.from_callable(
+        g, lambda x, y, z: np.sin(3 * x) * np.cos(4 * y) * np.exp(2 * z)
+    )
+    d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
+    d2 = np.array([0.0, 1.0, -2.0, 1.0, 0.0])
+    delta = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+    stencil = np.zeros((5, 5, 5))
+    for r in range(3):
+        for s in range(3):
+            if r != s:
+                parts = [delta] * 3
+                parts[r] = d4 / h[r] ** 4
+                parts[s] = d2 / h[s] ** 2
+                c = h[r] ** 4 / 240.0 + h[r] ** 2 * h[s] ** 2 / 144.0
+                stencil += c * np.multiply.outer(np.multiply.outer(parts[0], parts[1]), parts[2])
+    want = correlate_valid(u1.values, stencil)
+    got = sixth_order_rhs(u1).values[2:-2, 2:-2, 2:-2]
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_sixth_order_rhs_extrapolated_edges_and_corners_exact_3d():
+    # For u = x^5 y^2 the correction is 240 c_xy x, linear along every
+    # normal, so the cubic extrapolation reproduces it on faces, edges and
+    # corners of the depth-1 layer.
+    g = UniformGrid([-1.0, -1.0, -1.0], [1.0, 1.0, 0.5], [12, 10, 9])
+    hx, hy, _ = g.mesh
+    u1 = GridFunction.from_callable(g, lambda x, y, z: x**5 * y**2 + 0 * z)
+    rhs = sixth_order_rhs(u1)
+    cx = hx**4 / 240.0 + hx**2 * hy**2 / 144.0
+    want = GridFunction.from_callable(g, lambda x, y, z: 240.0 * cx * x + 0 * y * z)
+    scale = np.max(np.abs(want.values))
+    assert np.max(np.abs(rhs.interior() - want.interior())) <= 1e-10 * scale

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import freepoisson.solver
 from freepoisson import (
     AlignmentError,
     GridFunction,
@@ -15,6 +17,9 @@ from freepoisson import (
     domain_invariance_study,
     pad_domain,
     solve_free_space,
+    solve_harmonic_4th,
+    solve_harmonic_6th,
+    solve_phi_star,
 )
 from freepoisson.dirichlet import check_support
 
@@ -215,6 +220,7 @@ def test_report_fields():
     phi, report = solve_free_space(bump, g, SolverConfig(order=4, thread_count=2))
     assert report.user_grid == g
     assert report.order == 4 and report.thread_count == 2
+    assert report.t_sample_s >= 0.0
     assert report.t_phistar_s >= 0.0
     assert report.t_boundary_s >= 0.0
     assert report.t_harmonic_s >= 0.0
@@ -260,3 +266,64 @@ def test_config_validation():
         SolverConfig(thread_count=0)
     with pytest.raises(ValueError):
         SolverConfig(padding_panels=-1)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize(
+    "lower, upper, panels",
+    [((-1.0, -0.5), (1.0, 2.0), (40, 56)), ((-1.0, -1.2, -0.8), (1.1, 1.0, 0.9), (40, 56, 30))],
+    ids=["2d", "3d"],
+)
+def test_fused_solve_matches_phi_star_plus_harmonic(order, lower, upper, panels):
+    # One inverse DST of the summed coefficients equals the two solves
+    # evaluated separately and added, up to roundoff.
+    g = UniformGrid(lower, upper, panels)
+    bump = PolyBump.from_differentiability(g.dim, 6, 0.5, (0.1, 0.2, -0.05)[: g.dim])
+    rho = GridFunction.from_callable(g, bump)
+    phi, _ = solve_free_space(rho, config=SolverConfig(order=order))
+    harmonic = solve_harmonic_4th if order == 4 else solve_harmonic_6th
+    parts = solve_phi_star(rho).values + harmonic(boundary_values_fast(rho)).values
+    assert np.max(np.abs(phi.values - parts)) <= 1e-13 * np.max(np.abs(parts))
+
+
+@pytest.mark.parametrize(
+    "dim, panels, order",
+    [(3, 6, 6), (2, 6, 6), (2, 3, 4), (3, 3, 4)],
+)
+def test_too_few_panels_rejected_before_any_phase(monkeypatch, dim, panels, order):
+    def boundary_phase(*args):
+        raise AssertionError("the boundary phase ran")
+
+    monkeypatch.setattr(freepoisson.solver, "boundary_values_fast", boundary_phase)
+    g = UniformGrid([-1.0] * dim, [1.0] * dim, [panels] * dim)
+    with pytest.raises(ShapeError, match="padding_panels"):
+        solve_free_space(GridFunction.zeros(g), config=SolverConfig(order=order))
+
+
+def test_padding_lifts_the_panel_guard():
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [5] * 3)
+    phi, report = solve_free_space(
+        GridFunction.zeros(g), config=SolverConfig(order=6, padding_panels=1)
+    )
+    assert report.padded_grid.panels == (7, 7, 7)
+    assert np.all(phi.values == 0.0)
+
+
+def test_wrong_shaped_callable_rejected():
+    g = UniformGrid([-1.0, -1.0], [1.0, 1.0], [8, 8])
+    with pytest.raises(ShapeError, match=r"\(5,\).*\(9, 9\)"):
+        solve_free_space(lambda x, y: np.zeros(5), g)
+
+
+def test_report_phases_account_for_wall_time():
+    bump = PolyBump(3, 0.4, 7, CENTER_3D)
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
+    config = SolverConfig(order=6)
+    solve_free_space(bump, g, config)
+    start = time.perf_counter()
+    _, report = solve_free_space(bump, g, config)
+    wall = time.perf_counter() - start
+    phases = (report.t_sample_s, report.t_phistar_s, report.t_boundary_s, report.t_harmonic_s)
+    assert all(t > 0.0 for t in phases)
+    assert report.t_total_s == pytest.approx(sum(phases), rel=1e-12)
+    assert 0.9 * wall <= report.t_total_s <= wall
