@@ -8,7 +8,7 @@ fast Green's-function convolutions over the boundary.
 """
 
 from .boundary import boundary_values_fast, boundary_values_naive
-from .bumps import PolyBump, analytic_potential, evaluate_bump
+from .bumps import PolyBump
 from .dirichlet import solve_phi_star
 from .errors import (
     AlignmentError,
@@ -17,7 +17,6 @@ from .errors import (
     SingularityError,
     SupportViolationError,
 )
-from .greens import green_value, kernel_slice
 from .grid import (
     BoundaryValues,
     GridFunction,
@@ -40,12 +39,7 @@ from .solver import (
     pad_domain,
     solve_free_space,
 )
-from .transforms import (
-    fast_linear_convolution,
-    fast_linear_convolution_2d,
-    forward_dst,
-    inverse_dst,
-)
+from .transforms import forward_dst, inverse_dst
 
 __version__ = "0.1.0"
 
@@ -61,17 +55,11 @@ __all__ = [
     "SolverConfig",
     "SupportViolationError",
     "UniformGrid",
-    "analytic_potential",
     "boundary_values_fast",
     "boundary_values_naive",
     "domain_invariance_study",
-    "evaluate_bump",
-    "fast_linear_convolution",
-    "fast_linear_convolution_2d",
     "forward_dst",
-    "green_value",
     "inverse_dst",
-    "kernel_slice",
     "max_norm_difference",
     "pad_domain",
     "read_pgrid",

@@ -11,7 +11,8 @@ Two implementations share that definition:
   the reference oracle, with cost O(N^(2d-1)/d).
 * ``boundary_values_fast`` rearranges each face's double (triple) sum into a
   sum over source slices of in-face discrete convolutions, evaluated with
-  zero-padded FFTs, for O(N log N) total work.
+  zero-padded FFTs, for O(N log N) total work.  In 1D each boundary "face"
+  is one node whose value is a single sum, so it uses the direct sums.
 
 On an in-face axis with M panels the kernel has 2M-1 samples (offsets
 -(M-1)..M-1) and a slice's data M-1, so the full linear convolution has
@@ -41,7 +42,7 @@ from .grid import BoundaryValues, GridFunction, UniformGrid
 from .greens import green_values
 from .transforms import next_smooth_length
 
-__all__ = ["FaceConvolutionPlan", "boundary_values_naive", "boundary_values_fast"]
+__all__ = ["boundary_values_naive", "boundary_values_fast"]
 
 
 def _interior_points(grid: UniformGrid):
@@ -49,24 +50,6 @@ def _interior_points(grid: UniformGrid):
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     return [np.ascontiguousarray(np.broadcast_to(m, grid.interior_shape)).ravel()
             for m in mesh]
-
-
-def _face_target_coords(grid: UniformGrid, axis: int, side: int):
-    """Coordinate arrays (flattened) of every node on one face."""
-    coords = []
-    face_axes = [s for s in range(grid.dim) if s != axis]
-    shapes = [grid.panels[s] + 1 for s in face_axes]
-    pinned = grid.upper[axis] if side else grid.lower[axis]
-    for s in range(grid.dim):
-        if s == axis:
-            coords.append(np.full(shapes, pinned).ravel())
-        else:
-            c = grid.axis_coordinates(s)
-            shape = [1] * len(face_axes)
-            shape[face_axes.index(s)] = c.size
-            arr = np.broadcast_to(c.reshape(shape), shapes)
-            coords.append(np.ascontiguousarray(arr).ravel())
-    return coords, tuple(shapes)
 
 
 def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues:
@@ -82,7 +65,11 @@ def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues
     faces = {}
     for axis in range(grid.dim):
         for side in (0, 1):
-            targets, face_shape = _face_target_coords(grid, axis, side)
+            face_shape = tuple(m + 1 for s, m in enumerate(grid.panels) if s != axis)
+            targets = [
+                np.broadcast_to(c, face_shape).ravel()
+                for c in grid.face_coordinate_arrays(axis, side)
+            ]
             n = targets[0].size
             vals = np.empty(n)
             for lo in range(0, n, chunk):
@@ -93,7 +80,7 @@ def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues
                     dist_sq += diff * diff
                 g = green_values(grid.dim, np.sqrt(dist_sq))
                 vals[lo:hi] = g @ density
-            faces[(axis, side)] = (vals * weight).reshape(face_shape or ())
+            faces[(axis, side)] = (vals * weight).reshape(face_shape)
     return BoundaryValues(grid, faces)
 
 
@@ -156,19 +143,6 @@ def _slice_data(rho: GridFunction, axis: int, p: int) -> np.ndarray:
     return rho.values[tuple(sl)]
 
 
-def _boundary_1d(rho: GridFunction) -> BoundaryValues:
-    # Single sums per endpoint; no convolution machinery needed in 1D.
-    grid = rho.grid
-    h = grid.mesh[0]
-    coords = grid.axis_coordinates(0)[1:-1]
-    density = rho.interior()
-    faces = {}
-    for side, x_b in ((0, grid.lower[0]), (1, grid.upper[0])):
-        g = green_values(1, np.abs(x_b - coords))
-        faces[(0, side)] = np.array(float(np.dot(g, density)) * h)
-    return BoundaryValues(grid, faces)
-
-
 def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryValues:
     """Boundary sums via FFT convolutions summed in frequency space; O(N log N).
 
@@ -184,9 +158,9 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     if thread_count < 1:
         raise ValueError("thread_count must be positive")
     grid = rho.grid
-    check_support(rho)
     if grid.dim == 1:
-        return _boundary_1d(rho)
+        return boundary_values_naive(rho)  # two single sums: nothing to convolve
+    check_support(rho)
 
     faces = {}
     for axis in range(grid.dim):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .greens import green_values
 
-__all__ = ["PolyBump", "evaluate_bump", "analytic_potential"]
+__all__ = ["PolyBump"]
 
 
 def _unit_integral_rational(dim: int, p: int) -> Fraction:
@@ -177,14 +177,3 @@ class PolyBump:
     def __call__(self, *coords) -> np.ndarray:
         return self.density(*coords)
 
-
-def evaluate_bump(bump: PolyBump, x) -> float | np.ndarray:
-    """Density at a point (last axis = coordinates)."""
-    x = np.asarray(x, dtype=np.float64)
-    return bump.density(*np.moveaxis(np.atleast_1d(x), -1, 0))
-
-
-def analytic_potential(bump: PolyBump, x) -> float | np.ndarray:
-    """Exact free-space potential at a point (last axis = coordinates)."""
-    x = np.asarray(x, dtype=np.float64)
-    return bump.potential(*np.moveaxis(np.atleast_1d(x), -1, 0))

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bumps import PolyBump
 from .grid import GridFunction, UniformGrid
-from .pgrid import read_pgrid, write_pgrid
+from .pgrid import atomic_open, read_pgrid, write_pgrid
 from .solver import SolverConfig, domain_invariance_study, solve_free_space
 
 __all__ = [
@@ -29,6 +27,7 @@ __all__ = [
     "main",
 ]
 
+KINDS = ("solve", "convergence", "domain", "threads")
 DEFAULT_CENTER = (1.0 / math.sqrt(31.0), 0.2, 0.1)
 CONVERGENCE_HEADER = (
     "h,panels,order,diff,max_rel_err,t_phistar_s,t_boundary_s,t_harmonic_s"
@@ -63,7 +62,7 @@ class StudySpec:
     rho_file: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("solve", "convergence", "domain", "threads"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2 or 3")
@@ -227,16 +226,8 @@ def write_csv(path, header: str, rows) -> None:
     text = header + "\n" + "\n".join(
         ",".join(_format_cell(v) for v in row) for row in rows
     ) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".csv-", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, ".csv-") as fh:
+        fh.write(text.encode())
 
 
 def _run_solve(spec: StudySpec) -> None:
@@ -273,8 +264,38 @@ def _print_rows(header: str, rows) -> None:
         print(",".join(_format_cell(v) for v in row))
 
 
+# The one definition of every option: (subcommands, flag, add_argument
+# keywords).  The subcommand parsers and the config-file parser read it.
+_OPTIONS = (
+    (KINDS, "--dim", dict(type=int)),
+    (KINDS, "--domain", dict(type=float, nargs="+", metavar="BOUND",
+                             help="a b [c d [e f]] per axis")),
+    (KINDS, "--panels", dict(type=int, nargs="+")),
+    (KINDS, "--order", dict(type=int, choices=(4, 6))),
+    (KINDS, "--diff", dict(type=int, help="bump differentiability (p-1)")),
+    (KINDS, "--p", dict(type=int, help="bump exponent")),
+    (KINDS, "--eps", dict(type=float, help="bump support radius")),
+    (KINDS, "--center", dict(type=float, nargs="+")),
+    (KINDS, "--padding-panels", dict(type=int)),
+    (KINDS, "--fft-friendly", dict(action="store_const", const=True, default=None)),
+    (KINDS, "--threads", dict(type=int)),
+    (KINDS, "--out", {}),
+    (KINDS, "--format", dict(choices=("csv", "pgrid"))),
+    (("solve",), "--rho-file", dict(help="PGRID file with the density")),
+    (("convergence",), "--h-list", dict(type=float, nargs="+")),
+    (("convergence",), "--fit-min-h", dict(type=float)),
+    (("convergence",), "--fit-max-h", dict(type=float)),
+    (("domain",), "--d-list", dict(type=float, nargs="+")),
+    (("threads",), "--thread-list", dict(type=int, nargs="+")),
+)
+
+
 def load_config_file(path) -> dict:
-    """Parse a plain key=value file ('#' starts a comment)."""
+    """Parse a plain key=value file ('#' starts a comment) with the options' parser.
+
+    Keys are long option names of any subcommand (``-`` or ``_``); list
+    values are split at commas or spaces; ``fft_friendly`` takes true/false.
+    """
     values = {}
     with open(path) as fh:
         for raw in fh:
@@ -284,47 +305,34 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line {raw!r} is not key=value")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
-_LIST_KEYS = {
-    "h_list": float,
-    "d_list": float,
-    "thread_list": int,
-    "panels": int,
-    "center": float,
-    "domain": float,
-}
-_SCALAR_KEYS = {
-    "dim": int,
-    "order": int,
-    "diff": int,
-    "p": int,
-    "eps": float,
-    "padding_panels": int,
-    "threads": int,
-    "fit_min_h": float,
-    "fit_max_h": float,
-    "out": str,
-    "format": str,
-    "rho_file": str,
-}
-
-
-def _coerce_config(values: dict) -> dict:
-    out = {}
-    for key, val in values.items():
-        if key in _LIST_KEYS:
-            cast = _LIST_KEYS[key]
-            out[key] = tuple(cast(v) for v in val.replace(",", " ").split())
-        elif key in _SCALAR_KEYS:
-            out[key] = _SCALAR_KEYS[key](val)
-        elif key == "fft_friendly":
-            out[key] = val.lower() in ("1", "true", "yes", "on")
+            values["--" + key.replace("_", "-")] = val  # a later line wins
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    argv = []
+    for _, flag, kw in _OPTIONS:
+        parser.add_argument(flag, **kw)
+        val = values.pop(flag, None)
+        if val is None:
+            continue
+        if "nargs" in kw:
+            # An empty list is the default.  A leading space stops argparse
+            # reading a token like -1e-3 as an option (int/float ignore it).
+            tokens = [" " + v for v in val.replace(",", " ").split()]
+            argv += [flag] + tokens if tokens else []
+        elif "const" in kw:
+            argv += [flag] if val.lower() in ("1", "true", "yes", "on") else []
         else:
-            raise ValueError(f"unknown config key {key!r}")
-    return out
+            argv.append(f"{flag}={val}")
+    if values:
+        raise ValueError(f"unknown config key {next(iter(values))[2:]!r}")
+    try:
+        parsed = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+    return {
+        key: tuple(val) if isinstance(val, list) else val
+        for key, val in vars(parsed).items()
+        if val is not None
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,46 +342,24 @@ def build_parser() -> argparse.ArgumentParser:
         "uniform rectangular grids.",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind, help_text in (
-        ("solve", "one solve, optionally written as PGRID/CSV"),
-        ("convergence", "error vs mesh width against the analytic potential"),
-        ("domain", "solution variation under domain expansion"),
-        ("threads", "wall time vs thread count on a fixed problem"),
-    ):
+    for kind, help_text in zip(KINDS, (
+        "one solve, optionally written as PGRID/CSV",
+        "error vs mesh width against the analytic potential",
+        "solution variation under domain expansion",
+        "wall time vs thread count on a fixed problem",
+    )):
         p = sub.add_parser(kind, help=help_text)
         p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--domain", type=float, nargs="+", metavar="BOUND",
-                       help="a b [c d [e f]] per axis")
-        p.add_argument("--panels", type=int, nargs="+")
-        p.add_argument("--order", type=int, choices=(4, 6))
-        p.add_argument("--diff", type=int, help="bump differentiability (p-1)")
-        p.add_argument("--p", type=int, help="bump exponent")
-        p.add_argument("--eps", type=float, help="bump support radius")
-        p.add_argument("--center", type=float, nargs="+")
-        p.add_argument("--padding-panels", type=int)
-        p.add_argument("--fft-friendly", action="store_const", const=True,
-                       default=None)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "pgrid"))
-        if kind == "solve":
-            p.add_argument("--rho-file", help="PGRID file with the density")
-        if kind == "convergence":
-            p.add_argument("--h-list", type=float, nargs="+")
-            p.add_argument("--fit-min-h", type=float)
-            p.add_argument("--fit-max-h", type=float)
-        if kind == "domain":
-            p.add_argument("--d-list", type=float, nargs="+")
-        if kind == "threads":
-            p.add_argument("--thread-list", type=int, nargs="+")
+        for kinds, flag, kw in _OPTIONS:
+            if kind in kinds:
+                p.add_argument(flag, **kw)
     return parser
 
 
 def build_spec(args: argparse.Namespace) -> StudySpec:
     merged = {}
     if getattr(args, "config", None):
-        merged.update(_coerce_config(load_config_file(args.config)))
+        merged.update(load_config_file(args.config))
     for key, val in vars(args).items():
         if key in ("config", "kind") or val is None:
             continue

@@ -13,32 +13,15 @@ the boundary accumulation).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import SingularityError
 
-__all__ = ["green_value", "green_values", "kernel_slice"]
-
-
-def green_value(dim: int, r: float) -> float:
-    """Green's function at distance ``r >= 0``."""
-    if r < 0:
-        raise ValueError(f"distance must be nonnegative, got {r}")
-    if dim == 1:
-        return 0.5 * r
-    if r == 0.0:
-        raise SingularityError(f"Green's function is singular at r=0 for dim {dim}")
-    if dim == 2:
-        return math.log(r) / (2.0 * math.pi)
-    if dim == 3:
-        return -1.0 / (4.0 * math.pi * r)
-    raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+__all__ = ["green_values"]
 
 
 def green_values(dim: int, r: np.ndarray) -> np.ndarray:
-    """Vectorized ``green_value`` over an array of distances."""
+    """Green's function at every distance of an array (all ``>= 0``)."""
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("distances must be nonnegative")
@@ -52,22 +35,3 @@ def green_values(dim: int, r: np.ndarray) -> np.ndarray:
         return -1.0 / (4.0 * np.pi * r)
     raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
 
-
-def kernel_slice(dim: int, fixed_offsets, axis_offsets) -> np.ndarray:
-    """Kernel values along one axis with the other coordinates frozen.
-
-    ``fixed_offsets`` holds the dim-1 frozen coordinate differences and
-    ``axis_offsets`` the sampled offsets along the remaining axis.  Returns
-    G(sqrt(fixed^2 + offset^2)) per sample; any zero combined distance is a
-    singularity error.
-    """
-    fixed = np.atleast_1d(np.asarray(fixed_offsets, dtype=np.float64))
-    if fixed.size != dim - 1:
-        raise ValueError(
-            f"expected {dim - 1} fixed offsets for dim {dim}, got {fixed.size}"
-        )
-    if dim not in (2, 3):
-        raise ValueError(f"kernel slices exist only for dim 2 or 3, got {dim}")
-    offsets = np.asarray(axis_offsets, dtype=np.float64)
-    dist = np.sqrt(float(np.sum(fixed * fixed)) + offsets * offsets)
-    return green_values(dim, dist)

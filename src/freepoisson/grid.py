@@ -103,14 +103,27 @@ class UniformGrid:
         axes = [self.axis_coordinates(s) for s in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
+    def face_coordinate_arrays(self, axis: int, side: int) -> tuple[np.ndarray, ...]:
+        """Broadcastable coordinate arrays (one per axis) covering one face's nodes.
 
-def _as_value_array(grid: UniformGrid, values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.shape != grid.shape:
+        Side 0 is the lower face; its normal coordinate is the domain bound.
+        """
+        axes = [self.axis_coordinates(s) for s in range(self.dim) if s != axis]
+        coords = list(np.meshgrid(*axes, indexing="ij", sparse=True))
+        coords.insert(axis, np.array(self.upper[axis] if side else self.lower[axis]))
+        return tuple(coords)
+
+
+def _broadcast_samples(values, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """A callable's samples broadcast to ``shape``, as a new array."""
+    values = np.asarray(values, dtype=np.float64)
+    try:
+        return np.broadcast_to(values, shape).copy()
+    except ValueError:
         raise ShapeError(
-            f"value array shape {arr.shape} does not match grid nodes {grid.shape}"
-        )
-    return arr
+            f"callable returned an array of shape {values.shape}, which does "
+            f"not broadcast to the {where} {shape}"
+        ) from None
 
 
 @dataclass
@@ -121,7 +134,12 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_value_array(self.grid, self.values)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if self.values.shape != self.grid.shape:
+            raise ShapeError(
+                f"value array shape {self.values.shape} does not match grid "
+                f"nodes {self.grid.shape}"
+            )
 
     @classmethod
     def zeros(cls, grid: UniformGrid) -> "GridFunction":
@@ -130,18 +148,8 @@ class GridFunction:
     @classmethod
     def from_callable(cls, grid: UniformGrid, fn) -> "GridFunction":
         """Sample ``fn(x[, y[, z]])`` at all nodes; fn must broadcast."""
-        values = np.asarray(fn(*grid.coordinate_arrays()), dtype=np.float64)
-        try:
-            full = np.broadcast_to(values, grid.shape)
-        except ValueError:
-            raise ShapeError(
-                f"callable returned an array of shape {values.shape}, which does "
-                f"not broadcast to the grid nodes {grid.shape}"
-            ) from None
-        return cls(grid, full.copy())
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
+        values = fn(*grid.coordinate_arrays())
+        return cls(grid, _broadcast_samples(values, grid.shape, "grid nodes"))
 
     def interior(self) -> np.ndarray:
         """View of the interior nodes (all axes sliced 1:-1)."""
@@ -162,12 +170,8 @@ class GridFunction:
         return self
 
 
-def _face_axes(grid: UniformGrid, axis: int) -> list[int]:
-    return [s for s in range(grid.dim) if s != axis]
-
-
 def _face_shape(grid: UniformGrid, axis: int) -> tuple[int, ...]:
-    return tuple(grid.panels[s] + 1 for s in _face_axes(grid, axis))
+    return tuple(m + 1 for s, m in enumerate(grid.panels) if s != axis)
 
 
 @dataclass
@@ -203,39 +207,16 @@ class BoundaryValues:
         return cls(grid, {})
 
     @classmethod
-    def from_full_array(cls, grid: UniformGrid, values) -> "BoundaryValues":
-        """Extract the boundary faces of a full node array."""
-        values = _as_value_array(grid, values)
-        faces = {}
-        for axis in range(grid.dim):
-            for side in (0, 1):
-                sl = [slice(None)] * grid.dim
-                sl[axis] = -1 if side else 0
-                faces[(axis, side)] = values[tuple(sl)].copy()
-        return cls(grid, faces)
-
-    @classmethod
     def from_callable(cls, grid: UniformGrid, fn) -> "BoundaryValues":
         """Sample ``fn`` on every boundary node (fn must broadcast)."""
         faces = {}
         for axis in range(grid.dim):
             for side in (0, 1):
-                coords = []
-                face_axes = _face_axes(grid, axis)
-                pinned = grid.upper[axis] if side else grid.lower[axis]
-                for s in range(grid.dim):
-                    if s == axis:
-                        coords.append(np.array(pinned))
-                    else:
-                        c = grid.axis_coordinates(s)
-                        shape = [1] * len(face_axes)
-                        shape[face_axes.index(s)] = c.size
-                        coords.append(c.reshape(shape))
-                vals = np.broadcast_to(
-                    np.asarray(fn(*coords), dtype=np.float64),
+                faces[(axis, side)] = _broadcast_samples(
+                    fn(*grid.face_coordinate_arrays(axis, side)),
                     _face_shape(grid, axis),
+                    f"face {(axis, side)} nodes",
                 )
-                faces[(axis, side)] = vals.copy()
         return cls(grid, faces)
 
     def as_full_array(self) -> np.ndarray:

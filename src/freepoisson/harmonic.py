@@ -66,6 +66,7 @@ from .transforms import InteriorModeArray, forward_dst, inverse_dst
 __all__ = [
     "CompactOperatorSymbol",
     "build_operator_symbol",
+    "check_panels",
     "compact_operator_stencil",
     "correlate_valid",
     "transfer_boundary_to_rhs",
@@ -226,9 +227,7 @@ def _layer_blocks(grid: UniformGrid) -> dict[tuple[int, int], tuple[slice, ...]]
     return blocks
 
 
-def transfer_boundary_to_rhs(
-    g: BoundaryValues, stencil: np.ndarray | CompactOperatorSymbol
-) -> GridFunction:
+def transfer_boundary_to_rhs(g: BoundaryValues, stencil: np.ndarray) -> GridFunction:
     """Move boundary-value stencil contributions to the right-hand side.
 
     Returns the grid function that is nonzero only on the first interior
@@ -238,8 +237,6 @@ def transfer_boundary_to_rhs(
     the operator is evaluated on the layer only, each block of
     :func:`_layer_blocks` from the slab one node wider on every side.
     """
-    if isinstance(stencil, CompactOperatorSymbol):
-        stencil = stencil.stencil
     extended = g.as_full_array()
     rhs = GridFunction.zeros(g.grid)
     for block in _layer_blocks(g.grid).values():
@@ -288,11 +285,14 @@ def layer_dst(f: GridFunction) -> InteriorModeArray:
     return InteriorModeArray(grid, coeff)
 
 
-def _check_panels(grid: UniformGrid, order: int) -> None:
-    if min(grid.panels) < MIN_PANELS[order]:
+def check_panels(grid: UniformGrid, order: int) -> None:
+    """Raise ShapeError when a 2D/3D grid is too coarse for the order's stencils."""
+    need = MIN_PANELS[order]
+    if grid.dim > 1 and min(grid.panels) < need:
         raise ShapeError(
-            f"{order}th order harmonic solve needs at least {MIN_PANELS[order]} "
-            f"panels per axis, got {grid.panels}"
+            f"order {order} needs at least {need} panels per axis, but the "
+            f"padded grid has {grid.panels}; raise padding_panels (each "
+            f"unit adds two panels per axis) or refine the grid"
         )
 
 
@@ -304,9 +304,9 @@ def harmonic_modes(g: BoundaryValues, order: int, field: np.ndarray) -> Interior
     so the caller can reuse the array for the final field.
     """
     grid = g.grid
-    _check_panels(grid, order)
+    check_panels(grid, order)
     symbol = build_operator_symbol(grid)
-    g_rhs = transfer_boundary_to_rhs(g, symbol)
+    g_rhs = transfer_boundary_to_rhs(g, symbol.stencil)
     modes = layer_dst(g_rhs)
     modes.coefficients /= symbol.values
     if order == 4:
@@ -344,13 +344,9 @@ def sixth_order_rhs(u1: GridFunction) -> GridFunction:
     grid = u1.grid
     if grid.dim not in (2, 3):
         raise ShapeError("sixth order correction is defined for dim 2 and 3")
-    if min(grid.panels) < MIN_PANELS[6]:
-        # Extrapolation reads four directly-computed values along the normal,
-        # which requires a deep interior at least four nodes wide.
-        raise ShapeError(
-            "sixth order correction needs at least 7 panels per axis "
-            "(width-two stencils plus a four-point extrapolation ray)"
-        )
+    # Extrapolation reads four directly-computed values along the normal,
+    # which requires a deep interior at least four nodes wide.
+    check_panels(grid, 6)
     h = grid.mesh
     d = grid.dim
     rhs = np.zeros(grid.shape)

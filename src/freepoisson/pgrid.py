@@ -16,6 +16,7 @@ by raw 8-byte values.  Unknown header keys are rejected.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 
@@ -24,13 +25,28 @@ import numpy as np
 from .errors import PGridFormatError
 from .grid import GridFunction, UniformGrid
 
-__all__ = ["read_pgrid", "write_pgrid"]
+__all__ = ["atomic_open", "read_pgrid", "write_pgrid"]
 
 _MAGIC = "PGRID 1"
 _ORDER_LINE = "order x y z row-major"
 _DATA_TEXT = "data text"
 _DATA_BINARY = "data binary little-endian f64"
 _TEXT_CHUNK = 65536  # values formatted per % operation in text mode
+
+
+@contextlib.contextmanager
+def atomic_open(path, prefix: str):
+    """Binary handle on a temp file beside ``path``, renamed to it only on success."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(prefix=prefix, dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_pgrid(path, f: GridFunction, binary: bool = False) -> None:
@@ -46,23 +62,15 @@ def write_pgrid(path, f: GridFunction, binary: bool = False) -> None:
         _ORDER_LINE,
         _DATA_BINARY if binary else _DATA_TEXT,
     ]
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".pgrid-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
-            flat = np.ascontiguousarray(f.values, dtype="<f8").ravel()
-            if binary:
-                fh.write(flat.tobytes())
-            else:
-                for lo in range(0, flat.size, _TEXT_CHUNK):
-                    chunk = tuple(flat[lo:lo + _TEXT_CHUNK].tolist())
-                    fh.write((("%.17g\n" * len(chunk)) % chunk).encode("ascii"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, ".pgrid-") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        flat = np.ascontiguousarray(f.values, dtype="<f8").ravel()
+        if binary:
+            fh.write(flat.tobytes())
+        else:
+            for lo in range(0, flat.size, _TEXT_CHUNK):
+                chunk = tuple(flat[lo:lo + _TEXT_CHUNK].tolist())
+                fh.write((("%.17g\n" * len(chunk)) % chunk).encode("ascii"))
 
 
 def read_pgrid(path) -> GridFunction:

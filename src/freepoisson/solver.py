@@ -22,7 +22,7 @@ from .boundary import boundary_values_fast
 from .dirichlet import check_support, phi_star_modes
 from .errors import AlignmentError, ShapeError
 from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
-from .harmonic import MIN_PANELS, harmonic_modes, solve_harmonic_1d
+from .harmonic import check_panels, harmonic_modes, solve_harmonic_1d
 from .transforms import inverse_dst, next_smooth_length
 
 __all__ = [
@@ -128,16 +128,6 @@ def _embed_samples(
     return GridFunction(padded, values)
 
 
-def _check_panels(padded: UniformGrid, order: int) -> None:
-    need = MIN_PANELS[order]
-    if padded.dim > 1 and min(padded.panels) < need:
-        raise ShapeError(
-            f"order {order} needs at least {need} panels per axis, but the "
-            f"padded grid has {padded.panels}; raise padding_panels (each "
-            f"unit adds two panels per axis) or refine the grid"
-        )
-
-
 def solve_free_space(
     rho,
     user_grid: UniformGrid | None = None,
@@ -160,7 +150,7 @@ def solve_free_space(
 
     counts = _pad_counts(user_grid, config)
     padded = pad_domain(user_grid, config)
-    _check_panels(padded, config.order)
+    check_panels(padded, config.order)
     if isinstance(rho, GridFunction):
         rho_padded = _embed_samples(rho, padded, counts)
     else:

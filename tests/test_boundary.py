@@ -11,9 +11,9 @@ from freepoisson import (
     UniformGrid,
     boundary_values_fast,
     boundary_values_naive,
-    green_value,
 )
 from freepoisson.boundary import _plan_face
+from freepoisson.greens import green_values
 from freepoisson.transforms import next_smooth_length
 
 
@@ -60,7 +60,7 @@ def test_single_point_mass():
             target = np.array(g.node_coordinate(idx))
             r = float(np.linalg.norm(target - src))
             assert face[j] == pytest.approx(
-                mass * green_value(2, r) * weight, rel=1e-14
+                mass * green_values(2, r) * weight, rel=1e-14
             )
 
 

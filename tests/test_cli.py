@@ -174,3 +174,56 @@ def test_csv_write_is_atomic(tmp_path):
         write_csv(target, "a,b", Boom())
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "line", ["order = 5", "order = x", "wibble = 3", "thread = 2"],
+    ids=["bad-choice", "bad-int", "unknown-key", "abbreviated-key"],
+)
+def test_bad_config_file_is_reported(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["convergence", "--config", str(cfg), "--h-list", "0.5"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_shared_by_every_study(tmp_path):
+    # Keys of every subcommand in one file; each study takes the whole file.
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(
+        "dim = 2\n"
+        "panels = 16\n"
+        "h_list = 0.25, 0.125\n"
+        "d-list = 1.0 1.5\n"
+        "thread_list = 1, 2\n"
+        "domain = -1 1 -2.5 2.5\n"
+        "center = -1e-1, 0.05\n"
+        "eps = 3e-1\n"
+        "padding-panels = 1\n"
+        "fft_friendly = true\n"
+        "fit_min_h = 0.1\n"
+        "rho_file = my density.pgrid\n"
+        "format = pgrid\n"
+    )
+    for kind in ("convergence", "domain", "threads"):
+        spec = build_spec(build_parser().parse_args([kind, "--config", str(cfg)]))
+        assert spec == StudySpec(
+            kind=kind, dim=2, panels=(16,), h_list=(0.25, 0.125), d_list=(1.0, 1.5),
+            thread_list=(1, 2), domain=(-1.0, 1.0, -2.5, 2.5), center=(-0.1, 0.05),
+            eps=0.3, padding_panels=1, fft_friendly=True, fit_min_h=0.1,
+            rho_file="my density.pgrid", format="pgrid",
+        )
+    cfg.write_text("fft-friendly = no\nh_list =\n")
+    spec = build_spec(build_parser().parse_args(["domain", "--config", str(cfg)]))
+    assert spec == StudySpec(kind="domain")
+
+
+def test_config_format_checked_like_the_flag(tmp_path, capsys):
+    # A config value goes through the option's own definition, so a format
+    # the flag rejects is an error instead of a silent fallback to CSV.
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("format = PGRID\n")
+    rc = main(["solve", "--config", str(cfg), "--dim", "2", "--panels", "8"])
+    assert rc == 1
+    assert "invalid choice" in capsys.readouterr().err

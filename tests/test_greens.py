@@ -3,51 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from freepoisson import SingularityError, green_value, kernel_slice
+from freepoisson import SingularityError
 from freepoisson.greens import green_values
 
 
 def test_known_values():
-    assert green_value(1, 0.0) == 0.0
-    assert green_value(1, 3.0) == 1.5
-    assert green_value(2, 1.0) == 0.0
-    assert green_value(3, 1.0) == pytest.approx(-1.0 / (4.0 * math.pi), rel=1e-15)
-    assert green_value(3, 1.0) == pytest.approx(-0.0795774715, abs=1e-10)
+    assert green_values(1, 0.0) == 0.0
+    assert green_values(1, 3.0) == 1.5
+    assert green_values(2, 1.0) == 0.0
+    assert green_values(3, 1.0) == pytest.approx(-1.0 / (4.0 * math.pi), rel=1e-15)
+    assert green_values(3, 1.0) == pytest.approx(-0.0795774715, abs=1e-10)
 
 
 def test_singularity_raised():
     for dim in (2, 3):
         with pytest.raises(SingularityError):
-            green_value(dim, 0.0)
+            green_values(dim, 0.0)
     with pytest.raises(ValueError):
-        green_value(2, -1.0)
+        green_values(2, -1.0)
     with pytest.raises(ValueError):
-        green_value(4, 1.0)
-
-
-def test_kernel_slice_known_values():
-    assert kernel_slice(2, [1.0], np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-15)
-    assert kernel_slice(3, [0.0, 0.0], np.array([2.0]))[0] == pytest.approx(
-        -1.0 / (8.0 * math.pi), rel=1e-15
-    )
-    # 3-4-5 triangle: distance exactly 1
-    assert kernel_slice(2, [0.6], np.array([0.8]))[0] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_kernel_slice_zero_distance_raises():
-    with pytest.raises(SingularityError):
-        kernel_slice(2, [0.0], np.array([0.5, 0.0]))
-
-
-def test_radial_symmetry_against_kernel_slice():
-    rng = np.random.default_rng(5)
-    for dim in (2, 3):
-        fixed = rng.uniform(0.1, 2.0, size=dim - 1)
-        offsets = rng.uniform(-3.0, 3.0, size=50)
-        slice_vals = kernel_slice(dim, fixed, offsets)
-        dist = np.sqrt(np.sum(fixed**2) + offsets**2)
-        direct = np.array([green_value(dim, r) for r in dist])
-        assert np.allclose(slice_vals, direct, rtol=1e-15, atol=0)
+        green_values(4, 1.0)
 
 
 def test_strictly_increasing_in_r():

@@ -3,6 +3,7 @@ import pytest
 
 from freepoisson import (
     AlignmentError,
+    BoundaryValues,
     GridFunction,
     ShapeError,
     UniformGrid,
@@ -144,3 +145,28 @@ def test_from_callable_matches_coordinates():
     i, j = 3, 5
     x, y = g.node_coordinate((i, j))
     assert f.values[i, j] == pytest.approx(x + 10 * y, rel=1e-15)
+
+
+def test_boundary_from_callable_wrong_shape_rejected():
+    # A result that does not broadcast to a face is a ShapeError naming both
+    # shapes, as for GridFunction.from_callable, not numpy's broadcast error.
+    g = UniformGrid([-1, -1], [1, 1], [8, 8])
+    with pytest.raises(ShapeError, match=r"\(5,\).*\(9,\)"):
+        BoundaryValues.from_callable(g, lambda x, y: np.zeros(5))
+
+
+def test_boundary_from_callable_samples_every_face():
+    g = UniformGrid([-1, 0, 2], [1, 2.5, 3], [6, 8, 5])
+    fn = lambda x, y, z: x + 10 * y + 100 * z
+    bv = BoundaryValues.from_callable(g, fn)
+    full = GridFunction.from_callable(g, fn).values
+    for axis in range(3):
+        lower = [slice(None)] * 3
+        lower[axis] = 0
+        assert np.array_equal(bv.faces[(axis, 0)], full[tuple(lower)])
+        # the upper face sits exactly on the domain bound
+        x = list(g.face_coordinate_arrays(axis, 1))
+        assert x[axis] == g.upper[axis]
+        assert bv.faces[(axis, 1)].shape == full[tuple(lower)].shape
+    assert bv.faces[(2, 1)][2, 3] == fn(g.lower[0] + 2 * g.mesh[0], g.mesh[1] * 3, 3.0)
+    assert bv.check_consistency() < 1e-15

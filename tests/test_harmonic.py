@@ -25,6 +25,17 @@ from freepoisson.harmonic import (
 RNG = np.random.default_rng(2024)
 
 
+def boundary_from_full(g: UniformGrid, full: np.ndarray) -> BoundaryValues:
+    """The boundary faces of a full node array."""
+    faces = {}
+    for axis in range(g.dim):
+        for side in (0, 1):
+            sl = [slice(None)] * g.dim
+            sl[axis] = -1 if side else 0
+            faces[(axis, side)] = full[tuple(sl)].copy()
+    return BoundaryValues(g, faces)
+
+
 def sampled_sine_mode(grid: UniformGrid, k) -> np.ndarray:
     vals = np.ones(grid.shape)
     for s in range(grid.dim):
@@ -86,7 +97,7 @@ def test_stencil_point_counts():
 def test_transfer_zero_is_zero():
     g = UniformGrid([0, 0], [1, 1], [6, 7])
     out = transfer_boundary_to_rhs(
-        BoundaryValues.zeros(g), build_operator_symbol(g)
+        BoundaryValues.zeros(g), build_operator_symbol(g).stencil
     )
     assert np.all(out.values == 0.0)
 
@@ -94,7 +105,7 @@ def test_transfer_zero_is_zero():
 def test_transfer_supported_on_first_layer_only():
     g = UniformGrid([0, 0], [1, 1], [8, 9])
     bv = BoundaryValues.from_callable(g, lambda x, y: np.sin(3 * x) + y)
-    out = transfer_boundary_to_rhs(bv, build_operator_symbol(g))
+    out = transfer_boundary_to_rhs(bv, build_operator_symbol(g).stencil)
     assert np.all(out.values[3:-3, 3:-3] == 0.0)
     interior_depth2 = out.values[2:-2, 2:-2]
     assert np.all(interior_depth2 == 0.0)
@@ -114,9 +125,9 @@ def test_transfer_matches_dense_oracle():
         },
     )
     # shared corners must agree: rebuild from a full array
-    bv = BoundaryValues.from_full_array(g, bv.as_full_array())
+    bv = boundary_from_full(g, bv.as_full_array())
     _, b = assemble_dense(g, bv)
-    out = transfer_boundary_to_rhs(bv, build_operator_symbol(g))
+    out = transfer_boundary_to_rhs(bv, build_operator_symbol(g).stencil)
     assert np.max(np.abs(out.interior().ravel() - b)) <= 1e-13 * max(
         1.0, np.max(np.abs(b))
     )
@@ -138,7 +149,7 @@ def test_constant_decomposition_identity():
         sl[axis] = -1
         interior_only[tuple(sl)] = 0.0
     g_tilde = transfer_boundary_to_rhs(
-        BoundaryValues.from_full_array(g, full), stencil
+        boundary_from_full(g, full), stencil
     )
     recomposed = correlate_valid(interior_only, stencil) + (-g_tilde.interior())
     assert np.max(np.abs(whole - recomposed)) < 1e-12
@@ -313,7 +324,7 @@ def test_max_principle_surrogate():
             mask = np.ones(g.shape, dtype=bool)
             mask[(slice(1, -1),) * g.dim] = False
             full[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
-            bv = BoundaryValues.from_full_array(g, full)
+            bv = boundary_from_full(g, full)
             u = solve_harmonic_4th(bv)
             assert u.values.min() >= full[mask].min() - 1e-10
             assert u.values.max() <= full[mask].max() + 1e-10
@@ -347,7 +358,7 @@ def test_size_preconditions():
 def random_boundary(g: UniformGrid) -> BoundaryValues:
     full = RNG.standard_normal(g.shape)
     full[(slice(1, -1),) * g.dim] = 0.0
-    return BoundaryValues.from_full_array(g, full)
+    return boundary_from_full(g, full)
 
 
 @pytest.mark.parametrize("panels", [(9, 7), (8, 11, 6)])

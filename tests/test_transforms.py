@@ -5,8 +5,6 @@ from freepoisson import (
     GridFunction,
     ShapeError,
     UniformGrid,
-    fast_linear_convolution,
-    fast_linear_convolution_2d,
     forward_dst,
     inverse_dst,
 )
@@ -45,30 +43,6 @@ def dst_inverse_oracle(c: InteriorModeArray) -> np.ndarray:
             total += term
         out[i] = total
     return out
-
-
-def conv1_oracle(kernel, data, start, stop):
-    full = np.zeros(len(kernel) + len(data) - 1)
-    for n in range(full.size):
-        for q in range(len(data)):
-            if 0 <= n - q < len(kernel):
-                full[n] += kernel[n - q] * data[q]
-    return full[start:stop]
-
-
-def conv2_oracle(kernel, data, windows):
-    full = np.zeros((kernel.shape[0] + data.shape[0] - 1,
-                     kernel.shape[1] + data.shape[1] - 1))
-    for n0 in range(full.shape[0]):
-        for n1 in range(full.shape[1]):
-            acc = 0.0
-            for q0 in range(data.shape[0]):
-                for q1 in range(data.shape[1]):
-                    if 0 <= n0 - q0 < kernel.shape[0] and 0 <= n1 - q1 < kernel.shape[1]:
-                        acc += kernel[n0 - q0, n1 - q1] * data[q0, q1]
-            full[n0, n1] = acc
-    (s0, e0), (s1, e1) = windows
-    return full[s0:e0, s1:e1]
 
 
 def test_single_mode_has_unit_coefficient():
@@ -148,72 +122,6 @@ def test_linearity():
     lhs = forward_dst(combo).coefficients
     rhs = 2.5 * forward_dst(a).coefficients - 1.25 * forward_dst(b).coefficients
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
-
-
-def test_identity_kernel_convolution():
-    rng = np.random.default_rng(1)
-    data = rng.standard_normal(9)
-    kernel = np.zeros(17)
-    kernel[8] = 1.0
-    out = fast_linear_convolution(kernel, data, (8, 17))
-    assert np.allclose(out, data, rtol=0, atol=1e-14)
-
-
-def test_zero_data_convolution():
-    out = fast_linear_convolution(np.ones(12), np.zeros(5), (0, 16))
-    assert np.all(out == 0.0)
-
-
-@pytest.mark.parametrize("k,l", [(17, 9), (16, 16), (23, 11), (10, 3)])
-def test_convolution_matches_loop_oracle(k, l):
-    rng = np.random.default_rng(k * l)
-    kernel = rng.standard_normal(k)
-    data = rng.standard_normal(l)
-    direct = conv1_oracle(kernel, data, 0, k + l - 1)
-    fast = fast_linear_convolution(kernel, data, (0, k + l - 1))
-    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
-    window = fast_linear_convolution(kernel, data, (3, k))
-    assert np.max(np.abs(window - direct[3:k])) <= 1e-12 * np.max(np.abs(direct))
-
-
-def test_convolution_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        fast_linear_convolution(np.ones(3), np.ones(5), (0, 1))
-    with pytest.raises(ShapeError):
-        fast_linear_convolution(np.ones(5), np.ones(3), (0, 8))
-
-
-def test_identity_kernel_2d():
-    rng = np.random.default_rng(2)
-    data = rng.standard_normal((4, 5))
-    kernel = np.zeros((9, 11))
-    kernel[4, 5] = 1.0
-    out = fast_linear_convolution_2d(kernel, data, ((4, 8), (5, 10)))
-    assert np.allclose(out, data, rtol=0, atol=1e-14)
-
-
-def test_separable_kernel_2d():
-    rng = np.random.default_rng(4)
-    k1, k2 = rng.standard_normal(7), rng.standard_normal(9)
-    d1, d2 = rng.standard_normal(5), rng.standard_normal(6)
-    full0, full1 = 7 + 5 - 1, 9 + 6 - 1
-    out = fast_linear_convolution_2d(
-        np.outer(k1, k2), np.outer(d1, d2), ((0, full0), (0, full1))
-    )
-    c1 = fast_linear_convolution(k1, d1, (0, full0))
-    c2 = fast_linear_convolution(k2, d2, (0, full1))
-    want = np.outer(c1, c2)
-    assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_convolution_2d_matches_loop_oracle():
-    rng = np.random.default_rng(8)
-    kernel = rng.standard_normal((9, 11))
-    data = rng.standard_normal((5, 6))
-    windows = ((2, 10), (4, 13))
-    direct = conv2_oracle(kernel, data, windows)
-    fast = fast_linear_convolution_2d(kernel, data, windows)
-    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_next_smooth_length():
