@@ -14,17 +14,33 @@ Two implementations share that definition:
   zero-padded FFTs, for O(N log N) total work.  In 1D each boundary "face"
   is one node whose value is a single sum, so it uses the direct sums.
 
-On an in-face axis with M panels the kernel has 2M-1 samples (offsets
--(M-1)..M-1) and a slice's data M-1, so the full linear convolution has
-3M-3 entries, of which the face needs the window [M-2, 2M-1).  A period
-P >= 2M-1 maps every other entry (indices below M-2 or above 2M-2) to a
-position outside that window, so padding to the smallest 7-smooth P >= 2M-1
-is alias-free (Hockney and Eastwood's minimal padding).  Since the FFT is
-linear, the slices are summed in frequency space: each slice is transformed
-once, its spectrum times the kernel spectra of both opposite faces is added
-to one accumulator per face, and each face needs a single inverse FFT.
-Kernel spectra are built for one pair of normal distances at a time and
-dropped after use, so memory stays O(face).  ``thread_count`` is passed to
+On an in-face axis with M panels, face node j (0..M) sums source nodes i
+(1..M-1) against the kernel at offset j-i, so the offsets span -(M-1)..M-1.
+The kernel G(sqrt(d^2 h_n^2 + sum_s x_s^2)) is even in every in-face offset.
+Stored circularly on an even period P = 2 next_smooth(M-1) >= 2(M-1), it
+repeats its values at P-n, so its DFT is real and equals the DCT-I of its
+non-negative quadrant, offsets 0..P/2 (zero beyond M-1):
+
+    K^[k] = K[0] + (-1)^k K[P/2] + 2 sum_{n=1}^{P/2-1} K[n] cos(2 pi k n / P).
+
+Only M^(d-1) Green's-function values per kernel are needed, and the
+transforms of all kernels of one axis are one batched ``dctn(type=1)``.
+The frequencies above P/2 of a full FFT axis are read back to front from
+the stored half, K^[P-k] = K^[k], without a mirrored copy.
+
+Slice data at nodes 1..M-1 sits at circular indices 0..M-2, so face node j
+is circular output index j-1: the window -1..M-1.  Every (output, data)
+pair of that window reads a true offset in -(M-1)..M-1.  Two such offsets
+fall in the same slot mod P only if they differ by P >= 2(M-1), that is
+only for -(M-1) and M-1 with P = 2(M-1), where the even kernel holds the
+same value G(M-1).  So P = 2(M-1) is the shortest alias-free even period;
+one even step shorter, 2(M-2), folds the offsets +-(M-1) onto -+(M-3),
+whose kernel values differ.
+
+Since the FFT is linear, the slices are summed in frequency space: each
+non-empty slice is transformed once, its spectrum times the real kernel
+spectra of both opposite faces is added to one accumulator per face, and
+each face needs a single inverse FFT.  ``thread_count`` is passed to
 ``scipy.fft`` as ``workers``; each 1D transform is computed the same way on
 any worker and the accumulation order is fixed, which makes the output
 bitwise independent of the thread count.
@@ -86,55 +102,69 @@ def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues
 
 @dataclass(frozen=True)
 class FaceConvolutionPlan:
-    """Shapes and index windows of the convolutions for both faces normal to ``axis``.
+    """FFT periods and output window of the convolutions for the faces normal to ``axis``.
 
-    For each source slice along the face normal, a kernel sampled at in-face
-    offsets -(M_s-1)..+(M_s-1) is convolved with the slice's interior data;
-    the window [M_s-2, 2M_s-1) of the full convolution holds the values at
-    the face's own node range 0..M_s.  The FFT period per in-face axis is
-    the smallest 7-smooth length >= 2M_s-1, the kernel length.
+    Per in-face axis with M_s panels the period is P_s = 2 next_smooth(M_s-1)
+    >= 2(M_s-1), and the face's nodes 0..M_s are the circular indices
+    -1..M_s-1 of the inverse transform.
     """
 
     axis: int
     in_axes: tuple[int, ...]
-    kernel_shape: tuple[int, ...]
-    padded_shape: tuple[int, ...]
-    wanted: tuple[tuple[int, int], ...]
+    periods: tuple[int, ...]
+    window: tuple[range, ...]
 
 
 def _plan_face(grid: UniformGrid, axis: int) -> FaceConvolutionPlan:
     in_axes = tuple(s for s in range(grid.dim) if s != axis)
-    kernel_shape = tuple(2 * grid.panels[s] - 1 for s in in_axes)
     return FaceConvolutionPlan(
         axis=axis,
         in_axes=in_axes,
-        kernel_shape=kernel_shape,
-        padded_shape=tuple(next_smooth_length(k) for k in kernel_shape),
-        wanted=tuple((grid.panels[s] - 2, 2 * grid.panels[s] - 1) for s in in_axes),
+        periods=tuple(2 * next_smooth_length(grid.panels[s] - 1) for s in in_axes),
+        window=tuple(range(-1, grid.panels[s]) for s in in_axes),
     )
 
 
-def _kernel_fft(grid: UniformGrid, plan: FaceConvolutionPlan, dist_panels: int,
-                workers: int):
-    """FFT of the kernel slice at a whole-panel normal distance.
+def _kernel_spectra(grid: UniformGrid, plan: FaceConvolutionPlan, dists,
+                    workers: int) -> np.ndarray:
+    """Real DFTs of the kernels at whole-panel normal distances ``dists``.
 
-    The in-face Trapezoidal weights are folded into the kernel, so each
-    kernel transform is shared by the two opposite faces of its axis.
+    Row i holds kernel i's spectrum at the non-negative frequencies 0..P_s/2
+    of every in-face axis: one batched DCT-I of the kernels' non-negative
+    offset quadrants, zero-filled to P_s/2+1 per axis.  The Trapezoidal
+    weights are folded in, so each spectrum serves both faces of the axis.
     """
-    h_normal = grid.mesh[plan.axis]
-    fixed = dist_panels * h_normal
-    offsets = [
-        (np.arange(k) - (grid.panels[s] - 1)) * grid.mesh[s]
-        for k, s in zip(plan.kernel_shape, plan.in_axes)
-    ]
-    dist_sq = np.array(fixed * fixed)
-    for i, off in enumerate(offsets):
-        shape = [1] * len(offsets)
-        shape[i] = off.size
-        dist_sq = dist_sq + (off * off).reshape(shape)
-    kernel = green_values(grid.dim, np.sqrt(dist_sq))
-    kernel *= float(np.prod([grid.mesh[s] for s in plan.in_axes]))
-    return sfft.rfftn(kernel, plan.padded_shape, workers=workers)
+    # squared in-face distances at offsets 0..M_s-1
+    in_face = sum(np.ix_(*((np.arange(grid.panels[s]) * grid.mesh[s]) ** 2
+                           for s in plan.in_axes)))
+    normal = ((np.asarray(dists) * grid.mesh[plan.axis]) ** 2).reshape(
+        (-1,) + (1,) * in_face.ndim)
+    buf = np.zeros((len(dists),) + tuple(p // 2 + 1 for p in plan.periods))
+    kernel = buf[(slice(None),) + tuple(slice(0, n) for n in in_face.shape)]
+    weight = float(np.prod(grid.mesh))
+    step = max(1, 2**16 // in_face.size)  # blocks of rows keep temporaries small
+    for i in range(0, len(dists), step):
+        block = kernel[i:i + step]
+        np.add(normal[i:i + step], in_face, out=block)
+        np.sqrt(block, out=block)
+        np.multiply(green_values(grid.dim, block), weight, out=block)
+    return sfft.dctn(buf, type=1, axes=tuple(range(1, buf.ndim)),
+                     workers=workers, overwrite_x=True)
+
+
+def _add_product(acc: np.ndarray, spectrum: np.ndarray, kernel: np.ndarray):
+    """``acc += spectrum * K`` for the full real, even kernel spectrum K.
+
+    ``kernel`` holds K at the non-negative frequencies only.  The last axis
+    is the half spectrum of ``rfftn`` on both sides; along a full first axis
+    K[k] = K[P-k] is read back to front instead of being copied.
+    """
+    if kernel.ndim == 1:
+        acc += spectrum * kernel
+        return
+    h = kernel.shape[0]
+    acc[:h] += spectrum[:h] * kernel
+    acc[h:] += spectrum[h:] * kernel[h - 2:0:-1]
 
 
 def _slice_data(rho: GridFunction, axis: int, p: int) -> np.ndarray:
@@ -148,10 +178,13 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
 
     Mathematically identical to :func:`boundary_values_naive` (the slices
     cover exactly the interior sources); agreement is limited only by FFT
-    roundoff.  Per axis, each non-empty source slice is transformed once;
-    its spectrum times the kernel spectrum at its distance to each of the
-    two faces is added to that face's accumulator, and one inverse FFT per
-    face finishes the sum.  ``thread_count`` is the ``workers`` count of
+    roundoff.  Per face-normal axis, the kernel spectra at every normal
+    distance a non-empty source slice needs are built at once, by one
+    batched DCT-I of the kernels' non-negative offsets; they are real
+    because the kernels are even.  Each non-empty slice is then transformed
+    once, its spectrum times the kernel spectrum at its distance to each of
+    the two faces is added to that face's accumulator, and one inverse FFT
+    per face finishes the sum.  ``thread_count`` is the ``workers`` count of
     every ``scipy.fft`` call, and the accumulation order is fixed, so the
     result is bitwise identical for any value.
     """
@@ -166,25 +199,19 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     for axis in range(grid.dim):
         plan = _plan_face(grid, axis)
         m = grid.panels[axis]
-        half = plan.padded_shape[:-1] + (plan.padded_shape[-1] // 2 + 1,)
+        # Slice p lies p panels from the lower face and m - p from the upper.
+        slices = [(p, x) for p in range(1, m) if np.any(x := _slice_data(rho, axis, p))]
+        dists = sorted({q for p, _ in slices for q in (p, m - p)})
+        row = {q: i for i, q in enumerate(dists)}
+        kernels = _kernel_spectra(grid, plan, dists, thread_count)
+        half = plan.periods[:-1] + (plan.periods[-1] // 2 + 1,)
         acc = np.zeros((2,) + half, dtype=complex)  # lower, upper face
-        # Slice p lies p panels from the lower face and m - p from the upper
-        # one, so the slices p = d and p = m - d need the kernels at those
-        # two distances only; walking the pairs keeps one pair's kernel
-        # spectra alive at a time.
-        for d in range(1, m // 2 + 1):
-            pair = sorted({d, m - d})
-            data = [(p, _slice_data(rho, axis, p)) for p in pair]
-            data = [(p, x) for p, x in data if np.any(x)]
-            if not data:
-                continue
-            kernels = {q: _kernel_fft(grid, plan, q, thread_count) for q in pair}
-            for p, x in data:  # fixed order: deterministic
-                spectrum = sfft.rfftn(x, plan.padded_shape, workers=thread_count)
-                acc[0] += spectrum * kernels[p]
-                acc[1] += spectrum * kernels[m - p]
-        window = tuple(slice(a, b) for a, b in plan.wanted)
+        for p, x in slices:  # fixed order: deterministic
+            spectrum = sfft.rfftn(x, plan.periods, workers=thread_count)
+            _add_product(acc[0], spectrum, kernels[row[p]])
+            _add_product(acc[1], spectrum, kernels[row[m - p]])
+        window = np.ix_(*plan.window)
         for side in (0, 1):
-            out = sfft.irfftn(acc[side], plan.padded_shape, workers=thread_count)
-            faces[(axis, side)] = out[window] * grid.mesh[axis]
+            out = sfft.irfftn(acc[side], plan.periods, workers=thread_count)
+            faces[(axis, side)] = out[window]
     return BoundaryValues(grid, faces)

@@ -264,6 +264,28 @@ def _print_rows(header: str, rows) -> None:
         print(",".join(_format_cell(v) for v in row))
 
 
+class _FloatToken:
+    """argparse's negative-number pattern, widened from ``-<digits>[.<digits>]``
+    to every token ``float`` accepts (``-1e-1``, ``-inf``)."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """The class of every parser here, so flags and config lines take the
+    same numbers: a token ``float`` accepts is a value, never an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatToken
+
+
 # The one definition of every option: (subcommands, flag, add_argument
 # keywords).  The subcommand parsers and the config-file parser read it.
 _OPTIONS = (
@@ -306,7 +328,7 @@ def load_config_file(path) -> dict:
                 raise ValueError(f"config line {raw!r} is not key=value")
             key, val = (part.strip() for part in line.split("=", 1))
             values["--" + key.replace("_", "-")] = val  # a later line wins
-    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    parser = _Parser(add_help=False, allow_abbrev=False, exit_on_error=False)
     argv = []
     for _, flag, kw in _OPTIONS:
         parser.add_argument(flag, **kw)
@@ -314,10 +336,8 @@ def load_config_file(path) -> dict:
         if val is None:
             continue
         if "nargs" in kw:
-            # An empty list is the default.  A leading space stops argparse
-            # reading a token like -1e-3 as an option (int/float ignore it).
-            tokens = [" " + v for v in val.replace(",", " ").split()]
-            argv += [flag] + tokens if tokens else []
+            tokens = val.replace(",", " ").split()
+            argv += [flag] + tokens if tokens else []  # an empty list is the default
         elif "const" in kw:
             argv += [flag] if val.lower() in ("1", "true", "yes", "on") else []
         else:
@@ -325,9 +345,11 @@ def load_config_file(path) -> dict:
     if values:
         raise ValueError(f"unknown config key {next(iter(values))[2:]!r}")
     try:
-        parsed = parser.parse_args(argv)
+        parsed, extra = parser.parse_known_args(argv)
     except argparse.ArgumentError as exc:
         raise ValueError(f"config file {path}: {exc}") from None
+    if extra:
+        raise ValueError(f"config file {path}: cannot read {' '.join(extra)!r}")
     return {
         key: tuple(val) if isinstance(val, list) else val
         for key, val in vars(parsed).items()
@@ -336,7 +358,7 @@ def load_config_file(path) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freepoisson",
         description="Free-space Poisson solves and benchmark studies on "
         "uniform rectangular grids.",

@@ -139,17 +139,17 @@ def test_thread_count_bitwise_invariance_on_larger_grids(panels):
 
 
 @pytest.mark.parametrize(
-    "panels", [(8, 11), (13, 14), (18, 8), (11, 13, 14), (8, 18, 11)]
+    "panels", [(8, 11), (10, 13), (9, 16), (11, 13, 16), (8, 10, 17)]
 )
 def test_fast_matches_naive_at_minimal_fft_period(panels):
-    # 2M-1 is 7-smooth for M = 8, 11, 13, 14, 18 (15, 21, 25, 27, 35), so
-    # the FFT period equals the kernel length and an off-by-one in the
-    # padding or in the window aliases into the face values.
+    # M-1 is 7-smooth for M = 8, 9, 10, 11, 13, 16, 17, so the FFT period is
+    # exactly 2(M-1), where the offsets -(M-1) and M-1 share one slot: an
+    # off-by-one in the period or in the window aliases into the face values.
     dim = len(panels)
     g = UniformGrid([-1.0] * dim, [1.0 + 0.5 * s for s in range(dim)], panels)
     for axis in range(dim):
         plan = _plan_face(g, axis)
-        assert plan.padded_shape == plan.kernel_shape
+        assert plan.periods == tuple(2 * (g.panels[s] - 1) for s in plan.in_axes)
     rho = random_density(g, np.random.default_rng(sum(panels)), collar=1)
     assert rel_face_diff(
         boundary_values_naive(rho), boundary_values_fast(rho)
@@ -207,19 +207,22 @@ def test_nonzero_boundary_density_rejected():
 
 
 def test_fast_plan_kernel_covers_all_offsets():
-    g = UniformGrid([-1, -1, -1], [1, 1, 1], [6, 8, 10])
+    g = UniformGrid([-1, -1, -1], [1, 1, 1], [6, 8, 12])
     plan = _plan_face(g, 0)
     assert plan.in_axes == (1, 2)
-    assert plan.kernel_shape == (15, 19)  # 2M-1: covers -(M-1)..+(M-1)
-    assert plan.padded_shape == (15, 20)
-    assert plan.wanted == ((6, 15), (8, 19))
-    for s, k, n, (a, b) in zip(
-        plan.in_axes, plan.kernel_shape, plan.padded_shape, plan.wanted
-    ):
-        d = g.panels[s] - 1  # interior data length
-        assert n == next_smooth_length(2 * g.panels[s] - 1)
-        assert 0 <= a <= b <= k + d - 1
-        assert b - a == (k + 1) // 2 + 1  # one value per face node
-        # period n moves no entry of the full convolution [0, k+d-1) that
-        # lies outside the window [a, b) into it
-        assert n >= b and (k + d - 2) - n < a
+    assert plan.periods == (14, 24)  # 2 next_smooth(M-1): 2*7, 2*12
+    assert plan.window == (range(-1, 8), range(-1, 12))
+    for axis in range(g.dim):
+        plan = _plan_face(g, axis)
+        for s, n, window in zip(plan.in_axes, plan.periods, plan.window):
+            m = g.panels[s]
+            assert n == 2 * next_smooth_length(m - 1) >= 2 * (m - 1)
+            assert window == range(-1, m)  # one value per face node 0..M
+            # Output index c and data index k (source node k+1) read the
+            # kernel at offset c-k, stored in slot (c-k) mod n.  Offsets that
+            # share a slot must have the same distance: the kernel is even.
+            slot = {}
+            for c in window:
+                for k in range(m - 1):
+                    assert slot.setdefault((c - k) % n, abs(c - k)) == abs(c - k)
+            assert min(slot.values()) == 0 and max(slot.values()) == m - 1

@@ -177,8 +177,8 @@ def test_csv_write_is_atomic(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["order = 5", "order = x", "wibble = 3", "thread = 2"],
-    ids=["bad-choice", "bad-int", "unknown-key", "abbreviated-key"],
+    "line", ["order = 5", "order = x", "wibble = 3", "thread = 2", "center = 0 -x"],
+    ids=["bad-choice", "bad-int", "unknown-key", "abbreviated-key", "bad-list-value"],
 )
 def test_bad_config_file_is_reported(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -227,3 +227,33 @@ def test_config_format_checked_like_the_flag(tmp_path, capsys):
     rc = main(["solve", "--config", str(cfg), "--dim", "2", "--panels", "8"])
     assert rc == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_flags_take_every_number_a_config_file_takes(tmp_path):
+    # argparse alone reads -1e-1 as an option and stops --center there.
+    options = {
+        "center": ["-1e-1", "0", "-2.5E-1"],
+        "domain": ["-1e0", "1e0", "-2e0", "2E+0", "-1_5", "-inf"],
+        "eps": ["-4e-1"],
+        "fit-min-h": ["-1e-3"],
+        "padding-panels": ["-1"],
+    }
+    argv = ["convergence"]
+    for key, values in options.items():
+        argv += ["--" + key] + values
+    from_flags = build_spec(build_parser().parse_args(argv))
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("".join(f"{k} = {' '.join(v)}\n" for k, v in options.items()))
+    from_file = build_spec(build_parser().parse_args(["convergence", "--config", str(cfg)]))
+    assert from_flags == from_file == StudySpec(
+        kind="convergence", center=(-0.1, 0.0, -0.25),
+        domain=(-1.0, 1.0, -2.0, 2.0, -15.0, -np.inf), eps=-0.4,
+        fit_min_h=-1e-3, padding_panels=-1,
+    )
+
+
+def test_help_after_a_negative_scientific_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--center", "-1e-1", "0", "0", "--help"])
+    assert exc.value.code == 0
+    assert "--center" in capsys.readouterr().out
