@@ -195,12 +195,14 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
         return boundary_values_naive(rho)  # two single sums: nothing to convolve
     check_support(rho)
 
+    nonzero = rho.interior() != 0
     faces = {}
     for axis in range(grid.dim):
         plan = _plan_face(grid, axis)
         m = grid.panels[axis]
         # Slice p lies p panels from the lower face and m - p from the upper.
-        slices = [(p, x) for p in range(1, m) if np.any(x := _slice_data(rho, axis, p))]
+        occupied = np.flatnonzero(nonzero.any(axis=plan.in_axes)) + 1
+        slices = [(int(p), _slice_data(rho, axis, p)) for p in occupied]
         dists = sorted({q for p, _ in slices for q in (p, m - p)})
         row = {q: i for i, q in enumerate(dists)}
         kernels = _kernel_spectra(grid, plan, dists, thread_count)

@@ -31,22 +31,29 @@ free-space solver adds them to the spectral Poisson component's and
 evaluates both with one shared inverse DST.  Only what must touch the
 whole volume does:
 
-* Shell transfer.  The boundary data reach the right-hand side only on the
-  depth-1 layer of interior nodes, so the 9/19-point operator is evaluated
-  there alone, on a 3-node slab behind each face.  The layer is split into
-  one block per face; an edge or corner node belongs to the face of its
-  lowest axis.
-* Layer DST.  A field on that layer is transformed block by block: a DST
-  over the face axes times the 1D sine factor of the block's node along the
-  normal, 2 sin(k pi / M) or 2 sin(k pi (M-1) / M).  The 4th order
-  coefficients need no full-volume transform.
+* Boundary transfer.  For a vector v on nodes 0..M, summation by parts gives
+  the 1D sine transform S (S[f](k) = 2 sum_{i=1}^{M-1} f_i sin(k pi i / M))
+  of D2 v on the interior as
+
+      S[D2 v](k) = lambda_k S[v](k) + sigma_0(k) v_0 + sigma_1(k) v_M,
+
+  with sigma_0 = 2 sin(k pi / M) and sigma_1 = 2 sin(k pi (M-1) / M) =
+  (-1)^(k+1) sigma_0 (the FACR identity).  Applied axis by axis to the
+  boundary data extended by zero, the compact operator's right-hand side
+  needs no physical-space layer: face (a, side) enters with its interior's
+  DST times (1 + sum_{s != a} c_as lambda_s) sigma_a / h_a^2, edge (a < b)
+  with its interior's DST times c_ab sigma_a sigma_b / (h_a^2 h_b^2), where
+  c_ab = (h_a^2 + h_b^2)/12, and corners not at all (the 19-point stencil
+  has no corner taps).  The work is O(face) plus two half-volume additions
+  per axis.
 * Separable correction.  The width-two operator sum_{r != s} c_rs D4_r D2_s
   is applied as sum_r D4_r (sum_{s != r} c_rs D2_s u) with 1D differences,
   and the extrapolated layer is filled face, edge and corner block by block.
 
 At 6th order one inverse DST evaluates the 4th order solution (into the
 boundary-extended array, which the caller reuses for the final field) and
-one forward DST transforms the correction plus the boundary layer.
+one forward DST transforms the correction, whose coefficients are added to
+the 4th order ones by linearity.
 
 In one dimension the exact solution is linear, so no machinery is needed.
 """
@@ -54,7 +61,6 @@ In one dimension the exact solution is linear, so no machinery is needed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -64,18 +70,13 @@ from .grid import BoundaryValues, GridFunction, UniformGrid
 from .transforms import InteriorModeArray, forward_dst, inverse_dst
 
 __all__ = [
-    "CompactOperatorSymbol",
-    "build_operator_symbol",
     "check_panels",
-    "compact_operator_stencil",
-    "correlate_valid",
-    "transfer_boundary_to_rhs",
-    "layer_dst",
     "harmonic_modes",
-    "solve_harmonic_4th",
     "sixth_order_rhs",
-    "solve_harmonic_6th",
     "solve_harmonic_1d",
+    "solve_harmonic_4th",
+    "solve_harmonic_6th",
+    "transfer_boundary_to_rhs",
 ]
 
 _D2 = np.array([1.0, -2.0, 1.0])
@@ -90,6 +91,13 @@ def _outer(arrays) -> np.ndarray:
     for a in arrays[1:]:
         out = np.multiply.outer(out, a)
     return out
+
+
+def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A 1D array reshaped to lie along ``axis`` of an ``ndim``-dimensional one."""
+    shape = [1] * ndim
+    shape[axis] = v.size
+    return v.reshape(shape)
 
 
 def discrete_eigenvalues(grid: UniformGrid) -> list[np.ndarray]:
@@ -124,53 +132,19 @@ def compact_operator_stencil(grid: UniformGrid) -> np.ndarray:
     return stencil
 
 
-@dataclass(frozen=True)
-class CompactOperatorSymbol:
-    """Interior-mode eigenvalues and stencil form of the compact operator."""
-
-    grid: UniformGrid
-    values: np.ndarray
-    stencil: np.ndarray
-
-
-def build_operator_symbol(grid: UniformGrid) -> CompactOperatorSymbol:
+def build_operator_symbol(grid: UniformGrid) -> np.ndarray:
     """Tabulate the operator's eigenvalue per discrete sine mode."""
     if grid.dim not in (2, 3):
         raise ShapeError("compact harmonic operator is defined for dim 2 and 3")
-    lam = discrete_eigenvalues(grid)
+    lam = [_along(l, s, grid.dim) for s, l in enumerate(discrete_eigenvalues(grid))]
     h = grid.mesh
-    axed = []
-    for s, l in enumerate(lam):
-        shape = [1] * grid.dim
-        shape[s] = l.size
-        axed.append(l.reshape(shape))
-    symbol = np.zeros(grid.interior_shape)
-    for a in axed:
-        symbol += a
+    symbol = sum(lam, np.zeros(grid.interior_shape))
     for r in range(grid.dim):
         for s in range(r + 1, grid.dim):
-            symbol += (h[r] ** 2 + h[s] ** 2) / 12.0 * axed[r] * axed[s]
+            symbol += (h[r] ** 2 + h[s] ** 2) / 12.0 * lam[r] * lam[s]
     if np.any(symbol == 0.0):
         raise ShapeError("compact operator has a vanishing eigenvalue on this grid")
-    return CompactOperatorSymbol(grid, symbol, compact_operator_stencil(grid))
-
-
-def correlate_valid(values: np.ndarray, stencil: np.ndarray) -> np.ndarray:
-    """Apply a dense stencil wherever every tap stays inside the array.
-
-    out[j] = sum_m stencil[m] * values[j + m]; the output index j addresses
-    the stencil's corner, so entry j corresponds to node j + center.
-    """
-    out_shape = tuple(n - w + 1 for n, w in zip(values.shape, stencil.shape))
-    if any(n < 1 for n in out_shape):
-        raise ShapeError("array too small for stencil")
-    out = np.zeros(out_shape)
-    for idx in np.ndindex(stencil.shape):
-        c = stencil[idx]
-        if c != 0.0:
-            sl = tuple(slice(i, i + n) for i, n in zip(idx, out_shape))
-            out += c * values[sl]
-    return out
+    return symbol
 
 
 def _d2(values: np.ndarray, axis: int) -> np.ndarray:
@@ -207,81 +181,59 @@ def _cross_d2(u: np.ndarray, h, r: int) -> np.ndarray:
     return w
 
 
-def _layer_blocks(grid: UniformGrid) -> dict[tuple[int, int], tuple[slice, ...]]:
-    """Split the depth-1 layer of interior nodes into one block per face.
+def _add_sides(out: np.ndarray, axis: int, sigma: np.ndarray, low, high) -> None:
+    """``out += sigma_0 low + sigma_1 high``, spread along ``axis``.
 
-    ``blocks[(axis, side)]`` are node slices of the full array.  An edge or
-    corner node belongs to the face of its lowest axis, so every layer node
-    lies in exactly one block.
+    ``low`` and ``high`` lack ``axis``; sigma_1 = (-1)^(k+1) sigma_0, so odd
+    k see their sum and even k their difference.
     """
-    blocks = {}
-    for axis in range(grid.dim):
-        m = grid.panels[axis]
-        for side in (0, 1):
-            block = [
-                slice(2, n - 1) if s < axis else slice(1, n)
-                for s, n in enumerate(grid.panels)
-            ]
-            block[axis] = slice(1, 2) if side == 0 else slice(m - 1, m)
-            blocks[(axis, side)] = tuple(block)
-    return blocks
+    for parity, pair in ((0, low + high), (1, low - high)):
+        sel = [slice(None)] * out.ndim
+        sel[axis] = slice(parity, None, 2)
+        factor = _along(sigma[parity::2], axis, out.ndim)
+        out[tuple(sel)] += factor * np.expand_dims(pair, axis)
 
 
-def transfer_boundary_to_rhs(g: BoundaryValues, stencil: np.ndarray) -> GridFunction:
-    """Move boundary-value stencil contributions to the right-hand side.
+def _dst(x: np.ndarray) -> np.ndarray:
+    """DST-I over every axis; a 0-d value (a 2D corner) passes through."""
+    return sfft.dstn(x, type=1) if x.ndim else x
 
-    Returns the grid function that is nonzero only on the first interior
-    layer: minus the compact operator applied to the boundary-extended field
-    (interior zero).  Interior nodes at depth two or more are exactly zero
-    because the width-one stencil cannot reach the boundary from there, so
-    the operator is evaluated on the layer only, each block of
-    :func:`_layer_blocks` from the slab one node wider on every side.
+
+def transfer_boundary_to_rhs(g: BoundaryValues) -> InteriorModeArray:
+    """Sine coefficients of minus the compact operator applied to g extended by zero.
+
+    Equal to :func:`forward_dst` of that right-hand side, but assembled from
+    the DSTs of face and edge interiors by the identity in the module
+    docstring; no node array is built.  Each axis's edges with higher axes
+    are folded into its face transforms, and its two faces are paired by
+    sign, so each axis adds into the coefficients twice.
     """
-    extended = g.as_full_array()
-    rhs = GridFunction.zeros(g.grid)
-    for block in _layer_blocks(g.grid).values():
-        slab = tuple(slice(b.start - 1, b.stop + 1) for b in block)
-        rhs.values[block] = -correlate_valid(extended[slab], stencil)
-    return rhs
-
-
-def layer_dst(f: GridFunction) -> InteriorModeArray:
-    """:func:`forward_dst` of a field that vanishes off the depth-1 layer.
-
-    Each face's block of the layer (:func:`_layer_blocks`) is transformed
-    over the face axes and spread along the normal by the 1D sine factor of
-    its node i, 2 sin(k pi i / M) with i = 1 or M - 1, so no full-volume
-    transform is needed.  Values off the layer are not read.
-    """
-    grid = f.grid
+    grid = g.grid
     d = grid.dim
-    blocks = _layer_blocks(grid)
+    h2 = [h * h for h in grid.mesh]
+    lam = discrete_eigenvalues(grid)
+    sigma = [2.0 * np.sin(np.arange(1, m) * np.pi / m) for m in grid.panels]
+    scale = -1.0 / np.prod([float(m) for m in grid.panels])
     coeff = np.zeros(grid.interior_shape)
-    for axis in range(d):
-        faces = []
+    for a in range(d):
+        in_axes = [s for s in range(d) if s != a]
+        weight = 1.0
+        for j, s in enumerate(in_axes):
+            weight = weight + (h2[a] + h2[s]) / 12.0 * _along(lam[s], j, d - 1)
+        sides = []
         for side in (0, 1):
-            block = blocks[(axis, side)]
-            face_shape = list(grid.interior_shape)
-            face_shape[axis] = 1
-            face = np.zeros(face_shape)
-            face[
-                tuple(
-                    slice(None) if s == axis else slice(b.start - 1, b.stop - 1)
-                    for s, b in enumerate(block)
-                )
-            ] = f.values[block]
-            faces.append(sfft.dstn(face, type=1, axes=[s for s in range(d) if s != axis]))
-        m = grid.panels[axis]
-        shape = [1] * d
-        shape[axis] = m - 1
-        factor = 2.0 * np.sin(np.arange(1, m) * np.pi / m).reshape(shape)
-        # 2 sin(k pi (M-1) / M) = (-1)^(k+1) 2 sin(k pi / M): odd k see the
-        # sum of the two faces' transforms, even k their difference.
-        for parity, pair in ((0, faces[0] + faces[1]), (1, faces[0] - faces[1])):
-            sel = [slice(None)] * d
-            sel[axis] = slice(parity, None, 2)
-            coeff[tuple(sel)] += factor[tuple(sel)] * pair
-    coeff *= 1.0 / np.prod([float(m) for m in grid.panels])
+            face = g.faces[(a, side)]
+            t = _dst(face[(slice(1, -1),) * (d - 1)]) * weight
+            for j, b in enumerate(in_axes):
+                if b > a:
+                    edges = [
+                        _dst(np.take(face, -sb, axis=j)[(slice(1, -1),) * (d - 2)])
+                        for sb in (0, 1)
+                    ]
+                    c = (h2[a] + h2[b]) / 12.0 / h2[b]
+                    _add_sides(t, j, c * sigma[b], *edges)
+            sides.append(t)
+        _add_sides(coeff, a, scale / h2[a] * sigma[a], *sides)
     return InteriorModeArray(grid, coeff)
 
 
@@ -306,18 +258,13 @@ def harmonic_modes(g: BoundaryValues, order: int, field: np.ndarray) -> Interior
     grid = g.grid
     check_panels(grid, order)
     symbol = build_operator_symbol(grid)
-    g_rhs = transfer_boundary_to_rhs(g, symbol.stencil)
-    modes = layer_dst(g_rhs)
-    modes.coefficients /= symbol.values
+    modes = transfer_boundary_to_rhs(g)
+    modes.coefficients /= symbol
     if order == 4:
         return modes
-    u1 = inverse_dst(modes, field)
-    del modes  # one coefficient array less during the correction
-    rhs = sixth_order_rhs(u1)
-    for block in _layer_blocks(grid).values():
-        rhs.values[block] += g_rhs.values[block]
-    modes = forward_dst(rhs)
-    modes.coefficients /= symbol.values
+    correction = forward_dst(sixth_order_rhs(inverse_dst(modes, field)))
+    correction.coefficients /= symbol
+    modes.coefficients += correction.coefficients
     return modes
 
 

@@ -83,7 +83,7 @@ def test_criterion_1_boundary_oracle_equivalence():
 
 
 def test_criterion_2_dense_solve_equivalence():
-    from test_harmonic import assemble_dense
+    from oracles import assemble_dense
 
     t0 = time.perf_counter()
     worst = 0.0

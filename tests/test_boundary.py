@@ -110,6 +110,20 @@ def test_translation_by_whole_panels_matches_naive():
         ) <= 1e-11
 
 
+@pytest.mark.parametrize("panels", [(17, 12), (11, 9, 13)])
+def test_fast_matches_naive_on_scattered_support(panels):
+    # A few isolated source nodes, including ones next to the boundary, so
+    # along every axis the non-empty slices have gaps between them.
+    g = UniformGrid([-1.0] * len(panels), [1.0, 2.0, 0.5][: len(panels)], panels)
+    vals = np.zeros(g.shape)
+    for node, value in [((1, 2, 3), 1.0), ((5, 1, 11), -2.0), ((15, 10, 1), 0.5)]:
+        vals[tuple(min(i, m - 1) for i, m in zip(node, panels))] = value
+    rho = GridFunction(g, vals)
+    assert rel_face_diff(
+        boundary_values_naive(rho), boundary_values_fast(rho)
+    ) <= 1e-11
+
+
 def test_thread_count_bitwise_invariance():
     rng = np.random.default_rng(9)
     g = UniformGrid([-1, -1, -1], [1, 1, 1], [10, 9, 8])

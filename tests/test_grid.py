@@ -170,3 +170,22 @@ def test_boundary_from_callable_samples_every_face():
         assert bv.faces[(axis, 1)].shape == full[tuple(lower)].shape
     assert bv.faces[(2, 1)][2, 3] == fn(g.lower[0] + 2 * g.mesh[0], g.mesh[1] * 3, 3.0)
     assert bv.check_consistency() < 1e-15
+
+
+@pytest.mark.parametrize("panels", [(6, 7), (4, 5, 6)])
+def test_mismatched_edge_rejected(panels):
+    # A face perturbed at a node it shares with another face (on an edge or
+    # a corner) disagrees with it; a node it owns alone is not compared.
+    d = len(panels)
+    g = UniformGrid([0.0] * d, [1.0, 2.0, 0.5][:d], panels)
+    fn = lambda *xs: 1.0 + xs[0] - 2.0 * xs[-1]
+    for key, face in BoundaryValues.from_callable(g, fn).faces.items():
+        for node in np.ndindex(face.shape):
+            bv = BoundaryValues.from_callable(g, fn)
+            bv.faces[key][node] += 1e-6
+            if all(0 < i < n - 1 for i, n in zip(node, face.shape)):
+                assert bv.check_consistency() == 0.0
+                continue
+            assert bv.check_consistency(rtol=1.0) == pytest.approx(1e-6 / bv.abs_max())
+            with pytest.raises(ShapeError, match="disagree"):
+                bv.check_consistency()

@@ -7,6 +7,7 @@ from freepoisson import (
     GridFunction,
     ShapeError,
     UniformGrid,
+    inverse_dst,
     sixth_order_rhs,
     solve_harmonic_1d,
     solve_harmonic_4th,
@@ -14,26 +15,13 @@ from freepoisson import (
     transfer_boundary_to_rhs,
 )
 from freepoisson.harmonic import (
-    _layer_blocks,
     build_operator_symbol,
     compact_operator_stencil,
-    correlate_valid,
     discrete_eigenvalues,
-    layer_dst,
 )
+from oracles import assemble_dense, boundary_from_full, correlate_valid
 
 RNG = np.random.default_rng(2024)
-
-
-def boundary_from_full(g: UniformGrid, full: np.ndarray) -> BoundaryValues:
-    """The boundary faces of a full node array."""
-    faces = {}
-    for axis in range(g.dim):
-        for side in (0, 1):
-            sl = [slice(None)] * g.dim
-            sl[axis] = -1 if side else 0
-            faces[(axis, side)] = full[tuple(sl)].copy()
-    return BoundaryValues(g, faces)
 
 
 def sampled_sine_mode(grid: UniformGrid, k) -> np.ndarray:
@@ -47,43 +35,18 @@ def sampled_sine_mode(grid: UniformGrid, k) -> np.ndarray:
     return vals
 
 
-def assemble_dense(grid: UniformGrid, g: BoundaryValues):
-    """Row-by-row assembly of the interior linear system (independent oracle)."""
-    stencil = compact_operator_stencil(grid)
-    interior = grid.interior_shape
-    n = int(np.prod(interior))
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    g_ext = g.as_full_array()
-    offsets = list(np.ndindex(stencil.shape))
-    for row, node in enumerate(np.ndindex(interior)):
-        node = tuple(v + 1 for v in node)
-        for off in offsets:
-            c = stencil[off]
-            if c == 0.0:
-                continue
-            nb = tuple(node[s] + off[s] - 1 for s in range(grid.dim))
-            if all(1 <= nb[s] <= grid.panels[s] - 1 for s in range(grid.dim)):
-                col = np.ravel_multi_index(
-                    tuple(nb[s] - 1 for s in range(grid.dim)), interior
-                )
-                A[row, col] += c
-            else:
-                b[row] -= c * g_ext[nb]
-    return A, b
-
-
 @pytest.mark.parametrize("panels", [(6, 7), (5, 6, 7)])
 def test_symbol_matches_stencil_on_every_mode(panels):
     g = UniformGrid([-1.0] * len(panels), [1.0, 2.0, 1.5][: len(panels)], panels)
-    sym = build_operator_symbol(g)
+    symbol = build_operator_symbol(g)
+    stencil = compact_operator_stencil(g)
     lam = discrete_eigenvalues(g)
     assert all(np.all(l < 0) for l in lam)
-    assert np.all(sym.values != 0.0)
+    assert np.all(symbol != 0.0)
     for k in np.ndindex(g.interior_shape):
         mode = sampled_sine_mode(g, k)
-        applied = correlate_valid(mode, sym.stencil)
-        want = sym.values[k] * mode[(slice(1, -1),) * g.dim]
+        applied = correlate_valid(mode, stencil)
+        want = symbol[k] * mode[(slice(1, -1),) * g.dim]
         assert np.max(np.abs(applied - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -94,65 +57,41 @@ def test_stencil_point_counts():
     assert np.count_nonzero(compact_operator_stencil(g3)) == 19
 
 
+def random_boundary(g: UniformGrid) -> BoundaryValues:
+    full = RNG.standard_normal(g.shape)
+    full[(slice(1, -1),) * g.dim] = 0.0
+    return boundary_from_full(g, full)
+
+
 def test_transfer_zero_is_zero():
     g = UniformGrid([0, 0], [1, 1], [6, 7])
-    out = transfer_boundary_to_rhs(
-        BoundaryValues.zeros(g), build_operator_symbol(g).stencil
-    )
-    assert np.all(out.values == 0.0)
+    out = transfer_boundary_to_rhs(BoundaryValues.zeros(g))
+    assert np.all(out.coefficients == 0.0)
 
 
 def test_transfer_supported_on_first_layer_only():
-    g = UniformGrid([0, 0], [1, 1], [8, 9])
-    bv = BoundaryValues.from_callable(g, lambda x, y: np.sin(3 * x) + y)
-    out = transfer_boundary_to_rhs(bv, build_operator_symbol(g).stencil)
-    assert np.all(out.values[3:-3, 3:-3] == 0.0)
-    interior_depth2 = out.values[2:-2, 2:-2]
-    assert np.all(interior_depth2 == 0.0)
-    assert np.any(out.values[1, :] != 0.0)
+    # The coefficients are those of a field that vanishes at depth >= 2:
+    # the width-one stencil reaches the boundary only from the first layer.
+    g = UniformGrid([0, 0, 0], [1, 1, 2], [8, 9, 7])
+    bv = BoundaryValues.from_callable(g, lambda x, y, z: np.sin(3 * x) + y * z)
+    field = inverse_dst(transfer_boundary_to_rhs(bv)).values
+    scale = np.max(np.abs(field))
+    assert np.max(np.abs(field[2:-2, 2:-2, 2:-2])) <= 1e-13 * scale
+    assert np.min(np.abs(field[1, 2:-2, 2:-2])) > 1e-3 * scale
 
 
 def test_transfer_matches_dense_oracle():
-    g = UniformGrid([0.0, -1.0], [1.0, 0.5], [6, 7])
-    bv = BoundaryValues(
-        g,
-        {
-            (axis, side): RNG.standard_normal(
-                tuple(g.panels[s] + 1 for s in range(2) if s != axis)
-            )
-            for axis in range(2)
-            for side in (0, 1)
-        },
-    )
-    # shared corners must agree: rebuild from a full array
-    bv = boundary_from_full(g, bv.as_full_array())
-    _, b = assemble_dense(g, bv)
-    out = transfer_boundary_to_rhs(bv, build_operator_symbol(g).stencil)
-    assert np.max(np.abs(out.interior().ravel() - b)) <= 1e-13 * max(
-        1.0, np.max(np.abs(b))
-    )
-
-
-def test_constant_decomposition_identity():
-    # applying the operator to the constant-extended field equals applying the
-    # homogeneous operator to interior values plus the boundary transfer
-    g = UniformGrid([0, 0], [1, 1], [7, 6])
-    c = 2.75
-    full = np.full(g.shape, c)
-    stencil = compact_operator_stencil(g)
-    whole = correlate_valid(full, stencil)
-    interior_only = full.copy()
-    for axis in range(2):
-        sl = [slice(None)] * 2
-        sl[axis] = 0
-        interior_only[tuple(sl)] = 0.0
-        sl[axis] = -1
-        interior_only[tuple(sl)] = 0.0
-    g_tilde = transfer_boundary_to_rhs(
-        boundary_from_full(g, full), stencil
-    )
-    recomposed = correlate_valid(interior_only, stencil) + (-g_tilde.interior())
-    assert np.max(np.abs(whole - recomposed)) < 1e-12
+    # The dense system's right-hand side, transformed: face, edge and corner
+    # data of both sides of every axis, on anisotropic meshes down to the
+    # fewest panels an order allows.
+    for panels in [(4, 4), (6, 7), (9, 13), (4, 4, 4), (5, 6, 7), (12, 9, 17)]:
+        d = len(panels)
+        g = UniformGrid([0.0, -1.0, 0.5][:d], [1.0, 0.5, 2.5][:d], panels)
+        bv = random_boundary(g)
+        _, b = assemble_dense(g, bv)
+        want = scipy.fft.dstn(b.reshape(g.interior_shape), type=1) / np.prod(panels)
+        got = transfer_boundary_to_rhs(bv).coefficients
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), panels
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -353,49 +292,6 @@ def test_size_preconditions():
     g1 = UniformGrid([0], [1], [8])
     with pytest.raises(ShapeError):
         solve_harmonic_4th(BoundaryValues.zeros(g1))
-
-
-def random_boundary(g: UniformGrid) -> BoundaryValues:
-    full = RNG.standard_normal(g.shape)
-    full[(slice(1, -1),) * g.dim] = 0.0
-    return boundary_from_full(g, full)
-
-
-@pytest.mark.parametrize("panels", [(9, 7), (8, 11, 6)])
-def test_transfer_shell_matches_full_volume_pass_bitwise(panels):
-    # Reference: the 9/19-point stencil applied to the whole boundary-extended
-    # array (interior zero); the layer-only evaluation must agree bit for bit.
-    g = UniformGrid([-1.0] * len(panels), [1.0, 0.5, 2.0][: len(panels)], panels)
-    bv = random_boundary(g)
-    stencil = compact_operator_stencil(g)
-    want = np.zeros(g.shape)
-    want[(slice(1, -1),) * g.dim] = -correlate_valid(bv.as_full_array(), stencil)
-    assert np.array_equal(transfer_boundary_to_rhs(bv, stencil).values, want)
-
-
-@pytest.mark.parametrize("panels", [(9, 7), (4, 4), (8, 11, 6), (4, 5, 4)])
-def test_layer_blocks_partition_the_layer(panels):
-    g = UniformGrid([0.0] * len(panels), [1.0] * len(panels), panels)
-    count = np.zeros(g.shape, dtype=int)
-    for block in _layer_blocks(g).values():
-        count[block] += 1
-    layer = np.zeros(g.shape, dtype=bool)
-    layer[(slice(1, -1),) * g.dim] = True
-    layer[(slice(2, -2),) * g.dim] = False
-    assert np.array_equal(count, layer.astype(int))
-
-
-@pytest.mark.parametrize("panels", [(9, 7), (12, 10), (8, 11, 6), (13, 9, 10)])
-def test_layer_dst_matches_dstn(panels):
-    # A random field on the whole depth-1 layer, edges and corners included.
-    g = UniformGrid([-1.0] * len(panels), [1.0, 0.5, 2.0][: len(panels)], panels)
-    layer = np.zeros(g.shape, dtype=bool)
-    layer[(slice(1, -1),) * g.dim] = True
-    layer[(slice(2, -2),) * g.dim] = False
-    values = np.where(layer, RNG.standard_normal(g.shape), 0.0)
-    want = scipy.fft.dstn(values[(slice(1, -1),) * g.dim], type=1) / np.prod(panels)
-    got = layer_dst(GridFunction(g, values)).coefficients
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_sixth_order_rhs_deep_region_matches_dense_stencil_3d():
