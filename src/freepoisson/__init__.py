@@ -25,7 +25,6 @@ from .grid import (
     restrict_to_subgrid,
 )
 from .harmonic import (
-    sixth_order_rhs,
     solve_harmonic_1d,
     solve_harmonic_4th,
     solve_harmonic_6th,
@@ -64,7 +63,6 @@ __all__ = [
     "pad_domain",
     "read_pgrid",
     "restrict_to_subgrid",
-    "sixth_order_rhs",
     "solve_free_space",
     "solve_harmonic_1d",
     "solve_harmonic_4th",

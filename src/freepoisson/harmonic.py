@@ -44,16 +44,37 @@ whole volume does:
   DST times (1 + sum_{s != a} c_as lambda_s) sigma_a / h_a^2, edge (a < b)
   with its interior's DST times c_ab sigma_a sigma_b / (h_a^2 h_b^2), where
   c_ab = (h_a^2 + h_b^2)/12, and corners not at all (the 19-point stencil
-  has no corner taps).  The work is O(face) plus two half-volume additions
-  per axis.
-* Separable correction.  The width-two operator sum_{r != s} c_rs D4_r D2_s
-  is applied as sum_r D4_r (sum_{s != r} c_rs D2_s u) with 1D differences,
-  and the extrapolated layer is filled face, edge and corner block by block.
+  has no corner taps).  The work is O(face) plus one pass over the
+  coefficients per axis.
+* Correction in sine space.  Write u1 = V + G, V the 4th order sine series
+  (coefficients u) and G the boundary data extended by zero.  The undivided
+  difference D2_s is diagonal on V with mu_s = 2 cos(k pi / M_s) - 2, so on
+  nodes of depth >= 2 the correction sum_r D4_r (sum_{s != r} c_rs D2_s u1),
+  with D4_r = D2_r^2 and c_rs = 1/(240 h_s^2) + 1/(144 h_r^2), equals the
+  series W of Q u,
 
-At 6th order one inverse DST evaluates the 4th order solution (into the
-boundary-extended array, which the caller reuses for the final field) and
-one forward DST transforms the correction, whose coefficients are added to
-the 4th order ones by linearity.
+      Q = sum_r mu_r^2 sum_{s != r} c_rs mu_s,
+
+  plus, on each depth-2 layer, sum_{s != r} c_rs D2_s of that face's data
+  (the only taps of the width-two stencil that reach G).  With F the
+  forward DST, the right-hand side's coefficients are therefore
+
+      Q u - F(W on the depth-1 shell) + F(depth-2 face terms)
+          + F(extrapolated depth-1 layer).
+
+  Per face, W at depth 1 and W extrapolated from depths 2..5 come from
+  contracting Q u along the normal with the rows sin(k pi / M) and
+  4 s_2 - 6 s_3 + 4 s_4 - s_5 (s_j = sin(j k pi / M); the far face takes
+  the (-1)^(k+1) parity), then one batched in-face DST.  The face terms'
+  share of the extrapolation is added in node space, and the extrapolation
+  to edges, then corners, runs on those face arrays.  Each face goes back
+  through one in-face DST times 2 sin(k pi / M) along its normal (its
+  depth-2 term times 2 sin(2 k pi / M)), a depth-1 node being counted by
+  the face of its lowest depth-1 axis.  The contractions and the scatters
+  are elementwise (``np.einsum``, no BLAS), a block of planes at a time.
+
+An order-6 solve thus makes no full-volume DST of its own: the free-space
+solve makes two, the spectral forward DST and the shared inverse.
 
 In one dimension the exact solution is linear, so no machinery is needed.
 """
@@ -67,12 +88,11 @@ import scipy.fft as sfft
 
 from .errors import ShapeError
 from .grid import BoundaryValues, GridFunction, UniformGrid
-from .transforms import InteriorModeArray, forward_dst, inverse_dst
+from .transforms import InteriorModeArray, inverse_dst
 
 __all__ = [
     "check_panels",
     "harmonic_modes",
-    "sixth_order_rhs",
     "solve_harmonic_1d",
     "solve_harmonic_4th",
     "solve_harmonic_6th",
@@ -81,6 +101,10 @@ __all__ = [
 
 _D2 = np.array([1.0, -2.0, 1.0])
 _DELTA3 = np.array([0.0, 1.0, 0.0])
+# Cubic extrapolation to depth 1 from depths 2, 3, 4, 5 along a normal.
+_EXTRAPOLATE = np.array([4.0, -6.0, 4.0, -1.0])
+# Planes per block of a scatter into the coefficients (bounds its temporaries).
+_BLOCK = 8
 
 # Fewest panels per axis each order's stencils fit in.
 MIN_PANELS = {4: 4, 6: 7}
@@ -132,16 +156,36 @@ def compact_operator_stencil(grid: UniformGrid) -> np.ndarray:
     return stencil
 
 
+def _pair_sum(shape, tables: dict) -> np.ndarray:
+    """sum over axis pairs (r, s) of ``tables[r, s]`` (a 2D table), broadcast.
+
+    Each table is added in place, so no full-size temporary is made.
+    """
+    out = np.empty(shape)
+    for i, ((r, s), table) in enumerate(tables.items()):
+        t = table.reshape([shape[a] if a in (r, s) else 1 for a in range(len(shape))])
+        if i == 0:
+            out[...] = t
+        else:
+            out += t
+    return out
+
+
 def build_operator_symbol(grid: UniformGrid) -> np.ndarray:
     """Tabulate the operator's eigenvalue per discrete sine mode."""
     if grid.dim not in (2, 3):
         raise ShapeError("compact harmonic operator is defined for dim 2 and 3")
-    lam = [_along(l, s, grid.dim) for s, l in enumerate(discrete_eigenvalues(grid))]
+    lam = discrete_eigenvalues(grid)
     h = grid.mesh
-    symbol = sum(lam, np.zeros(grid.interior_shape))
-    for r in range(grid.dim):
-        for s in range(r + 1, grid.dim):
-            symbol += (h[r] ** 2 + h[s] ** 2) / 12.0 * lam[r] * lam[s]
+    tables = {
+        (r, s): (h[r] ** 2 + h[s] ** 2) / 12.0 * np.multiply.outer(lam[r], lam[s])
+        for r, s in itertools.combinations(range(grid.dim), 2)
+    }
+    # each lam_s once, in a table that spans axis s
+    tables[0, 1] += lam[0][:, None]
+    for s in range(1, grid.dim):
+        tables[0, s] += lam[s]
+    symbol = _pair_sum(grid.interior_shape, tables)
     if np.any(symbol == 0.0):
         raise ShapeError("compact operator has a vanishing eigenvalue on this grid")
     return symbol
@@ -158,45 +202,46 @@ def _d2(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _cross_d2(u: np.ndarray, h, r: int) -> np.ndarray:
-    """sum_{s != r} c_rs D2_s u / (h_r^4 h_s^2), c_rs = h_r^4/240 + h_r^2 h_s^2/144.
-
-    Evaluated on the nodes that D4_r reads for the deep region: every node
-    along r, depth >= 2 along the other axes.
-    """
-    d = u.ndim
-    w = None
-    for s in range(d):
-        if s == r:
-            continue
-        sl = [slice(2, -2)] * d
-        sl[r] = slice(None)
-        sl[s] = slice(1, -1)
-        term = _d2(u[tuple(sl)], s)
-        term *= 1.0 / (240.0 * h[s] ** 2) + 1.0 / (144.0 * h[r] ** 2)
-        if w is None:
-            w = term
-        else:
-            w += term
-    return w
-
-
 def _add_sides(out: np.ndarray, axis: int, sigma: np.ndarray, low, high) -> None:
     """``out += sigma_0 low + sigma_1 high``, spread along ``axis``.
 
     ``low`` and ``high`` lack ``axis``; sigma_1 = (-1)^(k+1) sigma_0, so odd
     k see their sum and even k their difference.
     """
-    for parity, pair in ((0, low + high), (1, low - high)):
-        sel = [slice(None)] * out.ndim
-        sel[axis] = slice(parity, None, 2)
-        factor = _along(sigma[parity::2], axis, out.ndim)
-        out[tuple(sel)] += factor * np.expand_dims(pair, axis)
+    _scatter(out, axis, sigma[None], np.stack([low + high, low - high])[:, None])
 
 
-def _dst(x: np.ndarray) -> np.ndarray:
-    """DST-I over every axis; a 0-d value (a 2D corner) passes through."""
-    return sfft.dstn(x, type=1) if x.ndim else x
+def _scatter(out: np.ndarray, axis: int, rows: np.ndarray, faces: np.ndarray) -> None:
+    """``out += sum_r rows[r] faces[p, r]`` spread along ``axis``, a block at a time.
+
+    ``rows`` is (R, M - 1) over k along ``axis``; ``faces`` is (2, R, *face),
+    p = 0 for odd k and 1 for even k.
+    """
+    if 0 < axis == out.ndim - 1:
+        # A parity-strided view along the last axis is slow to add into;
+        # rows zeroed off their parity fill whole contiguous blocks instead.
+        padded = np.zeros((2,) + rows.shape)
+        for p in (0, 1):
+            padded[p, :, p::2] = rows[:, p::2]
+        padded = padded.reshape(-1, rows.shape[1])
+        faces = faces.reshape((-1,) + faces.shape[2:])
+        for start in range(0, out.shape[0], _BLOCK):
+            block = slice(start, start + _BLOCK)
+            out[block] += np.einsum("rk,r...->...k", padded, faces[:, block])
+        return
+    for p in (0, 1):
+        view = np.moveaxis(out, axis, 0)[p::2]
+        for start in range(0, view.shape[0], _BLOCK):
+            block = slice(start, start + _BLOCK)
+            view[block] += np.einsum("rk,r...->k...", rows[:, p::2][:, block], faces[p])
+
+
+def _dst(x: np.ndarray, lead: int = 0) -> np.ndarray:
+    """DST-I over every axis after the first ``lead``.
+
+    With no such axis (a 2D corner) the value passes through.
+    """
+    return sfft.dstn(x, type=1, axes=tuple(range(lead, x.ndim))) if x.ndim > lead else x
 
 
 def transfer_boundary_to_rhs(g: BoundaryValues) -> InteriorModeArray:
@@ -248,79 +293,160 @@ def check_panels(grid: UniformGrid, order: int) -> None:
         )
 
 
-def harmonic_modes(g: BoundaryValues, order: int, field: np.ndarray) -> InteriorModeArray:
-    """Sine coefficients of the 4th or 6th order harmonic extension of g.
+def _owner(grid: UniformGrid, layer: dict, at: dict):
+    """The face array and index holding the shell nodes ``at`` describes.
 
-    ``field`` is g's boundary-extended node array (``g.as_full_array()``).
-    The 6th order sweep evaluates the 4th order solution into its interior,
-    so the caller can reuse the array for the final field.
+    ``at`` maps axes to (depth, side), depth 1 on at least one of them;
+    every other axis takes its depth >= 2 range.  A node belongs to the
+    face of its lowest depth-1 axis.
     """
+    a = min(s for s, (depth, _) in at.items() if depth == 1)
+    idx = []
+    for s, m in enumerate(grid.panels):
+        if s == a:
+            continue
+        if s in at:
+            depth, side = at[s]
+            idx.append(depth - 1 if side == 0 else m - 1 - depth)
+        else:
+            idx.append(slice(1, -1))
+    return layer[a, at[a][1]], tuple(idx)
+
+
+def _face_terms(g: BoundaryValues, weight) -> dict:
+    """sum_{s != a} c_as D2_s of each face's data on its depth >= 2 nodes.
+
+    The width-two stencil's taps that reach the boundary data, entering the
+    right-hand side on the depth-2 layer behind face (a, side).  Returned on
+    the face's interior nodes, zero at in-face depth 1.
+    """
+    grid = g.grid
+    d = grid.dim
+    terms = {}
+    for (a, side), face in g.faces.items():
+        term = np.zeros([m - 1 for s, m in enumerate(grid.panels) if s != a])
+        deep = term[(slice(1, -1),) * (d - 1)]
+        for j, s in enumerate(x for x in range(d) if x != a):
+            sl = [slice(2, -2)] * (d - 1)
+            sl[j] = slice(1, -1)
+            deep += weight(a, s) * _d2(face[tuple(sl)], j)
+        terms[a, side] = term
+    return terms
+
+
+def _extrapolated_face_terms(grid: UniformGrid, terms: dict, a: int, side: int) -> np.ndarray:
+    """The depth-2 face terms' share of face (a, side)'s extrapolation.
+
+    The extrapolation reads depths 2..5 along a.  Face (a, side)'s own term
+    sits at depth 2; the opposite face's at depth M_a - 2, which is within
+    reach when M_a = 7.  A term of another axis q lies on one line of the
+    face and is read at its own in-face depths 2..5 along a.
+    """
+    out = np.zeros([m - 1 for s, m in enumerate(grid.panels) if s != a])
+    for (q, sq), term in terms.items():
+        if q == a:
+            depth = 2 if sq == side else grid.panels[a] - 2
+            if depth <= 5:
+                out += _EXTRAPOLATE[depth - 2] * term
+            continue
+        jq, ja = q - (q > a), a - (a > q)
+        line = (slice(None),) * jq + (1 if sq == 0 else grid.panels[q] - 3,)
+        for depth, e in enumerate(_EXTRAPOLATE, start=2):
+            i = depth - 1 if side == 0 else grid.panels[a] - 1 - depth
+            out[line] += e * np.take(term, i, axis=ja)
+    return out
+
+
+def _correction_rhs(g: BoundaryValues, u: np.ndarray) -> np.ndarray:
+    """Sine coefficients of the 6th order correction's right-hand side.
+
+    ``u`` holds the 4th order solution's coefficients.  Built by the
+    identity in the module docstring, without a full-volume node array or
+    DST; equal to the forward DST of the dense right-hand side in
+    ``tests/oracles.py``.
+    """
+    grid = g.grid
+    d = grid.dim
+    h2 = [h * h for h in grid.mesh]
+    mu = [2.0 * np.cos(np.arange(1, m) * np.pi / m) - 2.0 for m in grid.panels]
+
+    def weight(r, s):
+        return 1.0 / (240.0 * h2[s]) + 1.0 / (144.0 * h2[r])
+
+    coeff = _pair_sum(grid.interior_shape, {
+        (r, s): weight(r, s) * np.multiply.outer(mu[r] ** 2, mu[s])
+        + weight(s, r) * np.multiply.outer(mu[r], mu[s] ** 2)
+        for r, s in itertools.combinations(range(d), 2)
+    })
+    coeff *= u
+    terms = _face_terms(g, weight)
+
+    # Per face: the series at depth 1 and extrapolated from depths 2..5.
+    # Odd and even k are contracted apart; their sum is the near face, their
+    # difference the far one.
+    shell, layer = {}, {}
+    for a, m in enumerate(grid.panels):
+        kpi = np.arange(1, m) * np.pi / m
+        extrapolated = sum(e * np.sin(j * kpi) for j, e in enumerate(_EXTRAPOLATE, start=2))
+        rows = np.stack([np.sin(kpi), extrapolated])
+        odd, even = (
+            np.einsum("k...,rk->r...", np.moveaxis(coeff, a, 0)[p::2], rows[:, p::2])
+            for p in (0, 1)
+        )
+        values = _dst(np.stack([odd + even, odd - even]), 2) / 2.0 ** (d - 1)
+        for side in (0, 1):
+            shell[a, side] = values[side, 0]
+            layer[a, side] = values[side, 1] + _extrapolated_face_terms(grid, terms, a, side)
+
+    # Edges, then corners: the mean of the extrapolations along their depth-1
+    # axes.  A node's value is kept in the face of its lowest depth-1 axis.
+    for t in range(2, d + 1):
+        for axes in itertools.combinations(range(d), t):
+            for sides in itertools.product((0, 1), repeat=t):
+                at = {a: (1, side) for a, side in zip(axes, sides)}
+                total = 0.0
+                for a, (_, side) in at.items():
+                    for depth, e in enumerate(_EXTRAPOLATE, start=2):
+                        face, idx = _owner(grid, layer, {**at, a: (depth, side)})
+                        total = total + e * face[idx]
+                face, idx = _owner(grid, layer, at)
+                face[idx] = total / t
+
+    # Back to coefficients: the shell's change and the depth-2 terms.
+    scale = 2.0 / np.prod([float(m) for m in grid.panels])
+    for a, m in enumerate(grid.panels):
+        x0, x1 = (layer[a, side] - shell[a, side] for side in (0, 1))
+        t0, t1 = terms[a, 0], terms[a, 1]
+        pairs = np.stack([[x0 + x1, t0 + t1], [x0 - x1, t0 - t1]])
+        for s in range(a):  # nodes of a lower axis's face; the terms are 0 there
+            pairs[(slice(None),) * (2 + s) + ([0, -1],)] = 0.0
+        kpi = np.arange(1, m) * np.pi / m
+        rows = scale * np.stack([np.sin(kpi), np.sin(2.0 * kpi)])
+        _scatter(coeff, a, rows, _dst(pairs, 2))
+    return coeff
+
+
+def harmonic_modes(g: BoundaryValues, order: int) -> InteriorModeArray:
+    """Sine coefficients of the 4th or 6th order harmonic extension of g."""
     grid = g.grid
     check_panels(grid, order)
     symbol = build_operator_symbol(grid)
     modes = transfer_boundary_to_rhs(g)
     modes.coefficients /= symbol
-    if order == 4:
-        return modes
-    correction = forward_dst(sixth_order_rhs(inverse_dst(modes, field)))
-    correction.coefficients /= symbol
-    modes.coefficients += correction.coefficients
+    if order == 6:
+        correction = _correction_rhs(g, modes.coefficients)
+        correction /= symbol
+        modes.coefficients += correction
     return modes
 
 
 def _solve(g: BoundaryValues, order: int) -> GridFunction:
-    field = g.as_full_array()
-    return inverse_dst(harmonic_modes(g, order, field), field).assert_finite()
+    return inverse_dst(harmonic_modes(g, order), g.as_full_array()).assert_finite()
 
 
 def solve_harmonic_4th(g: BoundaryValues) -> GridFunction:
     """4th order discrete-harmonic extension of the boundary data."""
     return _solve(g, 4)
-
-
-def sixth_order_rhs(u1: GridFunction) -> GridFunction:
-    """Deferred-correction right-hand side built from a 4th order solution.
-
-    Applies the width-two truncation-error operators where they fit (all
-    node coordinates at depth >= 2 from the boundary), as sums of 1D
-    differences D4_r (sum_{s != r} c_rs D2_s u1), and fills the layer
-    adjacent to the boundary by cubic extrapolation along the inward normal
-    of the nearest face; where several faces tie (edges, corners) the tied
-    directions are averaged.
-    """
-    grid = u1.grid
-    if grid.dim not in (2, 3):
-        raise ShapeError("sixth order correction is defined for dim 2 and 3")
-    # Extrapolation reads four directly-computed values along the normal,
-    # which requires a deep interior at least four nodes wide.
-    check_panels(grid, 6)
-    h = grid.mesh
-    d = grid.dim
-    rhs = np.zeros(grid.shape)
-    deep = rhs[(slice(2, -2),) * d]
-    for r in range(d):
-        deep += _d2(_d2(_cross_d2(u1.values, h, r), r), r)
-
-    # Depth-1 layer by cubic extrapolation: nodes at depth 1 along t axes
-    # average the t normal extrapolations, faces (t = 1) first, then edges,
-    # then corners, each reading only values filled before it.
-    for t in range(1, d + 1):
-        for axes in itertools.combinations(range(d), t):
-            for sides in itertools.product((0, 1), repeat=t):
-                node = [slice(2, -2)] * d
-                for a, side in zip(axes, sides):
-                    node[a] = 1 if side == 0 else grid.panels[a] - 1
-                total = 0.0
-                for a, side in zip(axes, sides):
-                    step = 1 if side == 0 else -1
-                    r1, r2, r3, r4 = (
-                        rhs[tuple(node[:a]) + (node[a] + step * k,) + tuple(node[a + 1 :])]
-                        for k in (1, 2, 3, 4)
-                    )
-                    total = total + (4.0 * r1 - 6.0 * r2 + 4.0 * r3 - r4)
-                rhs[tuple(node)] = total / t
-
-    return GridFunction(grid, rhs).assert_finite()
 
 
 def solve_harmonic_6th(g: BoundaryValues) -> GridFunction:

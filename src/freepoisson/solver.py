@@ -178,12 +178,11 @@ def solve_free_space(
     else:
         # The harmonic coefficients come first: their working set is the
         # largest, and the spectral coefficients are not alive during it.
-        field = g.as_full_array()
-        modes = harmonic_modes(g, config.order, field)
+        modes = harmonic_modes(g, config.order)
         t3 = time.perf_counter()
         modes.coefficients += phi_star_modes(rho_padded).coefficients
         t4 = time.perf_counter()
-        phi_padded = inverse_dst(modes, field)
+        phi_padded = inverse_dst(modes, g.as_full_array())
     phi_padded.assert_finite()
     t5 = time.perf_counter()
 

@@ -7,8 +7,8 @@ from freepoisson import (
     GridFunction,
     ShapeError,
     UniformGrid,
+    forward_dst,
     inverse_dst,
-    sixth_order_rhs,
     solve_harmonic_1d,
     solve_harmonic_4th,
     solve_harmonic_6th,
@@ -18,8 +18,9 @@ from freepoisson.harmonic import (
     build_operator_symbol,
     compact_operator_stencil,
     discrete_eigenvalues,
+    harmonic_modes,
 )
-from oracles import assemble_dense, boundary_from_full, correlate_valid
+from oracles import assemble_dense, boundary_from_full, correlate_valid, sixth_order_rhs
 
 RNG = np.random.default_rng(2024)
 
@@ -201,6 +202,47 @@ def test_rates_3d_true_harmonic():
         fn, solve_harmonic_6th, ((-1, -1, -1), (1, 1, 1)), [8, 12, 16, 24], 3
     )
     assert slope6 >= 5.4
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: on a square 2D mesh the depth-1 extrapolation's "
+    "h^6 error exceeds the compact operator's, so order 6 loses to order 4",
+)
+@pytest.mark.parametrize("M", [16, 32, 64])
+def test_sixth_order_no_worse_than_fourth_on_square_mesh(M):
+    fn = lambda x, y: np.exp(x) * np.cos(y)
+    g = UniformGrid([-1, -1], [1, 1], [M, M])
+    exact = GridFunction.from_callable(g, fn)
+    bv = BoundaryValues.from_callable(g, fn)
+    err4, err6 = (
+        np.max(np.abs(solver(bv).values - exact.values))
+        for solver in (solve_harmonic_4th, solve_harmonic_6th)
+    )
+    assert err6 <= err4
+
+
+@pytest.mark.parametrize(
+    "panels",
+    [(7, 7), (8, 11), (16, 16), (20, 33), (7, 12),
+     (7, 7, 7), (8, 9, 11), (12, 9, 17), (30, 24, 20), (12, 7, 9)],
+)
+def test_sixth_order_modes_match_dense_correction(panels):
+    # The sine-space correction against the dense sweep: the 4th order
+    # solution evaluated at every node, the width-two right-hand side with
+    # its extrapolated layer, and a full forward DST.  M = 7 is the case
+    # where a face's depth-5 row is the opposite face's depth-2 row; the
+    # mixed grids put it on one axis only.
+    d = len(panels)
+    lower = RNG.uniform(-1.0, 0.0, d)
+    g = UniformGrid(lower, lower + RNG.uniform(0.5, 2.0, d), panels)
+    bv = random_boundary(g)
+    modes4 = harmonic_modes(bv, 4)
+    u1 = inverse_dst(modes4, bv.as_full_array())
+    correction = forward_dst(sixth_order_rhs(u1)).coefficients / build_operator_symbol(g)
+    want = modes4.coefficients + correction
+    got = harmonic_modes(bv, 6).coefficients
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_sixth_order_rhs_annihilates_constants_and_quadratics():

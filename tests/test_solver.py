@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,34 @@ def test_thread_invariance_of_full_solve():
     for threads in (2, 4):
         phi, _ = solve_free_space(bump, g, SolverConfig(order=6, thread_count=threads))
         assert np.array_equal(phi.values, ref.values)
+
+
+_BLAS_PROBE = """
+import sys
+import numpy as np
+from freepoisson import PolyBump, SolverConfig, UniformGrid, solve_free_space
+bump = PolyBump.from_differentiability(2, 6, 0.4, (0.1, -0.2))
+g = UniformGrid([-1, -1], [1, 1.2], [40, 44])
+phi, _ = solve_free_space(bump, g, SolverConfig(order=6, padding_panels=2))
+sys.stdout.write(phi.values.tobytes().hex())
+"""
+
+
+def test_order6_solve_independent_of_blas_threads():
+    # The solver's contractions avoid BLAS, whose results may depend on its
+    # thread count; the caps must be set before numpy loads, hence a fresh
+    # interpreter per count.
+    src = str(Path(freepoisson.solver.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_support_violation_detected():
