@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bumps import PolyBump
 from .grid import GridFunction, UniformGrid
-from .pgrid import atomic_open, read_pgrid, write_pgrid
+from .pgrid import atomic_open, read_pgrid, write_nodes_csv, write_pgrid
 from .solver import SolverConfig, domain_invariance_study, solve_free_space
 
 __all__ = [
@@ -233,7 +235,9 @@ def write_csv(path, header: str, rows) -> None:
 def _run_solve(spec: StudySpec) -> None:
     config = spec.solver_config()
     if spec.rho_file:
+        start = time.perf_counter()
         rho = read_pgrid(spec.rho_file)
+        print(f"read {_file_note(spec.rho_file, start)}")
         phi, report = solve_free_space(rho, None, config)
         grid = rho.grid
     else:
@@ -245,17 +249,18 @@ def _run_solve(spec: StudySpec) -> None:
         f"boundary {report.t_boundary_s:.3f}s, harmonic {report.t_harmonic_s:.3f}s"
     )
     if spec.out:
+        start = time.perf_counter()
         if spec.format == "pgrid":
             write_pgrid(spec.out, phi)
         else:
-            coords = np.meshgrid(
-                *(grid.axis_coordinates(s) for s in range(grid.dim)),
-                indexing="ij",
-            )
-            header = ",".join("xyz"[: grid.dim]) + ",phi"
-            rows = zip(*(c.ravel() for c in coords), phi.values.ravel())
-            write_csv(spec.out, header, rows)
-        print(f"wrote {spec.out}")
+            write_nodes_csv(spec.out, phi)
+        print(f"wrote {_file_note(spec.out, start)}")
+
+
+def _file_note(path, start: float) -> str:
+    """``path (size MiB, seconds since start s)`` for the solve command's I/O lines."""
+    size = os.path.getsize(path) / 2**20
+    return f"{path} ({size:.1f} MiB, {time.perf_counter() - start:.3f} s)"
 
 
 def _print_rows(header: str, rows) -> None:

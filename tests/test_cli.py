@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,36 @@ def test_cli_solve_roundtrip_density_file(tmp_path):
     ])
     assert rc == 0
     assert read_pgrid(out).grid == g
+
+
+def test_cli_solve_reports_read_and_write(tmp_path, capsys):
+    from freepoisson import GridFunction, PolyBump, UniformGrid, write_pgrid
+
+    g = UniformGrid([-1, -1], [1, 1], [16, 16])
+    rho_path = tmp_path / "rho.pgrid"
+    write_pgrid(rho_path, GridFunction.from_callable(g, PolyBump(2, 0.4, 5, (0.1, 0.0))))
+    out = tmp_path / "phi.pgrid"
+    assert main(["solve", "--rho-file", str(rho_path), "--out", str(out), "--format", "pgrid"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for line, verb, path in ((lines[0], "read", rho_path), (lines[2], "wrote", out)):
+        size = f"{path.stat().st_size / 2**20:.1f}"
+        assert re.fullmatch(rf"{verb} {re.escape(str(path))} \({size} MiB, \d+\.\d{{3}} s\)", line)
+    assert lines[1].startswith("solved 2D grid 16x16 (order 6); timings: phi* ")
+
+
+@pytest.mark.parametrize("panels", [("8", "12"), ("7", "8", "9")])
+def test_cli_solve_csv_cells_are_full_precision(tmp_path, panels):
+    argv = ["solve", "--dim", str(len(panels)), "--panels", *panels, "--diff", "4"]
+    assert main(argv + ["--out", str(tmp_path / "phi.pgrid"), "--format", "pgrid"]) == 0
+    assert main(argv + ["--out", str(tmp_path / "phi.csv"), "--format", "csv"]) == 0
+    phi = read_pgrid(tmp_path / "phi.pgrid")
+    dim = phi.grid.dim
+    coords = np.meshgrid(*(phi.grid.axis_coordinates(s) for s in range(dim)), indexing="ij")
+    rows = zip(*(c.ravel().tolist() for c in coords), phi.values.ravel().tolist())
+    expected = ",".join("xyz"[:dim]) + ",phi\n" + "".join(
+        ",".join(f"{v:.16e}" for v in row) + "\n" for row in rows)
+    assert (tmp_path / "phi.csv").read_text() == expected
 
 
 def test_cli_error_is_reported(tmp_path, capsys):
