@@ -9,7 +9,6 @@ fast Green's-function convolutions over the boundary.
 
 from .boundary import boundary_values_fast, boundary_values_naive
 from .bumps import PolyBump
-from .dirichlet import solve_phi_star
 from .errors import (
     AlignmentError,
     PGridFormatError,
@@ -24,12 +23,7 @@ from .grid import (
     max_norm_difference,
     restrict_to_subgrid,
 )
-from .harmonic import (
-    solve_harmonic_1d,
-    solve_harmonic_4th,
-    solve_harmonic_6th,
-    transfer_boundary_to_rhs,
-)
+from .harmonic import solve_harmonic_1d, transfer_boundary_to_rhs
 from .pgrid import read_pgrid, write_pgrid
 from .solver import (
     SolveReport,
@@ -65,9 +59,6 @@ __all__ = [
     "restrict_to_subgrid",
     "solve_free_space",
     "solve_harmonic_1d",
-    "solve_harmonic_4th",
-    "solve_harmonic_6th",
-    "solve_phi_star",
     "transfer_boundary_to_rhs",
     "write_pgrid",
 ]

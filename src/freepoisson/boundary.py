@@ -184,7 +184,8 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     because the kernels are even.  Each non-empty slice is then transformed
     once, its spectrum times the kernel spectrum at its distance to each of
     the two faces is added to that face's accumulator, and one inverse FFT
-    per face finishes the sum.  ``thread_count`` is the ``workers`` count of
+    per face finishes the sum.  The density is checked (:func:`check_support`)
+    before any transform.  ``thread_count`` is the ``workers`` count of
     every ``scipy.fft`` call, and the accumulation order is fixed, so the
     result is bitwise identical for any value.
     """

@@ -107,19 +107,6 @@ class PolyBump:
             self.dim, self.p, self.epsilon, self.gamma
         )
 
-    @classmethod
-    def from_differentiability(
-        cls, dim: int, diff: int, epsilon: float, center
-    ) -> "PolyBump":
-        """Bump that is ``diff`` times continuously differentiable (p = diff + 1)."""
-        if diff < 0:
-            raise ValueError("differentiability must be nonnegative")
-        return cls(dim, epsilon, diff + 1, center)
-
-    @property
-    def differentiability(self) -> int:
-        return self.p - 1
-
     def _square_distance(self, coords) -> np.ndarray:
         """|x - center|^2 as a new array (safe to update in place)."""
         if len(coords) != self.dim:
@@ -133,12 +120,6 @@ class PolyBump:
 
     def _radius(self, coords) -> np.ndarray:
         return np.sqrt(self._square_distance(coords))
-
-    def density_radial(self, r) -> np.ndarray:
-        """Density as a function of distance from the center; exactly 0 for r >= eps."""
-        r = np.asarray(r, dtype=np.float64)
-        u = (r / self.epsilon) ** 2
-        return np.where(r < self.epsilon, self.gamma * (1.0 - u) ** self.p, 0.0)
 
     def potential_radial(self, r) -> np.ndarray:
         """Free-space potential as a function of distance from the center.

@@ -8,7 +8,9 @@ the continuous Laplacian eigenvalue
 Using the continuous eigenvalues (not the difference-stencil ones, which
 belong to the harmonic solver) is what makes this component spectrally
 accurate: the result solves Poisson's equation exactly for the sine
-interpolant of the density.
+interpolant of the density.  :func:`phi_star_modes` returns the result as
+sine coefficients, which the free-space solver adds to the harmonic
+extension's before one shared inverse DST.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 
 from .errors import ShapeError, SupportViolationError
 from .grid import GridFunction, UniformGrid
-from .transforms import InteriorModeArray, forward_dst, inverse_dst
+from .transforms import forward_dst
 
-__all__ = ["continuous_eigenvalues", "phi_star_modes", "solve_phi_star"]
+__all__ = ["continuous_eigenvalues", "phi_star_modes"]
 
 SUPPORT_RTOL = 1e-14
 
@@ -63,22 +65,11 @@ def check_support(rho: GridFunction, rtol: float = SUPPORT_RTOL) -> float:
     return boundary_max
 
 
-def phi_star_modes(rho: GridFunction) -> InteriorModeArray:
+def phi_star_modes(rho: GridFunction) -> np.ndarray:
     """Sine coefficients of phi*: the density's, divided by the eigenvalues.
 
     The density is not checked here; callers run :func:`check_support`.
     """
     modes = forward_dst(rho)
-    modes.coefficients /= continuous_eigenvalues(rho.grid)
+    modes /= continuous_eigenvalues(rho.grid)
     return modes
-
-
-def solve_phi_star(rho: GridFunction) -> GridFunction:
-    """Solve Laplacian(phi) = rho with zero Dirichlet boundary values.
-
-    The density must vanish on the boundary (its support is assumed a
-    positive distance inside the domain).  The returned field has exactly
-    zero boundary values.
-    """
-    check_support(rho)
-    return inverse_dst(phi_star_modes(rho)).assert_finite()

@@ -77,23 +77,6 @@ class UniformGrid:
     def interior_shape(self) -> tuple[int, ...]:
         return tuple(m - 1 for m in self.panels)
 
-    def node_coordinate(self, index) -> tuple[float, ...]:
-        """Coordinates of the node with the given multi-index.
-
-        Each coordinate is ``lower[s] + index[s] * mesh[s]``, a single
-        multiply-add, so node positions are reproducible.
-        """
-        index = tuple(np.atleast_1d(index).astype(int))
-        if len(index) != self.dim:
-            raise ShapeError(f"index must have {self.dim} entries")
-        for s, i in enumerate(index):
-            if not 0 <= i <= self.panels[s]:
-                raise IndexError(
-                    f"index {i} out of range [0, {self.panels[s]}] on axis {s}"
-                )
-        mesh = self.mesh
-        return tuple(self.lower[s] + index[s] * mesh[s] for s in range(self.dim))
-
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """All node coordinates along one axis."""
         h = self.mesh[axis]

@@ -88,19 +88,14 @@ import scipy.fft as sfft
 
 from .errors import ShapeError
 from .grid import BoundaryValues, GridFunction, UniformGrid
-from .transforms import InteriorModeArray, inverse_dst
 
 __all__ = [
     "check_panels",
     "harmonic_modes",
     "solve_harmonic_1d",
-    "solve_harmonic_4th",
-    "solve_harmonic_6th",
     "transfer_boundary_to_rhs",
 ]
 
-_D2 = np.array([1.0, -2.0, 1.0])
-_DELTA3 = np.array([0.0, 1.0, 0.0])
 # Cubic extrapolation to depth 1 from depths 2, 3, 4, 5 along a normal.
 _EXTRAPOLATE = np.array([4.0, -6.0, 4.0, -1.0])
 # Planes per block of a scatter into the coefficients (bounds its temporaries).
@@ -108,13 +103,6 @@ _BLOCK = 8
 
 # Fewest panels per axis each order's stencils fit in.
 MIN_PANELS = {4: 4, 6: 7}
-
-
-def _outer(arrays) -> np.ndarray:
-    out = arrays[0]
-    for a in arrays[1:]:
-        out = np.multiply.outer(out, a)
-    return out
 
 
 def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -131,29 +119,6 @@ def discrete_eigenvalues(grid: UniformGrid) -> list[np.ndarray]:
         k = np.arange(1, grid.panels[s])
         out.append((2.0 * np.cos(k * np.pi / grid.panels[s]) - 2.0) / grid.mesh[s] ** 2)
     return out
-
-
-def compact_operator_stencil(grid: UniformGrid) -> np.ndarray:
-    """Dense width-one stencil of the compact 4th order operator.
-
-    Shape (3,)*dim with the evaluation node at the center: the discrete
-    Laplacian plus the (h_r^2 + h_s^2)/12 cross-derivative corrections
-    (9 points in 2D, 19 in 3D).
-    """
-    d = grid.dim
-    h = grid.mesh
-    stencil = np.zeros((3,) * d)
-    for s in range(d):
-        parts = [_DELTA3] * d
-        parts[s] = _D2 / h[s] ** 2
-        stencil += _outer(parts)
-    for r in range(d):
-        for s in range(r + 1, d):
-            parts = [_DELTA3] * d
-            parts[r] = _D2 / h[r] ** 2
-            parts[s] = _D2 / h[s] ** 2
-            stencil += (h[r] ** 2 + h[s] ** 2) / 12.0 * _outer(parts)
-    return stencil
 
 
 def _pair_sum(shape, tables: dict) -> np.ndarray:
@@ -244,7 +209,7 @@ def _dst(x: np.ndarray, lead: int = 0) -> np.ndarray:
     return sfft.dstn(x, type=1, axes=tuple(range(lead, x.ndim))) if x.ndim > lead else x
 
 
-def transfer_boundary_to_rhs(g: BoundaryValues) -> InteriorModeArray:
+def transfer_boundary_to_rhs(g: BoundaryValues) -> np.ndarray:
     """Sine coefficients of minus the compact operator applied to g extended by zero.
 
     Equal to :func:`forward_dst` of that right-hand side, but assembled from
@@ -279,7 +244,7 @@ def transfer_boundary_to_rhs(g: BoundaryValues) -> InteriorModeArray:
                     _add_sides(t, j, c * sigma[b], *edges)
             sides.append(t)
         _add_sides(coeff, a, scale / h2[a] * sigma[a], *sides)
-    return InteriorModeArray(grid, coeff)
+    return coeff
 
 
 def check_panels(grid: UniformGrid, order: int) -> None:
@@ -426,32 +391,18 @@ def _correction_rhs(g: BoundaryValues, u: np.ndarray) -> np.ndarray:
     return coeff
 
 
-def harmonic_modes(g: BoundaryValues, order: int) -> InteriorModeArray:
+def harmonic_modes(g: BoundaryValues, order: int) -> np.ndarray:
     """Sine coefficients of the 4th or 6th order harmonic extension of g."""
     grid = g.grid
     check_panels(grid, order)
     symbol = build_operator_symbol(grid)
     modes = transfer_boundary_to_rhs(g)
-    modes.coefficients /= symbol
+    modes /= symbol
     if order == 6:
-        correction = _correction_rhs(g, modes.coefficients)
+        correction = _correction_rhs(g, modes)
         correction /= symbol
-        modes.coefficients += correction
+        modes += correction
     return modes
-
-
-def _solve(g: BoundaryValues, order: int) -> GridFunction:
-    return inverse_dst(harmonic_modes(g, order), g.as_full_array()).assert_finite()
-
-
-def solve_harmonic_4th(g: BoundaryValues) -> GridFunction:
-    """4th order discrete-harmonic extension of the boundary data."""
-    return _solve(g, 4)
-
-
-def solve_harmonic_6th(g: BoundaryValues) -> GridFunction:
-    """6th order harmonic extension: 4th order solve plus one correction sweep."""
-    return _solve(g, 6)
 
 
 def solve_harmonic_1d(g_left: float, g_right: float, grid: UniformGrid) -> GridFunction:

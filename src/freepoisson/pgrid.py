@@ -59,7 +59,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PGridFormatError
+from .errors import PGridFormatError, ShapeError
 from .grid import GridFunction, UniformGrid
 
 __all__ = ["atomic_open", "read_pgrid", "write_nodes_csv", "write_pgrid"]
@@ -312,34 +312,30 @@ def write_nodes_csv(path, f: GridFunction) -> None:
 def read_pgrid(path) -> GridFunction:
     """Read a PGRID v1 file back into a GridFunction."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii").rstrip("\n")
+        magic = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != _MAGIC:
             raise PGridFormatError(f"not a PGRID v1 file (first line {magic!r})")
-        dim = None
-        bounds = None
-        panels = None
-        order_seen = False
+        header = {}  # key -> its line
+        numbers = {}  # dim, bounds, panels -> their values
         mode = None
-        seen = set()
         while True:
             raw = fh.readline()
             if not raw:
                 raise PGridFormatError("header ended before a data line")
-            line = raw.decode("ascii").rstrip("\n")
+            line = raw.decode("ascii", errors="replace").rstrip("\n")
             key = line.split(" ", 1)[0]
-            if key in seen:
+            if key in header:
                 raise PGridFormatError(f"header key {key!r} appears twice")
-            seen.add(key)
-            if key == "dim":
-                dim = int(line.split()[1])
-            elif key == "bounds":
-                bounds = [float(v) for v in line.split()[1:]]
-            elif key == "panels":
-                panels = [int(v) for v in line.split()[1:]]
+            header[key] = line
+            if key in ("dim", "bounds", "panels"):
+                kind = float if key == "bounds" else int
+                try:
+                    numbers[key] = [kind(v) for v in line.split()[1:]]
+                except ValueError:
+                    raise PGridFormatError(f"malformed header line {line!r}") from None
             elif key == "order":
                 if line != _ORDER_LINE:
                     raise PGridFormatError(f"unsupported order line {line!r}")
-                order_seen = True
             elif key == "data":
                 if line == _DATA_TEXT:
                     mode = "text"
@@ -350,11 +346,20 @@ def read_pgrid(path) -> GridFunction:
                 break
             else:
                 raise PGridFormatError(f"unknown header key {key!r}")
-        if dim is None or bounds is None or panels is None or not order_seen:
+        if len(numbers) < 3 or "order" not in header:
             raise PGridFormatError("header is missing dim, bounds, panels or order")
+        if numbers["dim"] not in ([1], [2], [3]):
+            raise PGridFormatError(f"malformed header line {header['dim']!r}")
+        (dim,), bounds, panels = numbers["dim"], numbers["bounds"], numbers["panels"]
         if len(bounds) != 2 * dim or len(panels) != dim:
             raise PGridFormatError("bounds/panels length does not match dim")
-        grid = UniformGrid(bounds[0::2], bounds[1::2], panels)
+        try:
+            grid = UniformGrid(bounds[0::2], bounds[1::2], panels)
+        except ShapeError as exc:
+            raise PGridFormatError(
+                f"header lines {header['bounds']!r} and {header['panels']!r} "
+                f"do not describe a grid: {exc}"
+            ) from None
         count = int(np.prod(grid.shape))
         if mode == "binary":
             buf = fh.read(8 * count)

@@ -13,13 +13,14 @@ counts up to 7-smooth integers for fast FFTs.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import boundary_values_fast
-from .dirichlet import check_support, phi_star_modes
+from .dirichlet import phi_star_modes
 from .errors import AlignmentError, ShapeError
 from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
 from .harmonic import check_panels, harmonic_modes, solve_harmonic_1d
@@ -56,6 +57,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.order not in (4, 6):
             raise ValueError(f"order must be 4 or 6, got {self.order}")
+        for name in ("padding_panels", "thread_count"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.padding_panels < 0:
             raise ValueError("padding_panels must be nonnegative")
         if self.thread_count < 1:
@@ -66,10 +73,12 @@ class SolverConfig:
 class SolveReport:
     """What a solve did and how long each phase took (never asserted).
 
-    t_sample_s: sampling or embedding the density, the support check,
-        the final restriction and the rest of the bookkeeping.
+    boundary_rho_max: max |rho| on the padded grid's boundary nodes.
+    t_sample_s: sampling or embedding the density, the final restriction
+        and the rest of the bookkeeping.
     t_phistar_s: the spectral component's sine coefficients.
-    t_boundary_s: the Green's-function boundary values.
+    t_boundary_s: the density's support check and the Green's-function
+        boundary values.
     t_harmonic_s: the harmonic extension's sine coefficients plus the one
         inverse DST shared with the spectral component (in 1D: the linear
         interpolant plus the spectral component's inverse DST).
@@ -156,16 +165,8 @@ def solve_free_space(
     else:
         rho_padded = GridFunction.from_callable(padded, rho)
 
-    report = SolveReport(
-        user_grid=user_grid,
-        padded_grid=padded,
-        order=config.order,
-        thread_count=config.thread_count,
-    )
-    report.boundary_rho_max = check_support(rho_padded)
-
     t1 = time.perf_counter()
-    g = boundary_values_fast(rho_padded, config.thread_count)
+    g = boundary_values_fast(rho_padded, config.thread_count)  # checks the density first
     t2 = time.perf_counter()
     if padded.dim == 1:
         phi_padded = solve_harmonic_1d(
@@ -174,23 +175,30 @@ def solve_free_space(
         t3 = time.perf_counter()
         modes = phi_star_modes(rho_padded)
         t4 = time.perf_counter()
-        phi_padded.values += inverse_dst(modes).values
+        phi_padded.values += inverse_dst(modes, padded).values
     else:
         # The harmonic coefficients come first: their working set is the
         # largest, and the spectral coefficients are not alive during it.
         modes = harmonic_modes(g, config.order)
         t3 = time.perf_counter()
-        modes.coefficients += phi_star_modes(rho_padded).coefficients
+        modes += phi_star_modes(rho_padded)
         t4 = time.perf_counter()
-        phi_padded = inverse_dst(modes, g.as_full_array())
+        phi_padded = inverse_dst(modes, padded, g.as_full_array())
     phi_padded.assert_finite()
     t5 = time.perf_counter()
 
     if padded != user_grid:
         phi_padded = restrict_to_subgrid(phi_padded, user_grid)
-    report.t_phistar_s = t4 - t3
-    report.t_boundary_s = t2 - t1
-    report.t_harmonic_s = (t3 - t2) + (t5 - t4)
+    report = SolveReport(
+        user_grid=user_grid,
+        padded_grid=padded,
+        order=config.order,
+        thread_count=config.thread_count,
+        boundary_rho_max=rho_padded.boundary_abs_max(),
+        t_phistar_s=t4 - t3,
+        t_boundary_s=t2 - t1,
+        t_harmonic_s=(t3 - t2) + (t5 - t4),
+    )
     report.t_sample_s = (t1 - t0) + (time.perf_counter() - t5)
     return phi_padded, report
 

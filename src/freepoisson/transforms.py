@@ -11,7 +11,6 @@ mathematical definition above, not the backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,50 +19,37 @@ import scipy.fft as sfft
 from .errors import ShapeError
 from .grid import GridFunction, UniformGrid
 
-__all__ = [
-    "InteriorModeArray",
-    "forward_dst",
-    "inverse_dst",
-    "next_smooth_length",
-]
+__all__ = ["forward_dst", "inverse_dst", "next_smooth_length"]
 
 
-@dataclass
-class InteriorModeArray:
-    """Sine-series coefficients over interior modes k_s = 1 .. panels[s]-1."""
+def forward_dst(f: GridFunction) -> np.ndarray:
+    """Sine-series coefficients of a grid function (interior values only).
 
-    grid: UniformGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.ascontiguousarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.shape != self.grid.interior_shape:
-            raise ShapeError(
-                f"coefficient shape {self.coefficients.shape} does not match "
-                f"interior extents {self.grid.interior_shape}"
-            )
+    An array of shape ``f.grid.interior_shape`` over the interior modes
+    k_s = 1 .. panels[s]-1.
+    """
+    coeff = sfft.dstn(f.interior(), type=1)
+    coeff *= 1.0 / np.prod([float(m) for m in f.grid.panels])
+    return coeff
 
 
-def forward_dst(f: GridFunction) -> InteriorModeArray:
-    """Sine-series coefficients of a grid function (interior values only)."""
-    grid = f.grid
-    interior = f.interior()
-    coeff = sfft.dstn(interior, type=1)
-    coeff *= 1.0 / np.prod([float(m) for m in grid.panels])
-    return InteriorModeArray(grid, coeff)
-
-
-def inverse_dst(c: InteriorModeArray, out: np.ndarray | None = None) -> GridFunction:
-    """Evaluate a sine series at all grid nodes.
+def inverse_dst(
+    coeff: np.ndarray, grid: UniformGrid, out: np.ndarray | None = None
+) -> GridFunction:
+    """Evaluate the sine series with coefficients ``coeff`` at all grid nodes.
 
     Boundary nodes are exactly 0, unless a node array ``out`` is given: the
     series is then written into its interior and its boundary nodes keep
     their values, so the result carries Dirichlet data without another full
     array.
     """
-    grid = c.grid
+    if coeff.shape != grid.interior_shape:
+        raise ShapeError(
+            f"coefficient shape {coeff.shape} does not match interior "
+            f"extents {grid.interior_shape}"
+        )
     values = np.zeros(grid.shape) if out is None else out
-    series = sfft.dstn(c.coefficients, type=1)
+    series = sfft.dstn(coeff, type=1)
     series /= 2.0**grid.dim
     values[(slice(1, -1),) * grid.dim] = series
     return GridFunction(grid, values)

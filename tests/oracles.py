@@ -1,15 +1,101 @@
-"""Dense reference implementations shared by the tests.
+"""Reference code shared by the tests.
 
-Each is written the slow, obvious way, independently of the solver's
-transforms, so that the solver can be checked against it.
+The dense references (the compact operator's stencil, the assembled linear
+system, the 6th order right-hand side) are written the slow, obvious way,
+independently of the solver's transforms, so that the solver can be checked
+against them.  The remaining helpers are conveniences the solver itself
+does not need: node coordinates by multi-index, the bump's radial density,
+and the two finite-domain solves evaluated on their own.
 """
 
 import itertools
 
 import numpy as np
 
-from freepoisson import BoundaryValues, GridFunction, ShapeError, UniformGrid
-from freepoisson.harmonic import check_panels, compact_operator_stencil
+from freepoisson import (
+    BoundaryValues,
+    GridFunction,
+    PolyBump,
+    ShapeError,
+    UniformGrid,
+    inverse_dst,
+)
+from freepoisson.dirichlet import check_support, phi_star_modes
+from freepoisson.harmonic import check_panels, harmonic_modes
+
+_D2 = np.array([1.0, -2.0, 1.0])
+_DELTA3 = np.array([0.0, 1.0, 0.0])
+
+
+def node_coordinate(grid: UniformGrid, index) -> tuple[float, ...]:
+    """Coordinates of the node with the given multi-index.
+
+    Each coordinate is ``lower[s] + index[s] * mesh[s]``, a single
+    multiply-add, as in ``UniformGrid.axis_coordinates``.
+    """
+    return tuple(grid.lower[s] + i * grid.mesh[s] for s, i in enumerate(index))
+
+
+def density_radial(bump: PolyBump, r) -> np.ndarray:
+    """Bump density as a function of distance from the center; exactly 0 for r >= eps."""
+    r = np.asarray(r, dtype=np.float64)
+    u = (r / bump.epsilon) ** 2
+    return np.where(r < bump.epsilon, bump.gamma * (1.0 - u) ** bump.p, 0.0)
+
+
+def bump_from_differentiability(dim: int, diff: int, epsilon: float, center) -> PolyBump:
+    """Bump that is ``diff`` times continuously differentiable (p = diff + 1)."""
+    if diff < 0:
+        raise ValueError("differentiability must be nonnegative")
+    return PolyBump(dim, epsilon, diff + 1, center)
+
+
+def solve_phi_star(rho: GridFunction) -> GridFunction:
+    """Solve Laplacian(phi) = rho with zero Dirichlet boundary values.
+
+    The density must be finite and vanish on the boundary; the result has
+    exactly zero boundary values.
+    """
+    check_support(rho)
+    return inverse_dst(phi_star_modes(rho), rho.grid).assert_finite()
+
+
+def solve_harmonic(g: BoundaryValues, order: int) -> GridFunction:
+    """4th or 6th order discrete-harmonic extension of the boundary data.
+
+    Raises ShapeError on a 1D grid or one too coarse for the order.
+    """
+    return inverse_dst(harmonic_modes(g, order), g.grid, g.as_full_array()).assert_finite()
+
+
+def _outer(arrays) -> np.ndarray:
+    out = arrays[0]
+    for a in arrays[1:]:
+        out = np.multiply.outer(out, a)
+    return out
+
+
+def compact_operator_stencil(grid: UniformGrid) -> np.ndarray:
+    """Dense width-one stencil of the compact 4th order operator.
+
+    Shape (3,)*dim with the evaluation node at the center: the discrete
+    Laplacian plus the (h_r^2 + h_s^2)/12 cross-derivative corrections
+    (9 points in 2D, 19 in 3D).
+    """
+    d = grid.dim
+    h = grid.mesh
+    stencil = np.zeros((3,) * d)
+    for s in range(d):
+        parts = [_DELTA3] * d
+        parts[s] = _D2 / h[s] ** 2
+        stencil += _outer(parts)
+    for r in range(d):
+        for s in range(r + 1, d):
+            parts = [_DELTA3] * d
+            parts[r] = _D2 / h[r] ** 2
+            parts[s] = _D2 / h[s] ** 2
+            stencil += (h[r] ** 2 + h[s] ** 2) / 12.0 * _outer(parts)
+    return stencil
 
 
 def correlate_valid(values: np.ndarray, stencil: np.ndarray) -> np.ndarray:

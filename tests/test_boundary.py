@@ -15,6 +15,7 @@ from freepoisson import (
 from freepoisson.boundary import _plan_face
 from freepoisson.greens import green_values
 from freepoisson.transforms import next_smooth_length
+from oracles import node_coordinate
 
 
 def rel_face_diff(a: BoundaryValues, b: BoundaryValues) -> float:
@@ -50,14 +51,14 @@ def test_single_point_mass():
     rho = GridFunction(g, vals)
     bv = boundary_values_naive(rho)
     weight = g.mesh[0] * g.mesh[1]
-    src = np.array(g.node_coordinate(src_idx))
+    src = np.array(node_coordinate(g, src_idx))
     for (axis, side), face in bv.faces.items():
         other = 1 - axis
         for j in range(g.panels[other] + 1):
             idx = [0, 0]
             idx[axis] = g.panels[axis] if side else 0
             idx[other] = j
-            target = np.array(g.node_coordinate(idx))
+            target = np.array(node_coordinate(g, idx))
             r = float(np.linalg.norm(target - src))
             assert face[j] == pytest.approx(
                 mass * green_values(2, r) * weight, rel=1e-14

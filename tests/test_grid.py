@@ -14,13 +14,13 @@ from freepoisson import (
 
 def test_node_coordinate_endpoints():
     g = UniformGrid([0.0], [1.0], [4])
-    assert g.node_coordinate([0]) == (0.0,)
-    assert g.node_coordinate([4]) == (1.0,)
+    assert g.axis_coordinates(0)[0] == 0.0
+    assert g.axis_coordinates(0)[4] == 1.0
 
 
 def test_node_coordinate_interior():
     g = UniformGrid([-1.0], [1.0], [20])
-    assert g.node_coordinate([5]) == pytest.approx((-0.5,), abs=1e-15)
+    assert g.axis_coordinates(0)[5] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_node_coordinate_is_multiply_add():
@@ -28,22 +28,14 @@ def test_node_coordinate_is_multiply_add():
     h = g.mesh
     for idx in [(0, 0), (3, 5), (7, 13)]:
         expect = tuple(g.lower[s] + idx[s] * h[s] for s in range(2))
-        assert g.node_coordinate(idx) == expect
+        assert tuple(g.axis_coordinates(s)[i] for s, i in enumerate(idx)) == expect
 
 
 def test_upper_corner_within_one_ulp():
     # (b - a) / M is not exactly representable here
     g = UniformGrid([0.0], [1.0], [3])
-    x = g.node_coordinate([3])[0]
+    x = g.axis_coordinates(0)[3]
     assert abs(x - 1.0) <= np.spacing(1.0)
-
-
-def test_node_coordinate_out_of_range():
-    g = UniformGrid([0.0], [1.0], [4])
-    with pytest.raises(IndexError):
-        g.node_coordinate([5])
-    with pytest.raises(IndexError):
-        g.node_coordinate([-1])
 
 
 def test_grid_validation():
@@ -143,7 +135,7 @@ def test_from_callable_matches_coordinates():
     g = UniformGrid([-1, 0], [1, 2], [6, 8])
     f = GridFunction.from_callable(g, lambda x, y: x + 10 * y)
     i, j = 3, 5
-    x, y = g.node_coordinate((i, j))
+    x, y = g.axis_coordinates(0)[i], g.axis_coordinates(1)[j]
     assert f.values[i, j] == pytest.approx(x + 10 * y, rel=1e-15)
 
 

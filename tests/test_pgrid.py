@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,4 +175,28 @@ def test_rejects_repeated_header_key(tmp_path):
     path.write_text(_HEADER.replace("panels 2\n", "panels 2\npanels 3\n")
                     + "data text\n0\n0\n0\n0\n")
     with pytest.raises(PGridFormatError, match="header key 'panels' appears twice"):
+        read_pgrid(path)
+
+
+@pytest.mark.parametrize(
+    "header, line",
+    [
+        ("dim\nbounds 0 1\npanels 2\n", "dim"),
+        ("dim two\nbounds 0 1\npanels 2\n", "dim two"),
+        ("dim 4\nbounds 0 1 0 1 0 1 0 1\npanels 2 2 2 2\n", "dim 4"),
+        ("dim 2\nbounds -1 1 -1 x\npanels 2 2\n", "bounds -1 1 -1 x"),
+        ("dim 1\nbounds 1 -1\npanels 2\n", "bounds 1 -1"),
+        ("dim 1\nbounds 0 1\npanels 2.5\n", "panels 2.5"),
+        ("dim 1\nbounds 0 1\npanels 1\n", "panels 1"),
+        ("dim 1\nbounds 0 1\npanels \xe9\n", "panels \ufffd"),
+    ],
+    ids=["dim-empty", "dim-word", "dim-4", "bounds-word", "bounds-reversed",
+         "panels-fraction", "panels-one", "panels-non-ascii"],
+)
+def test_rejects_malformed_header_naming_the_line(tmp_path, header, line):
+    path = tmp_path / "bad.pgrid"
+    path.write_bytes(
+        ("PGRID 1\n" + header + "order x y z row-major\ndata text\n0\n0\n0\n").encode("latin-1")
+    )
+    with pytest.raises(PGridFormatError, match=re.escape(repr(line))):
         read_pgrid(path)

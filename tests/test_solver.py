@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import freepoisson.boundary
 import freepoisson.solver
+import freepoisson.transforms
 from freepoisson import (
     AlignmentError,
     GridFunction,
@@ -21,11 +23,9 @@ from freepoisson import (
     domain_invariance_study,
     pad_domain,
     solve_free_space,
-    solve_harmonic_4th,
-    solve_harmonic_6th,
-    solve_phi_star,
 )
 from freepoisson.dirichlet import check_support
+from oracles import bump_from_differentiability, node_coordinate, solve_harmonic, solve_phi_star
 
 CENTER_3D = (1.0 / math.sqrt(31.0), 0.2, 0.1)
 
@@ -61,9 +61,9 @@ def test_original_nodes_subset_of_padded_nodes():
     g = UniformGrid([-1.0, 0.0], [1.0, 2.0], [10, 14])
     padded = pad_domain(g, SolverConfig(padding_panels=3))
     for idx in [(0, 0), (5, 7), (10, 14)]:
-        x = g.node_coordinate(idx)
+        x = node_coordinate(g, idx)
         shifted = tuple(i + 3 for i in idx)
-        y = padded.node_coordinate(shifted)
+        y = node_coordinate(padded, shifted)
         for a, b in zip(x, y):
             assert abs(a - b) < 1e-13
 
@@ -133,7 +133,7 @@ def test_boundary_of_phi_equals_accumulated_values_exactly():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_convergence_to_analytic_potential(dim):
-    bump = PolyBump.from_differentiability(dim, 6, 0.4, CENTER_3D[:dim])
+    bump = bump_from_differentiability(dim, 6, 0.4, CENTER_3D[:dim])
     errs = []
     for M in (16, 24, 32):
         g = UniformGrid([-1.0] * dim, [1.0] * dim, [M] * dim)
@@ -148,7 +148,7 @@ def test_convergence_to_analytic_potential(dim):
 
 
 def test_order6_no_worse_than_order4_for_smooth_density():
-    bump = PolyBump.from_differentiability(3, 8, 0.4, CENTER_3D)
+    bump = bump_from_differentiability(3, 8, 0.4, CENTER_3D)
     g = UniformGrid([-1, -1, -1], [1, 1, 1], [32, 32, 32])
     exact = GridFunction.from_callable(g, bump.potential)
     errs = {}
@@ -159,7 +159,7 @@ def test_order6_no_worse_than_order4_for_smooth_density():
 
 
 def test_orders_agree_for_rough_density():
-    bump = PolyBump.from_differentiability(3, 0, 0.4, CENTER_3D)
+    bump = bump_from_differentiability(3, 0, 0.4, CENTER_3D)
     g = UniformGrid([-1, -1, -1], [1, 1, 1], [24, 24, 24])
     exact = GridFunction.from_callable(g, bump.potential)
     errs = {}
@@ -171,7 +171,7 @@ def test_orders_agree_for_rough_density():
 
 
 def test_thread_invariance_of_full_solve():
-    bump = PolyBump.from_differentiability(3, 6, 0.4, CENTER_3D)
+    bump = bump_from_differentiability(3, 6, 0.4, CENTER_3D)
     g = UniformGrid([-1, -1, -1], [1, 1, 1], [16, 16, 16])
     ref, _ = solve_free_space(bump, g, SolverConfig(order=6, thread_count=1))
     for threads in (2, 4):
@@ -183,7 +183,7 @@ _BLAS_PROBE = """
 import sys
 import numpy as np
 from freepoisson import PolyBump, SolverConfig, UniformGrid, solve_free_space
-bump = PolyBump.from_differentiability(2, 6, 0.4, (0.1, -0.2))
+bump = PolyBump(2, 0.4, 7, (0.1, -0.2))  # 6 times differentiable
 g = UniformGrid([-1, -1], [1, 1.2], [40, 44])
 phi, _ = solve_free_space(bump, g, SolverConfig(order=6, padding_panels=2))
 sys.stdout.write(phi.values.tobytes().hex())
@@ -223,7 +223,7 @@ def test_non_finite_density_rejected_at_entry(node, value):
     # A boundary NaN enters neither sum and compares False against the
     # support bound, so only an explicit finiteness check can catch it.
     g = UniformGrid([-1, -1], [1, 1], [16, 16])
-    bump = PolyBump.from_differentiability(2, 6, 0.4, (0.1, 0.2))
+    bump = bump_from_differentiability(2, 6, 0.4, (0.1, 0.2))
     rho = GridFunction.from_callable(g, bump)
     rho.values[node] = value
     message = r"density contains 1 non-finite value.*node \(%d, %d\)" % node
@@ -260,8 +260,54 @@ def test_report_fields():
     assert phi.grid == g
 
 
+@pytest.mark.parametrize("field", ["padding_panels", "thread_count"])
+def test_config_rejects_non_integer_counts(field):
+    # A fractional count fails here, naming the field, not deep in the solve.
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got 1.5"):
+        SolverConfig(**{field: 1.5})
+    assert getattr(SolverConfig(**{field: np.int64(2)}), field) == 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_checked_once_per_solve(monkeypatch, dim):
+    # Count the support checks at every name a module of the solve looks up.
+    calls = []
+    for module in (freepoisson.boundary, freepoisson.solver):
+        check = getattr(module, "check_support", None)
+        if check is not None:
+            def counted(*args, _check=check, **kwargs):
+                calls.append(args)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(module, "check_support", counted)
+    g = UniformGrid([-1.0] * dim, [1.0] * dim, [12] * dim)
+    solve_free_space(PolyBump(dim, 0.4, 5, (0.1, 0.0, -0.1)[:dim]), g, SolverConfig(order=6))
+    assert len(calls) == 1
+
+
+class _NoTransforms:
+    def __getattr__(self, name):
+        raise AssertionError(f"scipy.fft.{name} ran before the density was checked")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "value, node, error, message",
+    [(math.nan, 5, ShapeError, "non-finite"), (1.0, 0, SupportViolationError, "boundary")],
+    ids=["non-finite", "on-boundary"],
+)
+def test_bad_density_rejected_before_any_transform(monkeypatch, dim, value, node, error, message):
+    monkeypatch.setattr(freepoisson.boundary, "sfft", _NoTransforms())
+    monkeypatch.setattr(freepoisson.transforms, "sfft", _NoTransforms())
+    g = UniformGrid([-1.0] * dim, [1.0] * dim, [12] * dim)
+    rho = GridFunction.from_callable(g, PolyBump(dim, 0.4, 5, (0.1, 0.0, -0.1)[:dim]))
+    rho.values[(node,) + (5,) * (dim - 1)] = value
+    with pytest.raises(error, match=message):
+        solve_free_space(rho, config=SolverConfig())
+
+
 def test_domain_invariance_study_basics():
-    bump = PolyBump.from_differentiability(2, 6, 0.4, (0.1, 0.0))
+    bump = bump_from_differentiability(2, 6, 0.4, (0.1, 0.0))
     base = UniformGrid([-1, -1], [1, 1], [20, 20])
     cfg = SolverConfig(order=6)
     rows = domain_invariance_study(bump, base, [1.0, 1.2, 1.5], cfg)
@@ -282,7 +328,7 @@ def test_domain_invariance_zero_density():
 
 
 def test_domain_invariance_alignment_error():
-    bump = PolyBump.from_differentiability(2, 4, 0.4, (0.0, 0.0))
+    bump = bump_from_differentiability(2, 4, 0.4, (0.0, 0.0))
     base = UniformGrid([-1, -1], [1, 1], [10, 10])
     with pytest.raises(AlignmentError):
         domain_invariance_study(bump, base, [1.05], SolverConfig())
@@ -310,11 +356,10 @@ def test_fused_solve_matches_phi_star_plus_harmonic(order, lower, upper, panels)
     # One inverse DST of the summed coefficients equals the two solves
     # evaluated separately and added, up to roundoff.
     g = UniformGrid(lower, upper, panels)
-    bump = PolyBump.from_differentiability(g.dim, 6, 0.5, (0.1, 0.2, -0.05)[: g.dim])
+    bump = bump_from_differentiability(g.dim, 6, 0.5, (0.1, 0.2, -0.05)[: g.dim])
     rho = GridFunction.from_callable(g, bump)
     phi, _ = solve_free_space(rho, config=SolverConfig(order=order))
-    harmonic = solve_harmonic_4th if order == 4 else solve_harmonic_6th
-    parts = solve_phi_star(rho).values + harmonic(boundary_values_fast(rho)).values
+    parts = solve_phi_star(rho).values + solve_harmonic(boundary_values_fast(rho), order).values
     assert np.max(np.abs(phi.values - parts)) <= 1e-13 * np.max(np.abs(parts))
 
 
