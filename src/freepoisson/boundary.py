@@ -48,6 +48,7 @@ bitwise independent of the thread count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +190,10 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     every ``scipy.fft`` call, and the accumulation order is fixed, so the
     result is bitwise identical for any value.
     """
+    try:
+        operator.index(thread_count)
+    except TypeError:
+        raise ValueError(f"thread_count must be an integer, got {thread_count!r}") from None
     if thread_count < 1:
         raise ValueError("thread_count must be positive")
     grid = rho.grid

@@ -31,21 +31,21 @@ free-space solver adds them to the spectral Poisson component's and
 evaluates both with one shared inverse DST.  Only what must touch the
 whole volume does:
 
-* Boundary transfer.  For a vector v on nodes 0..M, summation by parts gives
-  the 1D sine transform S (S[f](k) = 2 sum_{i=1}^{M-1} f_i sin(k pi i / M))
-  of D2 v on the interior as
+* Boundary transfer.  The compact operator's taps reach the boundary data
+  extended by zero only from the depth-1 layer behind each face, so minus
+  the operator applied to it is, on the layer behind face (a, side),
 
-      S[D2 v](k) = lambda_k S[v](k) + sigma_0(k) v_0 + sigma_1(k) v_M,
+      -(1 / h_a^2) (1 + sum_{s != a} c_as D2_s / h_s^2) of the face data,
 
-  with sigma_0 = 2 sin(k pi / M) and sigma_1 = 2 sin(k pi (M-1) / M) =
-  (-1)^(k+1) sigma_0 (the FACR identity).  Applied axis by axis to the
-  boundary data extended by zero, the compact operator's right-hand side
-  needs no physical-space layer: face (a, side) enters with its interior's
-  DST times (1 + sum_{s != a} c_as lambda_s) sigma_a / h_a^2, edge (a < b)
-  with its interior's DST times c_ab sigma_a sigma_b / (h_a^2 h_b^2), where
-  c_ab = (h_a^2 + h_b^2)/12, and corners not at all (the 19-point stencil
-  has no corner taps).  The work is O(face) plus one pass over the
-  coefficients per axis.
+  with c_as = (h_a^2 + h_s^2)/12 and D2_s the undivided second difference
+  along the face (the 19-point stencil has no corner taps).  An edge node
+  is counted by the face of its lowest axis, as in
+  :meth:`BoundaryValues.as_full_array`: a face's data are zeroed on its
+  edges with lower axes first.  A value on the layer at depth j behind a
+  face reaches the coefficients through one in-face DST times
+  2 sin(j k pi / M) along the normal (the far face with the (-1)^(k+1)
+  parity), so the work is O(face) plus one pass over the coefficients per
+  axis.
 * Correction in sine space.  Write u1 = V + G, V the 4th order sine series
   (coefficients u) and G the boundary data extended by zero.  The undivided
   difference D2_s is diagonal on V with mu_s = 2 cos(k pi / M_s) - 2, so on
@@ -65,13 +65,13 @@ whole volume does:
   Per face, W at depth 1 and W extrapolated from depths 2..5 come from
   contracting Q u along the normal with the rows sin(k pi / M) and
   4 s_2 - 6 s_3 + 4 s_4 - s_5 (s_j = sin(j k pi / M); the far face takes
-  the (-1)^(k+1) parity), then one batched in-face DST.  The face terms'
-  share of the extrapolation is added in node space, and the extrapolation
-  to edges, then corners, runs on those face arrays.  Each face goes back
-  through one in-face DST times 2 sin(k pi / M) along its normal (its
-  depth-2 term times 2 sin(2 k pi / M)), a depth-1 node being counted by
-  the face of its lowest depth-1 axis.  The contractions and the scatters
-  are elementwise (``np.einsum``, no BLAS), a block of planes at a time.
+  the (-1)^(k+1) parity), then one batched in-face DST.  The depth-2 face
+  terms are added to Q u first, so the extrapolation reads them like any
+  other value; the extrapolation to edges, then corners, runs on those face
+  arrays.  Each face's depth-1 change goes back like the boundary transfer,
+  a depth-1 node being counted by the face of its lowest depth-1 axis.  The
+  contractions and the scatters are elementwise (``np.einsum``, no BLAS),
+  a block of planes at a time.
 
 An order-6 solve thus makes no full-volume DST of its own: the free-space
 solve makes two, the spectral forward DST and the shared inverse.
@@ -103,13 +103,6 @@ _BLOCK = 8
 
 # Fewest panels per axis each order's stencils fit in.
 MIN_PANELS = {4: 4, 6: 7}
-
-
-def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """A 1D array reshaped to lie along ``axis`` of an ``ndim``-dimensional one."""
-    shape = [1] * ndim
-    shape[axis] = v.size
-    return v.reshape(shape)
 
 
 def discrete_eigenvalues(grid: UniformGrid) -> list[np.ndarray]:
@@ -167,84 +160,73 @@ def _d2(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _add_sides(out: np.ndarray, axis: int, sigma: np.ndarray, low, high) -> None:
-    """``out += sigma_0 low + sigma_1 high``, spread along ``axis``.
+def _scatter(out: np.ndarray, axis: int, row: np.ndarray, faces: np.ndarray) -> None:
+    """``out += row faces[p]`` spread along ``axis``, a block at a time.
 
-    ``low`` and ``high`` lack ``axis``; sigma_1 = (-1)^(k+1) sigma_0, so odd
-    k see their sum and even k their difference.
-    """
-    _scatter(out, axis, sigma[None], np.stack([low + high, low - high])[:, None])
-
-
-def _scatter(out: np.ndarray, axis: int, rows: np.ndarray, faces: np.ndarray) -> None:
-    """``out += sum_r rows[r] faces[p, r]`` spread along ``axis``, a block at a time.
-
-    ``rows`` is (R, M - 1) over k along ``axis``; ``faces`` is (2, R, *face),
-    p = 0 for odd k and 1 for even k.
+    ``row`` is over k along ``axis``; ``faces`` is (2, *face), p = 0 for odd
+    k and 1 for even k.
     """
     if 0 < axis == out.ndim - 1:
         # A parity-strided view along the last axis is slow to add into;
-        # rows zeroed off their parity fill whole contiguous blocks instead.
-        padded = np.zeros((2,) + rows.shape)
+        # the row, zeroed off each parity in turn, fills whole contiguous blocks.
+        padded = np.zeros((2, row.size))
         for p in (0, 1):
-            padded[p, :, p::2] = rows[:, p::2]
-        padded = padded.reshape(-1, rows.shape[1])
-        faces = faces.reshape((-1,) + faces.shape[2:])
+            padded[p, p::2] = row[p::2]
         for start in range(0, out.shape[0], _BLOCK):
             block = slice(start, start + _BLOCK)
-            out[block] += np.einsum("rk,r...->...k", padded, faces[:, block])
+            out[block] += np.einsum("pk,p...->...k", padded, faces[:, block])
         return
     for p in (0, 1):
         view = np.moveaxis(out, axis, 0)[p::2]
         for start in range(0, view.shape[0], _BLOCK):
             block = slice(start, start + _BLOCK)
-            view[block] += np.einsum("rk,r...->k...", rows[:, p::2][:, block], faces[p])
+            view[block] += np.einsum("k,...->k...", row[p::2][block], faces[p])
 
 
-def _dst(x: np.ndarray, lead: int = 0) -> np.ndarray:
-    """DST-I over every axis after the first ``lead``.
+def _add_layer(coeff: np.ndarray, grid: UniformGrid, layers: dict, depth: int) -> np.ndarray:
+    """Add to ``coeff`` the sine coefficients of values on the layer ``depth`` behind each face.
 
-    With no such axis (a 2D corner) the value passes through.
+    ``layers[a, side]`` holds the values on face (a, side)'s interior nodes.
+    Along a the far side's factor is the near side's times (-1)^(k+1), so
+    odd k take the sides' in-face DSTs summed and even k differenced.
+    Returns ``coeff``.
     """
-    return sfft.dstn(x, type=1, axes=tuple(range(lead, x.ndim))) if x.ndim > lead else x
+    scale = 2.0 / np.prod([float(m) for m in grid.panels])
+    for a, m in enumerate(grid.panels):
+        near, far = layers[a, 0], layers[a, 1]
+        row = scale * np.sin(depth * np.arange(1, m) * np.pi / m)
+        sides = sfft.dstn(np.stack([near + far, near - far]), type=1, axes=range(1, grid.dim))
+        _scatter(coeff, a, row, sides)
+    return coeff
+
+
+def _cede_lower_edges(x: np.ndarray, a: int) -> np.ndarray:
+    """Zero face a's outer rows along each lower axis, whose face counts them."""
+    for j in range(a):
+        x[(slice(None),) * j + ([0, -1],)] = 0.0
+    return x
 
 
 def transfer_boundary_to_rhs(g: BoundaryValues) -> np.ndarray:
     """Sine coefficients of minus the compact operator applied to g extended by zero.
 
-    Equal to :func:`forward_dst` of that right-hand side, but assembled from
-    the DSTs of face and edge interiors by the identity in the module
-    docstring; no node array is built.  Each axis's edges with higher axes
-    are folded into its face transforms, and its two faces are paired by
-    sign, so each axis adds into the coefficients twice.
+    Equal to :func:`forward_dst` of that right-hand side, but sent to the
+    coefficients from the depth-1 layer behind each face (module docstring);
+    no node array is built.
     """
     grid = g.grid
     d = grid.dim
     h2 = [h * h for h in grid.mesh]
-    lam = discrete_eigenvalues(grid)
-    sigma = [2.0 * np.sin(np.arange(1, m) * np.pi / m) for m in grid.panels]
-    scale = -1.0 / np.prod([float(m) for m in grid.panels])
-    coeff = np.zeros(grid.interior_shape)
-    for a in range(d):
-        in_axes = [s for s in range(d) if s != a]
-        weight = 1.0
-        for j, s in enumerate(in_axes):
-            weight = weight + (h2[a] + h2[s]) / 12.0 * _along(lam[s], j, d - 1)
-        sides = []
-        for side in (0, 1):
-            face = g.faces[(a, side)]
-            t = _dst(face[(slice(1, -1),) * (d - 1)]) * weight
-            for j, b in enumerate(in_axes):
-                if b > a:
-                    edges = [
-                        _dst(np.take(face, -sb, axis=j)[(slice(1, -1),) * (d - 2)])
-                        for sb in (0, 1)
-                    ]
-                    c = (h2[a] + h2[b]) / 12.0 / h2[b]
-                    _add_sides(t, j, c * sigma[b], *edges)
-            sides.append(t)
-        _add_sides(coeff, a, scale / h2[a] * sigma[a], *sides)
-    return coeff
+    layers = {}
+    for (a, side), face in g.faces.items():
+        face = _cede_lower_edges(face.copy(), a)
+        layer = face[(slice(1, -1),) * (d - 1)].copy()
+        for j, s in enumerate(x for x in range(d) if x != a):
+            sl = [slice(1, -1)] * (d - 1)
+            sl[j] = slice(None)
+            layer += (h2[a] + h2[s]) / 12.0 / h2[s] * _d2(face[tuple(sl)], j)
+        layers[a, side] = layer * (-1.0 / h2[a])
+    return _add_layer(np.zeros(grid.interior_shape), grid, layers, 1)
 
 
 def check_panels(grid: UniformGrid, order: int) -> None:
@@ -299,29 +281,6 @@ def _face_terms(g: BoundaryValues, weight) -> dict:
     return terms
 
 
-def _extrapolated_face_terms(grid: UniformGrid, terms: dict, a: int, side: int) -> np.ndarray:
-    """The depth-2 face terms' share of face (a, side)'s extrapolation.
-
-    The extrapolation reads depths 2..5 along a.  Face (a, side)'s own term
-    sits at depth 2; the opposite face's at depth M_a - 2, which is within
-    reach when M_a = 7.  A term of another axis q lies on one line of the
-    face and is read at its own in-face depths 2..5 along a.
-    """
-    out = np.zeros([m - 1 for s, m in enumerate(grid.panels) if s != a])
-    for (q, sq), term in terms.items():
-        if q == a:
-            depth = 2 if sq == side else grid.panels[a] - 2
-            if depth <= 5:
-                out += _EXTRAPOLATE[depth - 2] * term
-            continue
-        jq, ja = q - (q > a), a - (a > q)
-        line = (slice(None),) * jq + (1 if sq == 0 else grid.panels[q] - 3,)
-        for depth, e in enumerate(_EXTRAPOLATE, start=2):
-            i = depth - 1 if side == 0 else grid.panels[a] - 1 - depth
-            out[line] += e * np.take(term, i, axis=ja)
-    return out
-
-
 def _correction_rhs(g: BoundaryValues, u: np.ndarray) -> np.ndarray:
     """Sine coefficients of the 6th order correction's right-hand side.
 
@@ -344,24 +303,24 @@ def _correction_rhs(g: BoundaryValues, u: np.ndarray) -> np.ndarray:
         for r, s in itertools.combinations(range(d), 2)
     })
     coeff *= u
-    terms = _face_terms(g, weight)
+    _add_layer(coeff, grid, _face_terms(g, weight), 2)
 
     # Per face: the series at depth 1 and extrapolated from depths 2..5.
-    # Odd and even k are contracted apart; their sum is the near face, their
-    # difference the far one.
+    # Odd and even k are contracted apart (sum: near face, difference: far
+    # face), by rows that undo the in-face DST-I's factor 2 per axis.
     shell, layer = {}, {}
     for a, m in enumerate(grid.panels):
         kpi = np.arange(1, m) * np.pi / m
         extrapolated = sum(e * np.sin(j * kpi) for j, e in enumerate(_EXTRAPOLATE, start=2))
-        rows = np.stack([np.sin(kpi), extrapolated])
+        rows = np.stack([np.sin(kpi), extrapolated]) / 2.0 ** (d - 1)
         odd, even = (
             np.einsum("k...,rk->r...", np.moveaxis(coeff, a, 0)[p::2], rows[:, p::2])
             for p in (0, 1)
         )
-        values = _dst(np.stack([odd + even, odd - even]), 2) / 2.0 ** (d - 1)
+        values = sfft.dstn(np.stack([odd + even, odd - even]), type=1, axes=range(2, d + 1))
         for side in (0, 1):
             shell[a, side] = values[side, 0]
-            layer[a, side] = values[side, 1] + _extrapolated_face_terms(grid, terms, a, side)
+            layer[a, side] = values[side, 1]
 
     # Edges, then corners: the mean of the extrapolations along their depth-1
     # axes.  A node's value is kept in the face of its lowest depth-1 axis.
@@ -377,18 +336,10 @@ def _correction_rhs(g: BoundaryValues, u: np.ndarray) -> np.ndarray:
                 face, idx = _owner(grid, layer, at)
                 face[idx] = total / t
 
-    # Back to coefficients: the shell's change and the depth-2 terms.
-    scale = 2.0 / np.prod([float(m) for m in grid.panels])
-    for a, m in enumerate(grid.panels):
-        x0, x1 = (layer[a, side] - shell[a, side] for side in (0, 1))
-        t0, t1 = terms[a, 0], terms[a, 1]
-        pairs = np.stack([[x0 + x1, t0 + t1], [x0 - x1, t0 - t1]])
-        for s in range(a):  # nodes of a lower axis's face; the terms are 0 there
-            pairs[(slice(None),) * (2 + s) + ([0, -1],)] = 0.0
-        kpi = np.arange(1, m) * np.pi / m
-        rows = scale * np.stack([np.sin(kpi), np.sin(2.0 * kpi)])
-        _scatter(coeff, a, rows, _dst(pairs, 2))
-    return coeff
+    # Back to coefficients: the depth-1 layer's change from the series.
+    for (a, side), x in layer.items():
+        _cede_lower_edges(np.subtract(x, shell[a, side], out=x), a)
+    return _add_layer(coeff, grid, layer, 1)
 
 
 def harmonic_modes(g: BoundaryValues, order: int) -> np.ndarray:

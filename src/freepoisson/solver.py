@@ -55,14 +55,18 @@ class SolverConfig:
     thread_count: int = 1
 
     def __post_init__(self):
-        if self.order not in (4, 6):
-            raise ValueError(f"order must be 4 or 6, got {self.order}")
-        for name in ("padding_panels", "thread_count"):
+        for name in ("order", "padding_panels", "thread_count"):
             value = getattr(self, name)
             try:
                 operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.order not in (4, 6):
+            raise ValueError(f"order must be 4 or 6, got {self.order}")
+        if not isinstance(self.fft_friendly_expansion, bool):
+            raise ValueError(
+                f"fft_friendly_expansion must be a bool, got {self.fft_friendly_expansion!r}"
+            )
         if self.padding_panels < 0:
             raise ValueError("padding_panels must be nonnegative")
         if self.thread_count < 1:

@@ -68,6 +68,15 @@ def random_boundary(g: UniformGrid) -> BoundaryValues:
     return boundary_from_full(g, full)
 
 
+def independent_faces(g: UniformGrid) -> BoundaryValues:
+    """Random faces drawn apart, so they disagree on every shared edge."""
+    rng = np.random.default_rng(g.panels)
+    return BoundaryValues(g, {
+        (a, side): rng.standard_normal([n for s, n in enumerate(g.shape) if s != a])
+        for a in range(g.dim) for side in (0, 1)
+    })
+
+
 def test_transfer_zero_is_zero():
     g = UniformGrid([0, 0], [1, 1], [6, 7])
     out = transfer_boundary_to_rhs(BoundaryValues.zeros(g))
@@ -88,15 +97,16 @@ def test_transfer_supported_on_first_layer_only():
 def test_transfer_matches_dense_oracle():
     # The dense system's right-hand side, transformed: face, edge and corner
     # data of both sides of every axis, on anisotropic meshes down to the
-    # fewest panels an order allows.
+    # fewest panels an order allows.  Faces that disagree on shared edges
+    # pin the rule that an edge node is the lowest axis's face's.
     for panels in [(4, 4), (6, 7), (9, 13), (4, 4, 4), (5, 6, 7), (12, 9, 17)]:
         d = len(panels)
         g = UniformGrid([0.0, -1.0, 0.5][:d], [1.0, 0.5, 2.5][:d], panels)
-        bv = random_boundary(g)
-        _, b = assemble_dense(g, bv)
-        want = scipy.fft.dstn(b.reshape(g.interior_shape), type=1) / np.prod(panels)
-        got = transfer_boundary_to_rhs(bv)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), panels
+        for bv in (random_boundary(g), independent_faces(g)):
+            _, b = assemble_dense(g, bv)
+            want = scipy.fft.dstn(b.reshape(g.interior_shape), type=1) / np.prod(panels)
+            got = transfer_boundary_to_rhs(bv)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), panels
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -236,17 +246,18 @@ def test_sixth_order_modes_match_dense_correction(panels):
     # solution evaluated at every node, the width-two right-hand side with
     # its extrapolated layer, and a full forward DST.  M = 7 is the case
     # where a face's depth-5 row is the opposite face's depth-2 row; the
-    # mixed grids put it on one axis only.
+    # mixed grids put it on one axis only.  Faces that disagree on shared
+    # edges pin the rule that an edge node is the lowest axis's face's.
     d = len(panels)
     lower = RNG.uniform(-1.0, 0.0, d)
     g = UniformGrid(lower, lower + RNG.uniform(0.5, 2.0, d), panels)
-    bv = random_boundary(g)
-    modes4 = harmonic_modes(bv, 4)
-    u1 = inverse_dst(modes4, g, bv.as_full_array())
-    correction = forward_dst(sixth_order_rhs(u1)) / build_operator_symbol(g)
-    want = modes4 + correction
-    got = harmonic_modes(bv, 6)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for bv in (random_boundary(g), independent_faces(g)):
+        modes4 = harmonic_modes(bv, 4)
+        u1 = inverse_dst(modes4, g, bv.as_full_array())
+        correction = forward_dst(sixth_order_rhs(u1)) / build_operator_symbol(g)
+        want = modes4 + correction
+        got = harmonic_modes(bv, 6)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_sixth_order_rhs_annihilates_constants_and_quadratics():

@@ -268,6 +268,19 @@ def test_config_rejects_non_integer_counts(field):
     assert getattr(SolverConfig(**{field: np.int64(2)}), field) == 2
 
 
+def test_config_rejects_non_integer_order():
+    # 4.0 equals 4 but is not a count; the solve would report order=4.0.
+    with pytest.raises(ValueError, match="order must be an integer, got 4.0"):
+        SolverConfig(order=4.0)
+    assert SolverConfig(order=np.int64(4)).order == 4
+
+
+def test_config_rejects_non_bool_expansion():
+    # A truthy string would turn the 7-smooth rounding on.
+    with pytest.raises(ValueError, match="fft_friendly_expansion must be a bool, got 'no'"):
+        SolverConfig(fft_friendly_expansion="no", padding_panels=1)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_density_checked_once_per_solve(monkeypatch, dim):
     # Count the support checks at every name a module of the solve looks up.
