@@ -48,13 +48,11 @@ bitwise independent of the thread count.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft as sfft
 
 from .dirichlet import check_support
+from .errors import check_count
 from .grid import BoundaryValues, GridFunction, UniformGrid
 from .greens import green_values
 from .transforms import next_smooth_length
@@ -101,33 +99,13 @@ def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues
     return BoundaryValues(grid, faces)
 
 
-@dataclass(frozen=True)
-class FaceConvolutionPlan:
-    """FFT periods and output window of the convolutions for the faces normal to ``axis``.
-
-    Per in-face axis with M_s panels the period is P_s = 2 next_smooth(M_s-1)
-    >= 2(M_s-1), and the face's nodes 0..M_s are the circular indices
-    -1..M_s-1 of the inverse transform.
-    """
-
-    axis: int
-    in_axes: tuple[int, ...]
-    periods: tuple[int, ...]
-    window: tuple[range, ...]
+def _periods(grid: UniformGrid, axis: int) -> tuple[int, ...]:
+    """FFT periods P_s = 2 next_smooth(M_s-1) >= 2(M_s-1) of the in-face axes s != axis."""
+    return tuple(2 * next_smooth_length(m - 1)
+                 for s, m in enumerate(grid.panels) if s != axis)
 
 
-def _plan_face(grid: UniformGrid, axis: int) -> FaceConvolutionPlan:
-    in_axes = tuple(s for s in range(grid.dim) if s != axis)
-    return FaceConvolutionPlan(
-        axis=axis,
-        in_axes=in_axes,
-        periods=tuple(2 * next_smooth_length(grid.panels[s] - 1) for s in in_axes),
-        window=tuple(range(-1, grid.panels[s]) for s in in_axes),
-    )
-
-
-def _kernel_spectra(grid: UniformGrid, plan: FaceConvolutionPlan, dists,
-                    workers: int) -> np.ndarray:
+def _kernel_spectra(grid: UniformGrid, axis: int, dists, workers: int) -> np.ndarray:
     """Real DFTs of the kernels at whole-panel normal distances ``dists``.
 
     Row i holds kernel i's spectrum at the non-negative frequencies 0..P_s/2
@@ -136,11 +114,11 @@ def _kernel_spectra(grid: UniformGrid, plan: FaceConvolutionPlan, dists,
     weights are folded in, so each spectrum serves both faces of the axis.
     """
     # squared in-face distances at offsets 0..M_s-1
-    in_face = sum(np.ix_(*((np.arange(grid.panels[s]) * grid.mesh[s]) ** 2
-                           for s in plan.in_axes)))
-    normal = ((np.asarray(dists) * grid.mesh[plan.axis]) ** 2).reshape(
+    in_face = sum(np.ix_(*((np.arange(m) * grid.mesh[s]) ** 2
+                           for s, m in enumerate(grid.panels) if s != axis)))
+    normal = ((np.asarray(dists) * grid.mesh[axis]) ** 2).reshape(
         (-1,) + (1,) * in_face.ndim)
-    buf = np.zeros((len(dists),) + tuple(p // 2 + 1 for p in plan.periods))
+    buf = np.zeros((len(dists),) + tuple(p // 2 + 1 for p in _periods(grid, axis)))
     kernel = buf[(slice(None),) + tuple(slice(0, n) for n in in_face.shape)]
     weight = float(np.prod(grid.mesh))
     step = max(1, 2**16 // in_face.size)  # blocks of rows keep temporaries small
@@ -168,12 +146,6 @@ def _add_product(acc: np.ndarray, spectrum: np.ndarray, kernel: np.ndarray):
     acc[h:] += spectrum[h:] * kernel[h - 2:0:-1]
 
 
-def _slice_data(rho: GridFunction, axis: int, p: int) -> np.ndarray:
-    sl = [slice(1, -1)] * rho.grid.dim
-    sl[axis] = p
-    return rho.values[tuple(sl)]
-
-
 def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryValues:
     """Boundary sums via FFT convolutions summed in frequency space; O(N log N).
 
@@ -190,36 +162,34 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     every ``scipy.fft`` call, and the accumulation order is fixed, so the
     result is bitwise identical for any value.
     """
-    try:
-        operator.index(thread_count)
-    except TypeError:
-        raise ValueError(f"thread_count must be an integer, got {thread_count!r}") from None
-    if thread_count < 1:
-        raise ValueError("thread_count must be positive")
+    check_count("thread_count", thread_count, 1)
     grid = rho.grid
     if grid.dim == 1:
         return boundary_values_naive(rho)  # two single sums: nothing to convolve
     check_support(rho)
 
-    nonzero = rho.interior() != 0
+    interior = rho.interior()
+    nonzero = interior != 0
     faces = {}
     for axis in range(grid.dim):
-        plan = _plan_face(grid, axis)
+        in_axes = tuple(s for s in range(grid.dim) if s != axis)
+        periods = _periods(grid, axis)
         m = grid.panels[axis]
         # Slice p lies p panels from the lower face and m - p from the upper.
-        occupied = np.flatnonzero(nonzero.any(axis=plan.in_axes)) + 1
-        slices = [(int(p), _slice_data(rho, axis, p)) for p in occupied]
-        dists = sorted({q for p, _ in slices for q in (p, m - p)})
+        occupied = (np.flatnonzero(nonzero.any(axis=in_axes)) + 1).tolist()
+        dists = sorted({q for p in occupied for q in (p, m - p)})
         row = {q: i for i, q in enumerate(dists)}
-        kernels = _kernel_spectra(grid, plan, dists, thread_count)
-        half = plan.periods[:-1] + (plan.periods[-1] // 2 + 1,)
+        kernels = _kernel_spectra(grid, axis, dists, thread_count)
+        half = periods[:-1] + (periods[-1] // 2 + 1,)
         acc = np.zeros((2,) + half, dtype=complex)  # lower, upper face
-        for p, x in slices:  # fixed order: deterministic
-            spectrum = sfft.rfftn(x, plan.periods, workers=thread_count)
+        for p in occupied:  # fixed order: deterministic
+            x = interior[(slice(None),) * axis + (p - 1,)]
+            spectrum = sfft.rfftn(x, periods, workers=thread_count)
             _add_product(acc[0], spectrum, kernels[row[p]])
             _add_product(acc[1], spectrum, kernels[row[m - p]])
-        window = np.ix_(*plan.window)
+        # Face nodes 0..M_s are the circular indices -1..M_s-1.
+        window = np.ix_(*(range(-1, grid.panels[s]) for s in in_axes))
         for side in (0, 1):
-            out = sfft.irfftn(acc[side], plan.periods, workers=thread_count)
+            out = sfft.irfftn(acc[side], periods, workers=thread_count)
             faces[(axis, side)] = out[window]
     return BoundaryValues(grid, faces)

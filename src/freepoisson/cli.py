@@ -223,13 +223,32 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _table(header: str, rows) -> str:
+    """A study's CSV text: the header line, then one line per row."""
+    return "".join(line + "\n" for line in [
+        header, *(",".join(_format_cell(v) for v in row) for row in rows)])
+
+
 def write_csv(path, header: str, rows) -> None:
     """Write CSV atomically so failed runs never leave partial files."""
-    text = header + "\n" + "\n".join(
-        ",".join(_format_cell(v) for v in row) for row in rows
-    ) + "\n"
+    text = _table(header, rows)
     with atomic_open(path, ".csv-") as fh:
         fh.write(text.encode())
+
+
+def _run_study(spec: StudySpec) -> None:
+    """Print a study's table, and write it as CSV when ``spec.out`` is set."""
+    if spec.kind == "convergence":
+        rows, slope = run_convergence_study(spec)
+        header, footer = CONVERGENCE_HEADER, f"fitted slope: {slope:.3f}\n"
+    elif spec.kind == "domain":
+        header, rows, footer = DOMAIN_HEADER, run_domain_study(spec), ""
+    else:
+        header, rows, footer = THREADS_HEADER, run_thread_benchmark(spec), ""
+    print(_table(header, rows) + footer, end="")
+    if spec.out:
+        write_csv(spec.out, header, rows)
+        print(f"wrote {spec.out}")
 
 
 def _run_solve(spec: StudySpec) -> None:
@@ -261,12 +280,6 @@ def _file_note(path, start: float) -> str:
     """``path (size MiB, seconds since start s)`` for the solve command's I/O lines."""
     size = os.path.getsize(path) / 2**20
     return f"{path} ({size:.1f} MiB, {time.perf_counter() - start:.3f} s)"
-
-
-def _print_rows(header: str, rows) -> None:
-    print(header)
-    for row in rows:
-        print(",".join(_format_cell(v) for v in row))
 
 
 class _FloatToken:
@@ -400,25 +413,8 @@ def main(argv=None) -> int:
         spec = build_spec(args)
         if spec.kind == "solve":
             _run_solve(spec)
-        elif spec.kind == "convergence":
-            rows, slope = run_convergence_study(spec)
-            _print_rows(CONVERGENCE_HEADER, rows)
-            print(f"fitted slope: {slope:.3f}")
-            if spec.out:
-                write_csv(spec.out, CONVERGENCE_HEADER, rows)
-                print(f"wrote {spec.out}")
-        elif spec.kind == "domain":
-            rows = run_domain_study(spec)
-            _print_rows(DOMAIN_HEADER, rows)
-            if spec.out:
-                write_csv(spec.out, DOMAIN_HEADER, rows)
-                print(f"wrote {spec.out}")
         else:
-            rows = run_thread_benchmark(spec)
-            _print_rows(THREADS_HEADER, rows)
-            if spec.out:
-                write_csv(spec.out, THREADS_HEADER, rows)
-                print(f"wrote {spec.out}")
+            _run_study(spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

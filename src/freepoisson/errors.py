@@ -1,4 +1,6 @@
-"""Exception types shared across the solver modules."""
+"""Exception types and the count check shared across the solver modules."""
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -19,3 +21,14 @@ class SupportViolationError(ValueError):
 
 class PGridFormatError(ValueError):
     """Raised when a PGRID file is malformed or uses unknown header keys."""
+
+
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``.
+
+    A ``bool`` is a flag, not a count, so it is rejected although it is an ``int``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")

@@ -70,8 +70,8 @@ whole volume does:
   other value; the extrapolation to edges, then corners, runs on those face
   arrays.  Each face's depth-1 change goes back like the boundary transfer,
   a depth-1 node being counted by the face of its lowest depth-1 axis.  The
-  contractions and the scatters are elementwise (``np.einsum``, no BLAS),
-  a block of planes at a time.
+  contractions and the scatters are elementwise (``np.einsum``, no BLAS);
+  a scatter runs in blocks sized by element count along the first axis.
 
 An order-6 solve thus makes no full-volume DST of its own: the free-space
 solve makes two, the spectral forward DST and the shared inverse.
@@ -98,8 +98,8 @@ __all__ = [
 
 # Cubic extrapolation to depth 1 from depths 2, 3, 4, 5 along a normal.
 _EXTRAPOLATE = np.array([4.0, -6.0, 4.0, -1.0])
-# Planes per block of a scatter into the coefficients (bounds its temporaries).
-_BLOCK = 8
+# Elements per block of a scatter into the coefficients (bounds its temporaries).
+_BLOCK = 8 * 96**2
 
 # Fewest panels per axis each order's stencils fit in.
 MIN_PANELS = {4: 4, 6: 7}
@@ -119,13 +119,9 @@ def _pair_sum(shape, tables: dict) -> np.ndarray:
 
     Each table is added in place, so no full-size temporary is made.
     """
-    out = np.empty(shape)
-    for i, ((r, s), table) in enumerate(tables.items()):
-        t = table.reshape([shape[a] if a in (r, s) else 1 for a in range(len(shape))])
-        if i == 0:
-            out[...] = t
-        else:
-            out += t
+    out = np.zeros(shape)
+    for (r, s), table in tables.items():
+        out += table.reshape([shape[a] if a in (r, s) else 1 for a in range(len(shape))])
     return out
 
 
@@ -161,26 +157,23 @@ def _d2(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _scatter(out: np.ndarray, axis: int, row: np.ndarray, faces: np.ndarray) -> None:
-    """``out += row faces[p]`` spread along ``axis``, a block at a time.
+    """``out += row faces[p]`` spread along ``axis``, p = 0 for odd k and 1 for even k.
 
-    ``row`` is over k along ``axis``; ``faces`` is (2, *face), p = 0 for odd
-    k and 1 for even k.
+    ``row`` is over k along ``axis``; ``faces`` is (2, *face).  With the row
+    zeroed off each parity as a (2, k) table, each block of ``out`` along its
+    first axis, about ``_BLOCK`` elements, is one ``einsum`` over p.
     """
-    if 0 < axis == out.ndim - 1:
-        # A parity-strided view along the last axis is slow to add into;
-        # the row, zeroed off each parity in turn, fills whole contiguous blocks.
-        padded = np.zeros((2, row.size))
-        for p in (0, 1):
-            padded[p, p::2] = row[p::2]
-        for start in range(0, out.shape[0], _BLOCK):
-            block = slice(start, start + _BLOCK)
-            out[block] += np.einsum("pk,p...->...k", padded, faces[:, block])
-        return
-    for p in (0, 1):
-        view = np.moveaxis(out, axis, 0)[p::2]
-        for start in range(0, view.shape[0], _BLOCK):
-            block = slice(start, start + _BLOCK)
-            view[block] += np.einsum("k,...->k...", row[p::2][block], faces[p])
+    parity = np.zeros((2, row.size))
+    parity[0, 0::2] = row[0::2]
+    parity[1, 1::2] = row[1::2]
+    letters = "abc"[:out.ndim]
+    spec = f"p{letters[axis]},p{letters.replace(letters[axis], '')}->{letters}"
+    step = max(1, _BLOCK * out.shape[0] // out.size)
+    for start in range(0, out.shape[0], step):
+        block = [slice(None)] * out.ndim
+        block[0] = slice(start, start + step)
+        k = block.pop(axis)
+        out[start:start + step] += np.einsum(spec, parity[:, k], faces[(slice(None), *block)])
 
 
 def _add_layer(coeff: np.ndarray, grid: UniformGrid, layers: dict, depth: int) -> np.ndarray:

@@ -13,7 +13,6 @@ counts up to 7-smooth integers for fast FFTs.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .boundary import boundary_values_fast
 from .dirichlet import phi_star_modes
-from .errors import AlignmentError, ShapeError
+from .errors import AlignmentError, ShapeError, check_count
 from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
 from .harmonic import check_panels, harmonic_modes, solve_harmonic_1d
 from .transforms import inverse_dst, next_smooth_length
@@ -55,22 +54,15 @@ class SolverConfig:
     thread_count: int = 1
 
     def __post_init__(self):
-        for name in ("order", "padding_panels", "thread_count"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        check_count("order", self.order)
+        check_count("padding_panels", self.padding_panels)
+        check_count("thread_count", self.thread_count, 1)
         if self.order not in (4, 6):
             raise ValueError(f"order must be 4 or 6, got {self.order}")
         if not isinstance(self.fft_friendly_expansion, bool):
             raise ValueError(
                 f"fft_friendly_expansion must be a bool, got {self.fft_friendly_expansion!r}"
             )
-        if self.padding_panels < 0:
-            raise ValueError("padding_panels must be nonnegative")
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be positive")
 
 
 @dataclass

@@ -12,7 +12,7 @@ from freepoisson import (
     boundary_values_fast,
     boundary_values_naive,
 )
-from freepoisson.boundary import _plan_face
+from freepoisson.boundary import _periods
 from freepoisson.greens import green_values
 from freepoisson.transforms import next_smooth_length
 from oracles import node_coordinate
@@ -142,6 +142,9 @@ def test_fast_rejects_non_integer_thread_count():
     rho = random_density(UniformGrid([-1, -1], [1, 1], [16, 16]), np.random.default_rng(3))
     with pytest.raises(ValueError, match="thread_count must be an integer, got 1.5"):
         boundary_values_fast(rho, 1.5)
+    # A bool is a flag, not a count, although operator.index(True) is 1.
+    with pytest.raises(ValueError, match="thread_count must be an integer, got True"):
+        boundary_values_fast(rho, True)
 
 
 @pytest.mark.parametrize("panels", [(200, 300), (40, 48, 56)])
@@ -170,8 +173,8 @@ def test_fast_matches_naive_at_minimal_fft_period(panels):
     dim = len(panels)
     g = UniformGrid([-1.0] * dim, [1.0 + 0.5 * s for s in range(dim)], panels)
     for axis in range(dim):
-        plan = _plan_face(g, axis)
-        assert plan.periods == tuple(2 * (g.panels[s] - 1) for s in plan.in_axes)
+        assert _periods(g, axis) == tuple(
+            2 * (m - 1) for s, m in enumerate(g.panels) if s != axis)
     rho = random_density(g, np.random.default_rng(sum(panels)), collar=1)
     assert rel_face_diff(
         boundary_values_naive(rho), boundary_values_fast(rho)
@@ -228,23 +231,19 @@ def test_nonzero_boundary_density_rejected():
             op(rho)
 
 
-def test_fast_plan_kernel_covers_all_offsets():
+def test_fast_periods_cover_all_offsets():
     g = UniformGrid([-1, -1, -1], [1, 1, 1], [6, 8, 12])
-    plan = _plan_face(g, 0)
-    assert plan.in_axes == (1, 2)
-    assert plan.periods == (14, 24)  # 2 next_smooth(M-1): 2*7, 2*12
-    assert plan.window == (range(-1, 8), range(-1, 12))
+    assert _periods(g, 0) == (14, 24)  # 2 next_smooth(M-1): 2*7, 2*12
     for axis in range(g.dim):
-        plan = _plan_face(g, axis)
-        for s, n, window in zip(plan.in_axes, plan.periods, plan.window):
-            m = g.panels[s]
+        in_panels = [m for s, m in enumerate(g.panels) if s != axis]
+        for m, n in zip(in_panels, _periods(g, axis), strict=True):
             assert n == 2 * next_smooth_length(m - 1) >= 2 * (m - 1)
-            assert window == range(-1, m)  # one value per face node 0..M
+            # Face nodes 0..M are the circular output indices -1..M-1.
             # Output index c and data index k (source node k+1) read the
             # kernel at offset c-k, stored in slot (c-k) mod n.  Offsets that
             # share a slot must have the same distance: the kernel is even.
             slot = {}
-            for c in window:
+            for c in range(-1, m):
                 for k in range(m - 1):
                     assert slot.setdefault((c - k) % n, abs(c - k)) == abs(c - k)
             assert min(slot.values()) == 0 and max(slot.values()) == m - 1

@@ -101,6 +101,18 @@ def test_cli_convergence_writes_csv(tmp_path, capsys):
     assert "fitted slope" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("study", [
+    ["domain", "--d-list", "1.0", "1.25", "--order", "4"],
+    ["threads", "--thread-list", "1", "2"],
+])
+def test_cli_study_csv_matches_printed_table(tmp_path, capsys, study):
+    out = tmp_path / "study.csv"
+    argv = study + ["--dim", "2", "--panels", "16", "--diff", "2",
+                    "--center", "0.1", "0.0", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text() + f"wrote {out}\n"
+
+
 def test_cli_solve_writes_pgrid(tmp_path):
     out = tmp_path / "phi.pgrid"
     rc = main([

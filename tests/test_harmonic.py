@@ -12,6 +12,7 @@ from freepoisson import (
     solve_harmonic_1d,
     transfer_boundary_to_rhs,
 )
+from freepoisson import harmonic
 from freepoisson.harmonic import (
     build_operator_symbol,
     discrete_eigenvalues,
@@ -107,6 +108,26 @@ def test_transfer_matches_dense_oracle():
             want = scipy.fft.dstn(b.reshape(g.interior_shape), type=1) / np.prod(panels)
             got = transfer_boundary_to_rhs(bv)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), panels
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (6, 9), (5, 8, 7), (8, 5, 6)])
+@pytest.mark.parametrize("planes", [1, 2, 3])
+def test_scatter_across_block_boundaries(monkeypatch, shape, planes):
+    # Blocks of a few planes of the first axis, the last one partial on odd
+    # counts: the sum must not depend on where the blocks fall.
+    monkeypatch.setattr(harmonic, "_BLOCK", planes * int(np.prod(shape[1:])))
+    rng = np.random.default_rng(sum(shape) + planes)
+    for axis, n in enumerate(shape):
+        face = [m for s, m in enumerate(shape) if s != axis]
+        row = rng.standard_normal(n)
+        faces = rng.standard_normal((2, *face))
+        out = rng.standard_normal(shape)
+        expected = out.copy()
+        for p in (0, 1):  # odd k take faces[0], even k faces[1]
+            view = np.moveaxis(expected, axis, 0)[p::2]
+            view += row[p::2].reshape((-1,) + (1,) * len(face)) * faces[p]
+        harmonic._scatter(out, axis, row, faces)
+        assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -265,6 +265,10 @@ def test_config_rejects_non_integer_counts(field):
     # A fractional count fails here, naming the field, not deep in the solve.
     with pytest.raises(ValueError, match=f"{field} must be an integer, got 1.5"):
         SolverConfig(**{field: 1.5})
+    # A bool is a flag, not a count, although operator.index(True) is 1.
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {flag}"):
+            SolverConfig(**{field: flag})
     assert getattr(SolverConfig(**{field: np.int64(2)}), field) == 2
 
 
