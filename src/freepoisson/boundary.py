@@ -15,27 +15,43 @@ Two implementations share that definition:
   is one node whose value is a single sum, so it uses the direct sums.
 
 On an in-face axis with M panels, face node j (0..M) sums source nodes i
-(1..M-1) against the kernel at offset j-i, so the offsets span -(M-1)..M-1.
-The kernel G(sqrt(d^2 h_n^2 + sum_s x_s^2)) is even in every in-face offset.
-Stored circularly on an even period P = 2 next_smooth(M-1) >= 2(M-1), it
-repeats its values at P-n, so its DFT is real and equals the DCT-I of its
-non-negative quadrant, offsets 0..P/2 (zero beyond M-1):
+(1..M-1) against the kernel at offset j-i.  If the occupied source nodes
+along that axis are lo..hi, the offsets that occur span -hi..M-lo, so
+|j-i| <= R = max(hi, M-lo) <= M-1: the reach R is the largest distance from
+an occupied slice of that axis to either of its faces.  The kernel
+G(sqrt(d^2 h_n^2 + sum_s x_s^2)) is even in every in-face offset.  Stored
+circularly on an even period P, slot n holding the kernel at offset
+min(n, P-n), it repeats its values at P-n, so its DFT is real and equals
+the DCT-I of its non-negative quadrant, offsets 0..P/2 (zero beyond M-1):
 
     K^[k] = K[0] + (-1)^k K[P/2] + 2 sum_{n=1}^{P/2-1} K[n] cos(2 pi k n / P).
 
-Only M^(d-1) Green's-function values per kernel are needed, and the
-transforms of all kernels of one axis are one batched ``dctn(type=1)``.
-The frequencies above P/2 of a full FFT axis are read back to front from
-the stored half, K^[P-k] = K^[k], without a mirrored copy.
+Only offsets 0..min(M-1, P/2) are evaluated per axis, and the transforms of
+all kernels of one axis are one batched ``dctn(type=1)``.  The frequencies
+above P/2 of a full FFT axis are read back to front from the stored half,
+K^[P-k] = K^[k], without a mirrored copy.
 
 Slice data at nodes 1..M-1 sits at circular indices 0..M-2, so face node j
-is circular output index j-1: the window -1..M-1.  Every (output, data)
-pair of that window reads a true offset in -(M-1)..M-1.  Two such offsets
-fall in the same slot mod P only if they differ by P >= 2(M-1), that is
-only for -(M-1) and M-1 with P = 2(M-1), where the even kernel holds the
-same value G(M-1).  So P = 2(M-1) is the shortest alias-free even period;
-one even step shorter, 2(M-2), folds the offsets +-(M-1) onto -+(M-3),
-whose kernel values differ.
+is circular output index j-1: the window -1..M-1.  The (output, data) pair
+at offset o reads slot o mod P, which holds the kernel at |o| exactly when
+|o| <= P/2.  So every pair is alias-free when P >= 2R, and the window's M+1
+output indices are distinct mod P when P >= M+1; the data, nonzero only at
+indices lo-1..hi-1 < P, loses nothing when a period shorter than M-1 crops
+it.  Each axis therefore takes P = 2 next_smooth(max(R, (M+2)//2)); the
+period depends only on the density, never on the thread count.  Three
+cases sit on these bounds:
+
+* Full support (lo = 1, hi = M-1) gives R = M-1 and P = 2(M-1) when M-1 is
+  7-smooth.  The offsets -(M-1) and M-1 then share one slot, where the even
+  kernel holds the same value G(M-1); one even step shorter, 2(M-2), folds
+  +-(M-1) onto -+(M-3), whose kernel values differ.
+* A single occupied slice in the middle of an odd M has R = (M+1)/2 and
+  P = M+1 when R is 7-smooth: the offset R reads slot P/2, the DCT-I end
+  point, so offsets up to P/2 inclusive are evaluated.
+* Since R >= M/2, the window term (M+2)//2 binds only for a middle slice at
+  even M (R = M/2; P = M would give face nodes 0 and M one index, though
+  their offsets -+M/2 read one kernel value) and for an all-zero density
+  (R = 0).  It keeps the window's indices distinct and inside the period.
 
 Since the FFT is linear, the slices are summed in frequency space: each
 non-empty slice is transformed once, its spectrum times the real kernel
@@ -99,26 +115,32 @@ def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues
     return BoundaryValues(grid, faces)
 
 
-def _periods(grid: UniformGrid, axis: int) -> tuple[int, ...]:
-    """FFT periods P_s = 2 next_smooth(M_s-1) >= 2(M_s-1) of the in-face axes s != axis."""
-    return tuple(2 * next_smooth_length(m - 1)
-                 for s, m in enumerate(grid.panels) if s != axis)
+def _periods(panels, reach) -> list[int]:
+    """Even FFT periods P_s = 2 next_smooth(max(R_s, (M_s+2)//2)) >= max(2 R_s, M_s+1).
+
+    ``reach[s]`` is R_s, the largest distance in panels from an occupied
+    slice along axis s to either face of that axis (0 if none is occupied);
+    see the module docstring.
+    """
+    return [2 * next_smooth_length(max(r, (m + 2) // 2)) for m, r in zip(panels, reach)]
 
 
-def _kernel_spectra(grid: UniformGrid, axis: int, dists, workers: int) -> np.ndarray:
+def _kernel_spectra(grid: UniformGrid, axis: int, dists, periods, workers: int) -> np.ndarray:
     """Real DFTs of the kernels at whole-panel normal distances ``dists``.
 
-    Row i holds kernel i's spectrum at the non-negative frequencies 0..P_s/2
-    of every in-face axis: one batched DCT-I of the kernels' non-negative
-    offset quadrants, zero-filled to P_s/2+1 per axis.  The Trapezoidal
+    ``periods`` holds the period P_s of every in-face axis s != axis.  Row i
+    holds kernel i's spectrum at the non-negative frequencies 0..P_s/2 of
+    every in-face axis: one batched DCT-I of the kernel's values at offsets
+    0..min(M_s-1, P_s/2), zero-filled to P_s/2+1 per axis.  The Trapezoidal
     weights are folded in, so each spectrum serves both faces of the axis.
     """
-    # squared in-face distances at offsets 0..M_s-1
-    in_face = sum(np.ix_(*((np.arange(m) * grid.mesh[s]) ** 2
-                           for s, m in enumerate(grid.panels) if s != axis)))
+    in_axes = [s for s in range(grid.dim) if s != axis]
+    # squared in-face distances at offsets 0..min(M_s-1, P_s/2)
+    in_face = sum(np.ix_(*((np.arange(min(grid.panels[s], p // 2 + 1)) * grid.mesh[s]) ** 2
+                           for s, p in zip(in_axes, periods, strict=True))))
     normal = ((np.asarray(dists) * grid.mesh[axis]) ** 2).reshape(
         (-1,) + (1,) * in_face.ndim)
-    buf = np.zeros((len(dists),) + tuple(p // 2 + 1 for p in _periods(grid, axis)))
+    buf = np.zeros((len(dists),) + tuple(p // 2 + 1 for p in periods))
     kernel = buf[(slice(None),) + tuple(slice(0, n) for n in in_face.shape)]
     weight = float(np.prod(grid.mesh))
     step = max(1, 2**16 // in_face.size)  # blocks of rows keep temporaries small
@@ -151,8 +173,9 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
 
     Mathematically identical to :func:`boundary_values_naive` (the slices
     cover exactly the interior sources); agreement is limited only by FFT
-    roundoff.  Per face-normal axis, the kernel spectra at every normal
-    distance a non-empty source slice needs are built at once, by one
+    roundoff.  The in-face FFT periods follow the density's support
+    (:func:`_periods`).  Per face-normal axis, the kernel spectra at every
+    normal distance a non-empty source slice needs are built at once, by one
     batched DCT-I of the kernels' non-negative offsets; they are real
     because the kernels are even.  Each non-empty slice is then transformed
     once, its spectrum times the kernel spectrum at its distance to each of
@@ -170,25 +193,28 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
 
     interior = rho.interior()
     nonzero = interior != 0
+    in_axes = [tuple(t for t in range(grid.dim) if t != s) for s in range(grid.dim)]
+    # Slice p along axis s lies p panels from the lower face and M_s - p from
+    # the upper; the farthest of these distances is the reach of axis s.
+    occupied = [(np.flatnonzero(nonzero.any(axis=in_axes[s])) + 1).tolist()
+                for s in range(grid.dim)]
+    dists = [sorted({q for p in nodes for q in (p, m - p)})
+             for nodes, m in zip(occupied, grid.panels)]
+    all_periods = _periods(grid.panels, [max(d, default=0) for d in dists])
     faces = {}
-    for axis in range(grid.dim):
-        in_axes = tuple(s for s in range(grid.dim) if s != axis)
-        periods = _periods(grid, axis)
-        m = grid.panels[axis]
-        # Slice p lies p panels from the lower face and m - p from the upper.
-        occupied = (np.flatnonzero(nonzero.any(axis=in_axes)) + 1).tolist()
-        dists = sorted({q for p in occupied for q in (p, m - p)})
-        row = {q: i for i, q in enumerate(dists)}
-        kernels = _kernel_spectra(grid, axis, dists, thread_count)
+    for axis, m in enumerate(grid.panels):
+        periods = tuple(all_periods[s] for s in in_axes[axis])
+        row = {q: i for i, q in enumerate(dists[axis])}
+        kernels = _kernel_spectra(grid, axis, dists[axis], periods, thread_count)
         half = periods[:-1] + (periods[-1] // 2 + 1,)
         acc = np.zeros((2,) + half, dtype=complex)  # lower, upper face
-        for p in occupied:  # fixed order: deterministic
+        for p in occupied[axis]:  # fixed order: deterministic
             x = interior[(slice(None),) * axis + (p - 1,)]
             spectrum = sfft.rfftn(x, periods, workers=thread_count)
             _add_product(acc[0], spectrum, kernels[row[p]])
             _add_product(acc[1], spectrum, kernels[row[m - p]])
         # Face nodes 0..M_s are the circular indices -1..M_s-1.
-        window = np.ix_(*(range(-1, grid.panels[s]) for s in in_axes))
+        window = np.ix_(*(range(-1, grid.panels[s]) for s in in_axes[axis]))
         for side in (0, 1):
             out = sfft.irfftn(acc[side], periods, workers=thread_count)
             faces[(axis, side)] = out[window]

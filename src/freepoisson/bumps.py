@@ -141,14 +141,14 @@ class PolyBump:
 
         Evaluated from the squared distance, u = |x - center|^2 / eps^2, as
         gamma * max(1 - u, 0)^p: no square root, and exactly 0 outside the
-        support.
+        support.  The power and the scaling run only where 1 - u > 0.
         """
         w = self._square_distance(coords)
         w /= self.epsilon**2
         np.subtract(1.0, w, out=w)
         np.maximum(w, 0.0, out=w)
-        w **= self.p
-        w *= self.gamma
+        inside = w > 0
+        w[inside] = w[inside] ** self.p * self.gamma
         return w
 
     def potential(self, *coords) -> np.ndarray:

@@ -12,6 +12,7 @@ from freepoisson import (
     boundary_values_fast,
     boundary_values_naive,
 )
+from freepoisson import boundary
 from freepoisson.boundary import _periods
 from freepoisson.greens import green_values
 from freepoisson.transforms import next_smooth_length
@@ -170,11 +171,10 @@ def test_fast_matches_naive_at_minimal_fft_period(panels):
     # M-1 is 7-smooth for M = 8, 9, 10, 11, 13, 16, 17, so the FFT period is
     # exactly 2(M-1), where the offsets -(M-1) and M-1 share one slot: an
     # off-by-one in the period or in the window aliases into the face values.
+    # The density fills every interior node, so each axis reaches M-1.
     dim = len(panels)
     g = UniformGrid([-1.0] * dim, [1.0 + 0.5 * s for s in range(dim)], panels)
-    for axis in range(dim):
-        assert _periods(g, axis) == tuple(
-            2 * (m - 1) for s, m in enumerate(g.panels) if s != axis)
+    assert _periods(panels, [m - 1 for m in panels]) == [2 * (m - 1) for m in panels]
     rho = random_density(g, np.random.default_rng(sum(panels)), collar=1)
     assert rel_face_diff(
         boundary_values_naive(rho), boundary_values_fast(rho)
@@ -232,18 +232,107 @@ def test_nonzero_boundary_density_rejected():
 
 
 def test_fast_periods_cover_all_offsets():
-    g = UniformGrid([-1, -1, -1], [1, 1, 1], [6, 8, 12])
-    assert _periods(g, 0) == (14, 24)  # 2 next_smooth(M-1): 2*7, 2*12
-    for axis in range(g.dim):
-        in_panels = [m for s, m in enumerate(g.panels) if s != axis]
-        for m, n in zip(in_panels, _periods(g, axis), strict=True):
-            assert n == 2 * next_smooth_length(m - 1) >= 2 * (m - 1)
-            # Face nodes 0..M are the circular output indices -1..M-1.
-            # Output index c and data index k (source node k+1) read the
-            # kernel at offset c-k, stored in slot (c-k) mod n.  Offsets that
-            # share a slot must have the same distance: the kernel is even.
-            slot = {}
-            for c in range(-1, m):
-                for k in range(m - 1):
-                    assert slot.setdefault((c - k) % n, abs(c - k)) == abs(c - k)
-            assert min(slot.values()) == 0 and max(slot.values()) == m - 1
+    # Every support range lo..hi of an axis with M panels: the period of its
+    # reach R = max(hi, M - lo) must read every offset the face window
+    # meets exactly, and keep the window's output indices distinct.
+    for m in range(4, 18):
+        for lo in range(1, m):
+            for hi in range(lo, m):
+                reach = max(hi, m - lo)
+                [n] = _periods([m], [reach])
+                assert type(n) is int and n % 2 == 0
+                assert n >= max(m + 1, 2 * reach)
+                if (lo, hi) == (1, m - 1):  # full support: the old period
+                    assert n == 2 * next_smooth_length(m - 1)
+                # Face nodes 0..M are the circular output indices -1..M-1;
+                # data index k holds source node k+1.
+                assert len({c % n for c in range(-1, m)}) == m + 1
+                assert hi - 1 < n  # a period shorter than M-1 crops only zeros
+                # Slot r holds the kernel at offset min(r, n-r), evaluated
+                # for offsets 0..min(M-1, n/2).
+                for c in range(-1, m):
+                    for k in range(lo - 1, hi):
+                        r = (c - k) % n
+                        assert min(r, n - r) == abs(c - k) <= min(m - 1, n // 2)
+    assert _periods([6, 8, 12], [5, 7, 11]) == [10, 14, 24]  # 2 next_smooth(M-1)
+    assert _periods([6, 8, 12], [0, 0, 0]) == [8, 10, 14]  # empty: window only
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("m", range(8, 18))
+def test_fast_matches_naive_for_a_single_central_node(dim, m):
+    # One node in the middle: the smallest reach, R = ceil(M/2).  At odd M
+    # the period can be M+1, where the offset R reads the DCT-I end point
+    # P/2.  At even M the window term (M+2)//2 sets the period; without it,
+    # P = M would give face nodes 0 and M one output index, which their
+    # mirror-equal kernel values hide here.  The distinct-index check above
+    # and the zero density pin that term instead.
+    g = UniformGrid([-1.0] * dim, [1.0 + 0.25 * s for s in range(dim)], [m] * dim)
+    vals = np.zeros(g.shape)
+    vals[(m // 2,) * dim] = 1.0
+    rho = GridFunction(g, vals)
+    assert rel_face_diff(
+        boundary_values_naive(rho), boundary_values_fast(rho)
+    ) <= 1e-11
+
+
+def _recorded_inverse_periods(monkeypatch) -> list:
+    """Patch ``boundary.sfft`` to record the period of every inverse FFT."""
+    shapes, real = [], boundary.sfft
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def irfftn(self, x, shape, **kwargs):
+            shapes.append(shape)
+            return real.irfftn(x, shape, **kwargs)
+
+    monkeypatch.setattr(boundary, "sfft", Recording())
+    return shapes
+
+
+def _reach(rho: GridFunction) -> list[int]:
+    nonzero = rho.interior() != 0
+    reach = []
+    for s, m in enumerate(rho.grid.panels):
+        nodes = np.flatnonzero(nonzero.any(axis=tuple(t for t in range(rho.grid.dim) if t != s))) + 1
+        reach.append(int(max(nodes[-1], m - nodes[0])))
+    return reach
+
+
+def test_cli_bump_periods_shrink_below_the_full_face(monkeypatch):
+    # The CLI's default bump on [-1,1]^3 at M=96 reaches well under M-1 on
+    # every axis, so no in-face period may fall back to 2 next_smooth(95).
+    m = 96
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [m] * 3)
+    rho = GridFunction.from_callable(g, PolyBump(3, 0.4, 7, (1 / math.sqrt(31), 0.2, 0.1)))
+    reach = _reach(rho)
+    shapes = _recorded_inverse_periods(monkeypatch)
+    boundary_values_fast(rho)
+    assert len(shapes) == 6  # two faces per normal axis, in axis order
+    for k, shape in enumerate(shapes):
+        in_axes = [s for s in range(3) if s != k // 2]
+        for s, n in zip(in_axes, shape, strict=True):
+            assert max(m + 1, 2 * reach[s]) <= n < 2 * next_smooth_length(m - 1) == 192
+
+
+@pytest.mark.parametrize("panels", [(300, 200), (40, 48, 56)])
+def test_thread_count_bitwise_invariance_on_shrunk_periods(panels):
+    # A small off-centre support: every in-face period is shorter than the
+    # full-face 2 next_smooth(M-1), unlike the full-support densities above.
+    rng = np.random.default_rng(17)
+    dim = len(panels)
+    g = UniformGrid([-1.0] * dim, [1.0 + 0.25 * s for s in range(dim)], panels)
+    vals = np.zeros(g.shape)
+    box = tuple(slice(m // 2 - 6, m // 2 + 2) for m in panels)
+    vals[box] = rng.standard_normal(vals[box].shape)
+    rho = GridFunction(g, vals)
+    assert all(n < 2 * next_smooth_length(m - 1)
+               for n, m in zip(_periods(panels, _reach(rho)), panels, strict=True))
+    ref = boundary_values_fast(rho, 1)
+    for threads in (2, 3):
+        other = boundary_values_fast(rho, threads)
+        assert all(
+            np.array_equal(ref.faces[k], other.faces[k]) for k in ref.faces
+        )

@@ -174,3 +174,17 @@ def test_density_matches_density_radial(dim, p):
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.max(np.abs(got - want)) <= 1e-15 * bump.gamma
     assert np.any(got == 0.0) and np.max(got) > 0.9 * bump.gamma
+
+
+@pytest.mark.parametrize("p", [1, 7])
+def test_density_bitwise_equals_clipped_power(p):
+    # The power and the scaling run only inside the support; a grid that
+    # straddles the support edge must still give exactly the plain formula.
+    bump = PolyBump(3, 0.4, p, (0.1, -0.05, 0.07))
+    x, y, z = np.meshgrid(*(np.linspace(-0.5, 0.5, 23),) * 3, indexing="ij", sparse=True)
+    u = ((x - 0.1) ** 2 + (y + 0.05) ** 2 + (z - 0.07) ** 2) / 0.4**2
+    expect = bump.gamma * np.maximum(1 - u, 0) ** p
+    assert 0 < np.count_nonzero(expect) < expect.size
+    got = bump.density(x, y, z)
+    assert got.shape == expect.shape and np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
