@@ -56,7 +56,13 @@ cases sit on these bounds:
 Since the FFT is linear, the slices are summed in frequency space: each
 non-empty slice is transformed once, its spectrum times the real kernel
 spectra of both opposite faces is added to one accumulator per face, and
-each face needs a single inverse FFT.  ``thread_count`` is passed to
+each face needs a single inverse FFT.  A slice's transform is ``rfftn``'s
+own sequence with the zero rows left out: the r2c along the last in-face
+axis runs only on the range of rows occupied in the whole density (along
+the first in-face axis in 3D; a 2D slice is one row), the results are
+placed in a zeroed half spectrum, and the c2c runs along the leading
+in-face axis.  A skipped row would transform to exact zeros, so the
+spectrum is bitwise ``rfftn``'s.  ``thread_count`` is passed to
 ``scipy.fft`` as ``workers``; each 1D transform is computed the same way on
 any worker and the accumulation order is fixed, which makes the output
 bitwise independent of the thread count.
@@ -153,6 +159,23 @@ def _kernel_spectra(grid: UniformGrid, axis: int, dists, periods, workers: int) 
                      workers=workers, overwrite_x=True)
 
 
+def _slice_spectrum(x: np.ndarray, rows, periods, workers: int) -> np.ndarray:
+    """``rfftn(x, periods)``, with the r2c only on the rows that can be nonzero.
+
+    ``rows`` holds one slice per leading axis of ``x`` (none for 1D data)
+    that covers every row with a nonzero value and ends within its period.
+    As in ``rfftn``, the r2c runs along the last axis and a c2c along each
+    leading axis in turn; the skipped rows would transform to exact zeros,
+    so the result is bitwise equal.
+    """
+    spectrum = np.zeros(periods[:-1] + (periods[-1] // 2 + 1,), dtype=complex)
+    spectrum[rows] = sfft.rfftn(x[rows], periods[-1:], axes=(-1,), workers=workers)
+    for a in range(len(periods) - 1):
+        spectrum = sfft.fftn(spectrum, periods[a:a + 1], axes=(a,),
+                             workers=workers, overwrite_x=True)
+    return spectrum
+
+
 def _add_product(acc: np.ndarray, spectrum: np.ndarray, kernel: np.ndarray):
     """``acc += spectrum * K`` for the full real, even kernel spectrum K.
 
@@ -201,6 +224,7 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     dists = [sorted({q for p in nodes for q in (p, m - p)})
              for nodes, m in zip(occupied, grid.panels)]
     all_periods = _periods(grid.panels, [max(d, default=0) for d in dists])
+    span = [slice(nodes[0] - 1, nodes[-1]) if nodes else slice(0) for nodes in occupied]
     faces = {}
     for axis, m in enumerate(grid.panels):
         periods = tuple(all_periods[s] for s in in_axes[axis])
@@ -208,9 +232,11 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
         kernels = _kernel_spectra(grid, axis, dists[axis], periods, thread_count)
         half = periods[:-1] + (periods[-1] // 2 + 1,)
         acc = np.zeros((2,) + half, dtype=complex)  # lower, upper face
+        # rows of the leading in-face axes (one in 3D, none in 2D) that hold the density
+        rows = tuple(span[s] for s in in_axes[axis][:-1])
         for p in occupied[axis]:  # fixed order: deterministic
             x = interior[(slice(None),) * axis + (p - 1,)]
-            spectrum = sfft.rfftn(x, periods, workers=thread_count)
+            spectrum = _slice_spectrum(x, rows, periods, thread_count)
             _add_product(acc[0], spectrum, kernels[row[p]])
             _add_product(acc[1], spectrum, kernels[row[m - p]])
         # Face nodes 0..M_s are the circular indices -1..M_s-1.

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freepoisson import (
     BoundaryValues,
@@ -13,7 +16,7 @@ from freepoisson import (
     boundary_values_naive,
 )
 from freepoisson import boundary
-from freepoisson.boundary import _periods
+from freepoisson.boundary import _periods, _slice_spectrum
 from freepoisson.greens import green_values
 from freepoisson.transforms import next_smooth_length
 from oracles import node_coordinate
@@ -336,3 +339,64 @@ def test_thread_count_bitwise_invariance_on_shrunk_periods(panels):
         assert all(
             np.array_equal(ref.faces[k], other.faces[k]) for k in ref.faces
         )
+
+
+@st.composite
+def slices_with_rows(draw):
+    """Slice data (1D, as in 2D, or 2D, as in 3D) with a random range of
+    occupied rows along the leading axis, and periods from below to above
+    the data length."""
+    shape = draw(st.lists(st.integers(1, 14), min_size=1, max_size=2))
+    rows = ()
+    if len(shape) == 2:
+        lo = draw(st.integers(0, shape[0]))  # lo == hi: an all-zero slice
+        rows = (slice(lo, draw(st.integers(lo, shape[0]))),)
+    # the leading period must hold every occupied row; the last one may crop
+    lead = [draw(st.integers(max(rows[0].stop, 1), shape[0] + 9))] if rows else []
+    periods = tuple(lead + [draw(st.integers(1, shape[-1] + 9))])
+    return tuple(shape), rows, periods, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(slices_with_rows())
+@example(((12, 13), (slice(3, 8),), (8, 10), 1))  # both periods shorter than M-1 = 12, 13
+@example(((12, 13), (slice(0, 12),), (24, 26), 2))  # both longer, rows at either end
+@example(((12, 13), (slice(5, 5),), (16, 16), 3))  # an all-zero slice
+@example(((13,), (), (10,), 4))  # 2D: one row, cropped
+@example(((13,), (), (28,), 5))  # 2D: one row, padded
+def test_slice_spectrum_is_bitwise_rfftn(case):
+    shape, rows, periods, seed = case
+    x = np.zeros(shape)
+    x[rows] = np.random.default_rng(seed).standard_normal(x[rows].shape)
+    assert np.array_equal(_slice_spectrum(x, rows, periods, 1), sfft.rfftn(x, periods))
+
+
+@pytest.mark.parametrize("panels", [(17, 12), (11, 9, 13)])
+def test_fast_fft_calls_pass_the_shape_as_a_positional_tuple(monkeypatch, panels):
+    # Per-call FFT counters (as in perfbench's tracer) take the transform
+    # shape as the second positional argument, a tuple; any other call form
+    # must fail here rather than in a traced benchmark run.
+    real, calls = boundary.sfft, []
+
+    class TupleShapeOnly:
+        def __getattr__(self, name):
+            fn = getattr(real, name)
+            if "fft" not in name:  # dctn and the like are not counted
+                return fn
+
+            def checked(x, shape, *args, **kwargs):
+                if not isinstance(shape, tuple):
+                    raise TypeError(f"{name}: expected the transform shape as a tuple")
+                calls.append(name)
+                return fn(x, shape, *args, **kwargs)
+
+            return checked
+
+    rho = random_density(UniformGrid([-1.0] * len(panels), [1.0] * len(panels), panels),
+                         np.random.default_rng(29))
+    ref = boundary_values_fast(rho)
+    monkeypatch.setattr(boundary, "sfft", TupleShapeOnly())
+    got = boundary_values_fast(rho)
+    assert {"rfftn", "irfftn"} <= set(calls)
+    assert ("fftn" in calls) == (len(panels) == 3)  # the leading in-face axis
+    assert all(np.array_equal(ref.faces[k], got.faces[k]) for k in ref.faces)

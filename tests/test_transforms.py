@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freepoisson import (
     GridFunction,
@@ -59,8 +62,10 @@ def test_single_mode_has_unit_coefficient():
 
 
 def test_forward_of_zero_is_zero():
-    g = UniformGrid([0, 0], [1, 1], [5, 5])
-    assert np.all(forward_dst(GridFunction.zeros(g)) == 0.0)
+    for panels in ([9], [5, 5], [8, 9, 7]):  # an empty support box: every line is skipped
+        g = UniformGrid([0] * len(panels), [1] * len(panels), panels)
+        got = forward_dst(GridFunction.zeros(g))
+        assert got.shape == g.interior_shape and np.all(got == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -148,3 +153,57 @@ def test_inverse_rejects_coefficients_of_another_grid():
     g = UniformGrid([0.0, 0.0], [1.0, 1.0], [6, 5])
     with pytest.raises(ShapeError, match=r"\(4, 5\).*\(5, 4\)"):
         inverse_dst(np.zeros((4, 5)), g)
+
+
+def _supported(panels, box, seed) -> GridFunction:
+    """Random values on the interior index box ``box`` ((lo, hi) per axis,
+    inclusive) of a unit grid with ``panels``, zero elsewhere."""
+    g = UniformGrid([0.0] * len(panels), [1.0] * len(panels), panels)
+    vals = np.zeros(g.shape)
+    inside = tuple(slice(lo + 1, hi + 2) for lo, hi in box)
+    vals[inside] = np.random.default_rng(seed).standard_normal(vals[inside].shape)
+    return GridFunction(g, vals)
+
+
+def _dstn_coefficients(f: GridFunction) -> np.ndarray:
+    """The unpruned transform: ``dstn`` over every line, scaled like forward_dst."""
+    coeff = sfft.dstn(f.interior(), type=1)
+    coeff *= 1.0 / np.prod([float(m) for m in f.grid.panels])
+    return coeff
+
+
+@st.composite
+def support_boxes(draw):
+    """Panels (2..12 per axis, 1D to 3D) and an interior index box in them."""
+    dim = draw(st.integers(1, 3))
+    panels = draw(st.lists(st.integers(2, 12), min_size=dim, max_size=dim))
+    box = []
+    for m in panels:
+        lo = draw(st.integers(0, m - 2))
+        box.append((lo, draw(st.integers(lo, m - 2))))
+    return tuple(panels), tuple(box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_boxes(), st.integers(0, 2**32 - 1))
+@example(((9,), ((0, 7),)), 1)  # full support, 1D
+@example(((8, 9, 7), ((0, 6), (0, 7), (0, 5))), 2)  # full support, 3D
+@example(((8, 9, 7), ((0, 0), (0, 0), (0, 0))), 3)  # one node at the lower corner
+@example(((8, 9, 7), ((6, 6), (7, 7), (5, 5))), 4)  # one node at the upper corner
+@example(((10, 6), ((0, 3), (2, 4))), 5)  # touches the lower end of axis 0
+@example(((10, 6), ((5, 8), (0, 4))), 6)  # touches the upper end of axis 0
+@example(((6, 7, 8), ((2, 3), (1, 5), (3, 6))), 7)  # touches the upper end of axis 2 only
+def test_forward_is_bitwise_equal_to_dstn_on_support_boxes(case, seed):
+    panels, box = case
+    f = _supported(panels, box, seed)
+    assert np.array_equal(forward_dst(f), _dstn_coefficients(f))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("panels", [(8, 9), (8, 9, 7)])
+def test_forward_never_skips_a_non_finite_line(panels, bad):
+    f = _supported(panels, [(2, 4)] * len(panels), 11)
+    f.values[(6,) * len(panels)] = bad  # outside the finite support box
+    got = forward_dst(f)
+    np.testing.assert_array_equal(got, _dstn_coefficients(f))
+    assert not np.all(np.isfinite(got))
