@@ -29,15 +29,16 @@ SUPPORT_RTOL = 1e-14
 
 
 def continuous_eigenvalues(grid: UniformGrid) -> np.ndarray:
-    """Continuous Laplacian eigenvalue per interior sine mode (all negative)."""
-    total = np.zeros(grid.interior_shape)
-    for s in range(grid.dim):
-        length = grid.upper[s] - grid.lower[s]
-        k = np.arange(1, grid.panels[s])
-        shape = [1] * grid.dim
-        shape[s] = k.size
-        total -= ((k * math.pi / length) ** 2).reshape(shape)
-    return total
+    """Continuous Laplacian eigenvalue per interior sine mode (all negative).
+
+    One outer difference of axis 0's table and the trailing axes' sum, so
+    the full-volume pass runs along whole trailing planes.
+    """
+    squares = [
+        (np.arange(1, m) * math.pi / (grid.upper[s] - grid.lower[s])) ** 2
+        for s, m in enumerate(grid.panels)
+    ]
+    return np.subtract.outer(-squares[0], sum(np.ix_(*squares[1:]), 0.0))
 
 
 def check_support(rho: GridFunction, rtol: float = SUPPORT_RTOL) -> float:

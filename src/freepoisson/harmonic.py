@@ -69,12 +69,40 @@ whole volume does:
   terms are added to Q u first, so the extrapolation reads them like any
   other value; the extrapolation to edges, then corners, runs on those face
   arrays.  Each face's depth-1 change goes back like the boundary transfer,
-  a depth-1 node being counted by the face of its lowest depth-1 axis.  The
-  contractions and the scatters are elementwise (``np.einsum``, no BLAS);
-  a scatter runs in blocks sized by element count along the first axis.
+  a depth-1 node being counted by the face of its lowest depth-1 axis.
+* Scatters and contractions.  A scatter adds a face pair's in-face DSTs,
+  times the normal's row, to the coefficients, in blocks of ``matmul`` with
+  an (n, 2) table: the row zeroed off odd k in one column and off even k
+  in the other.  Every table row has one nonzero entry, so every output of
+  a product is one rounded product plus exact zeros: neither BLAS's
+  blocking, nor its use of FMA, nor its thread count can change a bit,
+  and the result is that of an elementwise loop.  A product with two
+  nonzero terms per row, or a sum over k in BLAS, has no such guarantee;
+  with OpenBLAS both were seen to change bits between one and two threads.
+  So the depth-1 and depth-2 layers go through separate scatters, and the
+  contractions along the normals stay elementwise (``np.einsum``, no BLAS).
+* Tables.  The operator's symbol, Q and the spectral solve's continuous
+  eigenvalues are built factored along axis 0, from contiguous tables over
+  the trailing axes, so every full-volume pass runs along whole trailing
+  planes: the symbol as lam_0 A + P, and Q u in place as
+  ((mu_0 Y + X) mu_0 + P) u.
 
 An order-6 solve thus makes no full-volume DST of its own: the free-space
-solve makes two, the spectral forward DST and the shared inverse.
+solve makes two, the spectral forward DST and the shared inverse.  Besides
+them, a 3D order-6 free-space solve makes 33 elementwise full-volume passes
+from :func:`harmonic_modes` to the restricted potential (2D: 28):
+
+* :func:`harmonic_modes`, 24 (2D: 19): the symbol 3 (its outer product,
+  the added table, the zero check); the boundary transfer 4 (2D: 3; zeros
+  and a scatter per axis); dividing by the symbol 1; Q u 5 (2D: 4); a
+  depth-2 scatter, a contraction and a depth-1 scatter per axis, 9 (2D:
+  6); dividing the correction by the symbol and adding it, 2;
+* the spectral coefficients, 4: the forward DST's scaling, the eigenvalue
+  table, dividing by it, adding the coefficients to the harmonic ones;
+* the boundary-extended node array 1, the inverse DST 3 (a copy to
+  transform in place, its scaling, the copy into the node array), the
+  finiteness check 1, and the restriction to the user grid 1 when the grid
+  was padded.
 
 In one dimension the exact solution is linear, so no machinery is needed.
 """
@@ -114,32 +142,29 @@ def discrete_eigenvalues(grid: UniformGrid) -> list[np.ndarray]:
     return out
 
 
-def _pair_sum(shape, tables: dict) -> np.ndarray:
-    """sum over axis pairs (r, s) of ``tables[r, s]`` (a 2D table), broadcast.
-
-    Each table is added in place, so no full-size temporary is made.
-    """
-    out = np.zeros(shape)
-    for (r, s), table in tables.items():
-        out += table.reshape([shape[a] if a in (r, s) else 1 for a in range(len(shape))])
-    return out
-
-
 def build_operator_symbol(grid: UniformGrid) -> np.ndarray:
-    """Tabulate the operator's eigenvalue per discrete sine mode."""
+    """Tabulate the operator's eigenvalue per discrete sine mode.
+
+    Factored along axis 0 as lam_0 A + P, with A = 1 + sum_{s>0} c_0s lam_s
+    and P the rest, two contiguous tables over the trailing axes, so that
+    each full-volume pass runs along whole trailing planes.
+    """
     if grid.dim not in (2, 3):
         raise ShapeError("compact harmonic operator is defined for dim 2 and 3")
     lam = discrete_eigenvalues(grid)
-    h = grid.mesh
-    tables = {
-        (r, s): (h[r] ** 2 + h[s] ** 2) / 12.0 * np.multiply.outer(lam[r], lam[s])
-        for r, s in itertools.combinations(range(grid.dim), 2)
-    }
-    # each lam_s once, in a table that spans axis s
-    tables[0, 1] += lam[0][:, None]
-    for s in range(1, grid.dim):
-        tables[0, s] += lam[s]
-    symbol = _pair_sum(grid.interior_shape, tables)
+    h2 = [h * h for h in grid.mesh]
+    trail = np.ix_(*lam[1:])
+
+    def c(r, s):
+        return (h2[r] + h2[s]) / 12.0
+
+    slope = 1.0 + sum(c(0, s) * trail[s - 1] for s in range(1, grid.dim))
+    rest = sum(trail) + sum(
+        c(r, s) * trail[r - 1] * trail[s - 1]
+        for r, s in itertools.combinations(range(1, grid.dim), 2)
+    )
+    symbol = np.multiply.outer(lam[0], slope)
+    symbol += rest
     if np.any(symbol == 0.0):
         raise ShapeError("compact operator has a vanishing eigenvalue on this grid")
     return symbol
@@ -156,24 +181,26 @@ def _d2(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _scatter(out: np.ndarray, axis: int, row: np.ndarray, faces: np.ndarray) -> None:
-    """``out += row faces[p]`` spread along ``axis``, p = 0 for odd k and 1 for even k.
+def _scatter(out: np.ndarray, axis: int, table: np.ndarray, faces: np.ndarray) -> None:
+    """``out += sum_c table[k, c] faces[c]`` spread along ``axis``.
 
-    ``row`` is over k along ``axis``; ``faces`` is (2, *face).  With the row
-    zeroed off each parity as a (2, k) table, each block of ``out`` along its
-    first axis, about ``_BLOCK`` elements, is one ``einsum`` over p.
+    ``table`` is (n, C) over k along ``axis``; ``faces`` is (C, *face).
+    Runs in blocks of ``out``'s first axis of about ``_BLOCK`` elements,
+    each one ``matmul``: on axis 0 the table's block rows times faces as
+    (C, B); on the last axis faces as (C, A) transposed times the table
+    transposed; on the middle axis of 3D the table times faces as (A, C, B).
     """
-    parity = np.zeros((2, row.size))
-    parity[0, 0::2] = row[0::2]
-    parity[1, 1::2] = row[1::2]
-    letters = "abc"[:out.ndim]
-    spec = f"p{letters[axis]},p{letters.replace(letters[axis], '')}->{letters}"
+    n, c = table.shape
     step = max(1, _BLOCK * out.shape[0] // out.size)
     for start in range(0, out.shape[0], step):
-        block = [slice(None)] * out.ndim
-        block[0] = slice(start, start + step)
-        k = block.pop(axis)
-        out[start:start + step] += np.einsum(spec, parity[:, k], faces[(slice(None), *block)])
+        rows = slice(start, start + step)
+        block = out[rows]
+        if axis == 0:
+            block += (table[rows] @ faces.reshape(c, -1)).reshape(block.shape)
+        elif axis == out.ndim - 1:
+            block += (faces[:, rows].reshape(c, -1).T @ table.T).reshape(block.shape)
+        else:
+            block += table @ faces[:, rows].transpose(1, 0, 2)
 
 
 def _add_layer(coeff: np.ndarray, grid: UniformGrid, layers: dict, depth: int) -> np.ndarray:
@@ -181,15 +208,19 @@ def _add_layer(coeff: np.ndarray, grid: UniformGrid, layers: dict, depth: int) -
 
     ``layers[a, side]`` holds the values on face (a, side)'s interior nodes.
     Along a the far side's factor is the near side's times (-1)^(k+1), so
-    odd k take the sides' in-face DSTs summed and even k differenced.
+    odd k take the sides' in-face DSTs summed and even k differenced: one
+    scatter of the row zeroed off each parity, as an (n, 2) table.
     Returns ``coeff``.
     """
     scale = 2.0 / np.prod([float(m) for m in grid.panels])
     for a, m in enumerate(grid.panels):
         near, far = layers[a, 0], layers[a, 1]
         row = scale * np.sin(depth * np.arange(1, m) * np.pi / m)
+        table = np.zeros((m - 1, 2))
+        table[0::2, 0] = row[0::2]
+        table[1::2, 1] = row[1::2]
         sides = sfft.dstn(np.stack([near + far, near - far]), type=1, axes=range(1, grid.dim))
-        _scatter(coeff, a, row, sides)
+        _scatter(coeff, a, table, sides)
     return coeff
 
 
@@ -253,7 +284,36 @@ def _owner(grid: UniformGrid, layer: dict, at: dict):
     return layer[a, at[a][1]], tuple(idx)
 
 
-def _face_terms(g: BoundaryValues, weight) -> dict:
+def _weights(grid: UniformGrid) -> dict:
+    """The correction's c_rs = 1/(240 h_s^2) + 1/(144 h_r^2), per ordered axis pair."""
+    h2 = [h * h for h in grid.mesh]
+    return {
+        (r, s): 1.0 / (240.0 * h2[s]) + 1.0 / (144.0 * h2[r])
+        for r, s in itertools.permutations(range(grid.dim), 2)
+    }
+
+
+def _q_times(u: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """Q u in a new array, Q = sum_r mu_r^2 sum_{s != r} c_rs mu_s.
+
+    Built in place as ((mu_0 Y + X) mu_0 + P) u, with Y, X and P contiguous
+    tables over the trailing axes, so that each full-volume pass runs along
+    whole trailing planes.
+    """
+    d = grid.dim
+    c = _weights(grid)
+    mu = [2.0 * np.cos(np.arange(1, m) * np.pi / m) - 2.0 for m in grid.panels]
+    trail = np.ix_(*mu[1:])
+    out = np.multiply.outer(mu[0], sum(c[0, s] * trail[s - 1] for s in range(1, d)))
+    out += sum(c[s, 0] * trail[s - 1] ** 2 for s in range(1, d))
+    out *= mu[0].reshape((-1,) + (1,) * (d - 1))
+    if d == 3:
+        out += c[1, 2] * trail[0] ** 2 * trail[1] + c[2, 1] * trail[0] * trail[1] ** 2
+    out *= u
+    return out
+
+
+def _face_terms(g: BoundaryValues) -> dict:
     """sum_{s != a} c_as D2_s of each face's data on its depth >= 2 nodes.
 
     The width-two stencil's taps that reach the boundary data, entering the
@@ -262,6 +322,7 @@ def _face_terms(g: BoundaryValues, weight) -> dict:
     """
     grid = g.grid
     d = grid.dim
+    c = _weights(grid)
     terms = {}
     for (a, side), face in g.faces.items():
         term = np.zeros([m - 1 for s, m in enumerate(grid.panels) if s != a])
@@ -269,7 +330,7 @@ def _face_terms(g: BoundaryValues, weight) -> dict:
         for j, s in enumerate(x for x in range(d) if x != a):
             sl = [slice(2, -2)] * (d - 1)
             sl[j] = slice(1, -1)
-            deep += weight(a, s) * _d2(face[tuple(sl)], j)
+            deep += c[a, s] * _d2(face[tuple(sl)], j)
         terms[a, side] = term
     return terms
 
@@ -284,19 +345,8 @@ def _correction_rhs(g: BoundaryValues, u: np.ndarray) -> np.ndarray:
     """
     grid = g.grid
     d = grid.dim
-    h2 = [h * h for h in grid.mesh]
-    mu = [2.0 * np.cos(np.arange(1, m) * np.pi / m) - 2.0 for m in grid.panels]
-
-    def weight(r, s):
-        return 1.0 / (240.0 * h2[s]) + 1.0 / (144.0 * h2[r])
-
-    coeff = _pair_sum(grid.interior_shape, {
-        (r, s): weight(r, s) * np.multiply.outer(mu[r] ** 2, mu[s])
-        + weight(s, r) * np.multiply.outer(mu[r], mu[s] ** 2)
-        for r, s in itertools.combinations(range(d), 2)
-    })
-    coeff *= u
-    _add_layer(coeff, grid, _face_terms(g, weight), 2)
+    coeff = _q_times(u, grid)
+    _add_layer(coeff, grid, _face_terms(g), 2)
 
     # Per face: the series at depth 1 and extrapolated from depths 2..5.
     # Odd and even k are contracted apart (sum: near face, difference: far

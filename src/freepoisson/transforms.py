@@ -74,7 +74,8 @@ def inverse_dst(
             f"extents {grid.interior_shape}"
         )
     values = np.zeros(grid.shape) if out is None else out
-    series = sfft.dstn(coeff, type=1)
+    # A copy transformed in place is faster than dstn's fresh output.
+    series = sfft.dstn(coeff.copy(), type=1, overwrite_x=True)
     series /= 2.0**grid.dim
     values[(slice(1, -1),) * grid.dim] = series
     return GridFunction(grid, values)

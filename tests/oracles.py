@@ -232,3 +232,43 @@ def sixth_order_rhs(u1: GridFunction) -> GridFunction:
                 rhs[tuple(node)] = total / t
 
     return GridFunction(grid, rhs).assert_finite()
+
+
+def _along(grid: UniformGrid, s: int, vec: np.ndarray) -> np.ndarray:
+    """``vec`` over the modes k_s, as a full mode array (outer product with ones)."""
+    return _outer([vec if t == s else np.ones(m - 1) for t, m in enumerate(grid.panels)])
+
+
+def operator_symbol_pairs(grid: UniformGrid) -> np.ndarray:
+    """Compact operator symbol sum_s lam_s + sum_{r<s} (h_r^2 + h_s^2)/12 lam_r lam_s."""
+    h2 = [h * h for h in grid.mesh]
+    lam = [(2.0 * np.cos(np.arange(1, m) * np.pi / m) - 2.0) / h2[s]
+           for s, m in enumerate(grid.panels)]
+    out = np.zeros(grid.interior_shape)
+    for s in range(grid.dim):
+        out += _along(grid, s, lam[s])
+    for r, s in itertools.combinations(range(grid.dim), 2):
+        out += (h2[r] + h2[s]) / 12.0 * _along(grid, r, lam[r]) * _along(grid, s, lam[s])
+    return out
+
+
+def correction_q_pairs(grid: UniformGrid) -> np.ndarray:
+    """The 6th order correction's Q = sum_r mu_r^2 sum_{s != r} c_rs mu_s.
+
+    mu_s = 2 cos(k pi / M_s) - 2 and c_rs = 1/(240 h_s^2) + 1/(144 h_r^2).
+    """
+    h2 = [h * h for h in grid.mesh]
+    mu = [2.0 * np.cos(np.arange(1, m) * np.pi / m) - 2.0 for m in grid.panels]
+    out = np.zeros(grid.interior_shape)
+    for r, s in itertools.permutations(range(grid.dim), 2):
+        c = 1.0 / (240.0 * h2[s]) + 1.0 / (144.0 * h2[r])
+        out += c * _along(grid, r, mu[r] ** 2) * _along(grid, s, mu[s])
+    return out
+
+
+def continuous_eigenvalues_pairs(grid: UniformGrid) -> np.ndarray:
+    """-sum_s (k_s pi / L_s)^2, the continuous Laplacian's eigenvalue per mode."""
+    out = np.zeros(grid.interior_shape)
+    for s, m in enumerate(grid.panels):
+        out -= _along(grid, s, (np.arange(1, m) * np.pi / (grid.upper[s] - grid.lower[s])) ** 2)
+    return out

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepoisson import (
     BoundaryValues,
@@ -13,6 +17,7 @@ from freepoisson import (
     transfer_boundary_to_rhs,
 )
 from freepoisson import harmonic
+from freepoisson.dirichlet import continuous_eigenvalues
 from freepoisson.harmonic import (
     build_operator_symbol,
     discrete_eigenvalues,
@@ -22,7 +27,10 @@ from oracles import (
     assemble_dense,
     boundary_from_full,
     compact_operator_stencil,
+    continuous_eigenvalues_pairs,
+    correction_q_pairs,
     correlate_valid,
+    operator_symbol_pairs,
     sixth_order_rhs,
     solve_harmonic,
 )
@@ -54,6 +62,39 @@ def test_symbol_matches_stencil_on_every_mode(panels):
         applied = correlate_valid(mode, stencil)
         want = symbol[k] * mode[(slice(1, -1),) * g.dim]
         assert np.max(np.abs(applied - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def mode_grids(draw):
+    """Anisotropic 2D and 3D grids of 7 to 40 panels per axis."""
+    dim = draw(st.sampled_from([2, 3]))
+    lower = [draw(st.floats(-2.0, 1.0)) for _ in range(dim)]
+    length = [draw(st.floats(0.25, 4.0)) for _ in range(dim)]
+    panels = [draw(st.integers(7, 40)) for _ in range(dim)]
+    return UniformGrid(lower, [a + b for a, b in zip(lower, length)], panels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode_grids(), st.data())
+def test_factored_tables_match_pair_sums(g, data):
+    # The symbol, Q and the continuous eigenvalues, built factored along
+    # axis 0, against direct sums of outer products over axis pairs.
+    for got, want in [
+        (build_operator_symbol(g), operator_symbol_pairs(g)),
+        (harmonic._q_times(np.ones(g.interior_shape), g), correction_q_pairs(g)),
+        (continuous_eigenvalues(g), continuous_eigenvalues_pairs(g)),
+    ]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # A symbol that vanishes on one mode (eigenvalues zero there on every
+    # axis) is refused.
+    mode = [data.draw(st.integers(0, m - 2)) for m in g.panels]
+    lam = [vec.copy() for vec in discrete_eigenvalues(g)]
+    for vec, k in zip(lam, mode):
+        vec[k] = 0.0
+    with mock.patch.object(harmonic, "discrete_eigenvalues", lambda grid: lam):
+        with pytest.raises(ShapeError, match="vanishing eigenvalue"):
+            build_operator_symbol(g)
 
 
 def test_stencil_point_counts():
@@ -113,21 +154,34 @@ def test_transfer_matches_dense_oracle():
 @pytest.mark.parametrize("shape", [(7, 6), (6, 9), (5, 8, 7), (8, 5, 6)])
 @pytest.mark.parametrize("planes", [1, 2, 3])
 def test_scatter_across_block_boundaries(monkeypatch, shape, planes):
-    # Blocks of a few planes of the first axis, the last one partial on odd
-    # counts: the sum must not depend on where the blocks fall.
+    # Blocks of a few planes of the first axis, whichever axis is scattered;
+    # the last block is partial where the planes do not divide the first
+    # extent, on the last axis too: (7, 6) and (5, 8, 7) at 2 and 3 planes,
+    # (8, 5, 6) at 3.  The sum must not depend on where the blocks fall.
+    # The solver's (n, 2) parity tables give each output one product; a
+    # four-column (two-depth) table gives it two, so those data are small
+    # integers, whose sums are exact in any order.
     monkeypatch.setattr(harmonic, "_BLOCK", planes * int(np.prod(shape[1:])))
     rng = np.random.default_rng(sum(shape) + planes)
-    for axis, n in enumerate(shape):
-        face = [m for s, m in enumerate(shape) if s != axis]
-        row = rng.standard_normal(n)
-        faces = rng.standard_normal((2, *face))
-        out = rng.standard_normal(shape)
-        expected = out.copy()
-        for p in (0, 1):  # odd k take faces[0], even k faces[1]
-            view = np.moveaxis(expected, axis, 0)[p::2]
-            view += row[p::2].reshape((-1,) + (1,) * len(face)) * faces[p]
-        harmonic._scatter(out, axis, row, faces)
-        assert np.array_equal(out, expected)
+    for depths in (1, 2):
+        def draw(*size):
+            return rng.standard_normal(size) if depths == 1 else rng.integers(-8, 9, size) * 1.0
+
+        for axis, n in enumerate(shape):
+            face = [m for s, m in enumerate(shape) if s != axis]
+            table = np.zeros((n, 2 * depths))
+            for c in range(depths):  # odd k take column 2c, even k column 2c + 1
+                row = draw(n)
+                table[0::2, 2 * c] = row[0::2]
+                table[1::2, 2 * c + 1] = row[1::2]
+            faces = draw(2 * depths, *face)
+            out = draw(*shape)
+            expected = out.copy()
+            view = np.moveaxis(expected, axis, 0)
+            for c in range(2 * depths):
+                view += table[:, c].reshape((-1,) + (1,) * len(face)) * faces[c]
+            harmonic._scatter(out, axis, table, faces)
+            assert np.array_equal(out, expected), (depths, axis)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

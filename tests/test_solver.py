@@ -190,20 +190,53 @@ sys.stdout.write(phi.values.tobytes().hex())
 """
 
 
-def test_order6_solve_independent_of_blas_threads():
-    # The solver's contractions avoid BLAS, whose results may depend on its
-    # thread count; the caps must be set before numpy loads, hence a fresh
-    # interpreter per count.
+# A 3D solve runs a scatter along the first, middle and last axis.  The 2D
+# grid of about a thousand panels per axis is where a contraction over k
+# in BLAS gave different bits at one and two OpenBLAS threads.
+_BLAS_PROBE_LARGE = """
+import sys
+import numpy as np
+from freepoisson import PolyBump, SolverConfig, UniformGrid, solve_free_space
+for dim, panels in ((3, [40, 44, 36]), (2, [1000, 600])):
+    bump = PolyBump(dim, 0.4, 7, (0.1, -0.2, 0.05)[:dim])
+    g = UniformGrid([-1] * dim, [1, 1.2, 0.9][:dim], panels)
+    phi, _ = solve_free_space(bump, g, SolverConfig(order=6, padding_panels=2))
+    sys.stdout.write(phi.values.tobytes().hex())
+"""
+
+
+def _blas_probe_outputs(probe: str) -> list[str]:
+    """The probe's output at 1 and at 2 BLAS threads.
+
+    The caps must be set before numpy loads, hence a fresh interpreter per
+    count.
+    """
     src = str(Path(freepoisson.solver.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         run = subprocess.run(
-            [sys.executable, "-c", _BLAS_PROBE],
+            [sys.executable, "-c", probe],
             env=env, capture_output=True, text=True, check=True,
         )
         outputs.append(run.stdout)
+    return outputs
+
+
+def test_order6_solve_independent_of_blas_threads():
+    # BLAS runs only in the harmonic phase's scatters, and each of their
+    # products has one nonzero term per output: the row zeroed off one
+    # parity in each of the table's two columns.  Every output is thus one
+    # rounded product plus exact zeros, which no blocking, FMA or thread
+    # split of BLAS can change.  Sums of several terms (the contractions
+    # along the normals) are elementwise numpy code.
+    outputs = _blas_probe_outputs(_BLAS_PROBE)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_order6_solves_independent_of_blas_threads_3d_and_large_2d():
+    outputs = _blas_probe_outputs(_BLAS_PROBE_LARGE)
     assert outputs[0] and outputs[0] == outputs[1]
 
 
