@@ -23,7 +23,7 @@ from .grid import (
     max_norm_difference,
     restrict_to_subgrid,
 )
-from .harmonic import solve_harmonic_1d, transfer_boundary_to_rhs
+from .harmonic import transfer_boundary_to_rhs
 from .pgrid import read_pgrid, write_pgrid
 from .solver import (
     SolveReport,
@@ -58,7 +58,6 @@ __all__ = [
     "read_pgrid",
     "restrict_to_subgrid",
     "solve_free_space",
-    "solve_harmonic_1d",
     "transfer_boundary_to_rhs",
     "write_pgrid",
 ]

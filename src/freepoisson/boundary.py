@@ -81,6 +81,9 @@ from .transforms import next_smooth_length
 
 __all__ = ["boundary_values_naive", "boundary_values_fast"]
 
+# Boundary nodes per block of the naive sum (bounds its distance table).
+_NAIVE_CHUNK = 256
+
 
 def _interior_points(grid: UniformGrid):
     axes = [grid.axis_coordinates(s)[1:-1] for s in range(grid.dim)]
@@ -89,7 +92,7 @@ def _interior_points(grid: UniformGrid):
             for m in mesh]
 
 
-def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues:
+def boundary_values_naive(rho: GridFunction) -> BoundaryValues:
     """Trapezoidal boundary sums accumulated target node by target node.
 
     Pure reference implementation; use the fast variant for production runs.
@@ -109,8 +112,8 @@ def boundary_values_naive(rho: GridFunction, chunk: int = 256) -> BoundaryValues
             ]
             n = targets[0].size
             vals = np.empty(n)
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
+            for lo in range(0, n, _NAIVE_CHUNK):
+                hi = min(lo + _NAIVE_CHUNK, n)
                 dist_sq = np.zeros((hi - lo, density.size))
                 for t, s in zip(targets, src):
                     diff = t[lo:hi, None] - s[None, :]

@@ -41,12 +41,12 @@ def continuous_eigenvalues(grid: UniformGrid) -> np.ndarray:
     return np.subtract.outer(-squares[0], sum(np.ix_(*squares[1:]), 0.0))
 
 
-def check_support(rho: GridFunction, rtol: float = SUPPORT_RTOL) -> float:
+def check_support(rho: GridFunction) -> float:
     """Verify the density is finite and vanishes on the grid boundary.
 
     Returns max boundary |rho|.  Raises ShapeError when any value is NaN or
     infinite, and SupportViolationError when the boundary maximum exceeds
-    ``rtol * max |rho|``.
+    ``SUPPORT_RTOL * max |rho|``.
     """
     lo, hi = float(np.min(rho.values)), float(np.max(rho.values))
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -58,7 +58,7 @@ def check_support(rho: GridFunction, rtol: float = SUPPORT_RTOL) -> float:
         )
     boundary_max = rho.boundary_abs_max()
     scale = max(hi, -lo)
-    if boundary_max > rtol * scale:
+    if boundary_max > SUPPORT_RTOL * scale:
         raise SupportViolationError(
             f"density is nonzero on the boundary (max {boundary_max:.3e}, "
             f"max |rho| {scale:.3e}); enlarge the domain or add padding"

@@ -126,10 +126,6 @@ class GridFunction:
             )
 
     @classmethod
-    def zeros(cls, grid: UniformGrid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
     def from_callable(cls, grid: UniformGrid, fn) -> "GridFunction":
         """Sample ``fn(x[, y[, z]])`` at all nodes; fn must broadcast."""
         values = fn(*grid.coordinate_arrays())
@@ -185,23 +181,6 @@ class BoundaryValues:
                     )
                 complete[key] = arr
         self.faces = complete
-
-    @classmethod
-    def zeros(cls, grid: UniformGrid) -> "BoundaryValues":
-        return cls(grid, {})
-
-    @classmethod
-    def from_callable(cls, grid: UniformGrid, fn) -> "BoundaryValues":
-        """Sample ``fn`` on every boundary node (fn must broadcast)."""
-        faces = {}
-        for axis in range(grid.dim):
-            for side in (0, 1):
-                faces[(axis, side)] = _broadcast_samples(
-                    fn(*grid.face_coordinate_arrays(axis, side)),
-                    _face_shape(grid, axis),
-                    f"face {(axis, side)} nodes",
-                )
-        return cls(grid, faces)
 
     def as_full_array(self) -> np.ndarray:
         """Full node array with boundary values set and interior zero."""

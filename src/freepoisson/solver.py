@@ -3,12 +3,12 @@
 The infinite-domain solution restricted to the box is assembled from two
 finite-domain solves: the homogeneous-Dirichlet spectral solve of the density
 plus a discrete-harmonic extension of the Green's-function boundary values.
-Both are diagonal in the same discrete sine basis, so in 2D and 3D their
-coefficients are added and evaluated by one inverse DST into the array that
-already carries the boundary values.  The density must keep a zero collar
-near the boundary; the collar is realized by padding the user grid outward
-by whole panels (preserving the mesh), with optional rounding of panel
-counts up to 7-smooth integers for fast FFTs.
+Both are diagonal in the same discrete sine basis, in 1D, 2D and 3D alike,
+so their coefficients are added and evaluated by one inverse DST into the
+array that already carries the boundary values.  The density must keep a
+zero collar near the boundary; the collar is realized by padding the user
+grid outward by whole panels (preserving the mesh), with optional rounding
+of panel counts up to 7-smooth integers for fast FFTs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .boundary import boundary_values_fast
 from .dirichlet import phi_star_modes
 from .errors import AlignmentError, ShapeError, check_count
 from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
-from .harmonic import check_panels, harmonic_modes, solve_harmonic_1d
+from .harmonic import check_panels, harmonic_modes
 from .transforms import inverse_dst, next_smooth_length
 
 __all__ = [
@@ -38,8 +38,9 @@ __all__ = [
 class SolverConfig:
     """Knobs of the free-space solve.
 
-    order: accuracy of the harmonic correction, 4 or 6 (ignored in 1D where
-        the harmonic part is exact).
+    order: accuracy of the harmonic correction, 4 or 6 (moot in 1D, where
+        both give the exact, linear harmonic part: the 6th order correction
+        is identically zero there).
     padding_panels: zero-collar width added on every side of the user domain,
         in whole panels, so the mesh is preserved exactly.
     fft_friendly_expansion: round padded panel counts up to 7-smooth integers,
@@ -76,8 +77,7 @@ class SolveReport:
     t_boundary_s: the density's support check and the Green's-function
         boundary values.
     t_harmonic_s: the harmonic extension's sine coefficients plus the one
-        inverse DST shared with the spectral component (in 1D: the linear
-        interpolant plus the spectral component's inverse DST).
+        inverse DST shared with the spectral component.
     """
 
     user_grid: UniformGrid
@@ -164,22 +164,13 @@ def solve_free_space(
     t1 = time.perf_counter()
     g = boundary_values_fast(rho_padded, config.thread_count)  # checks the density first
     t2 = time.perf_counter()
-    if padded.dim == 1:
-        phi_padded = solve_harmonic_1d(
-            float(g.faces[(0, 0)]), float(g.faces[(0, 1)]), padded
-        )
-        t3 = time.perf_counter()
-        modes = phi_star_modes(rho_padded)
-        t4 = time.perf_counter()
-        phi_padded.values += inverse_dst(modes, padded).values
-    else:
-        # The harmonic coefficients come first: their working set is the
-        # largest, and the spectral coefficients are not alive during it.
-        modes = harmonic_modes(g, config.order)
-        t3 = time.perf_counter()
-        modes += phi_star_modes(rho_padded)
-        t4 = time.perf_counter()
-        phi_padded = inverse_dst(modes, padded, g.as_full_array())
+    # The harmonic coefficients come first: their working set is the
+    # largest, and the spectral coefficients are not alive during it.
+    modes = harmonic_modes(g, config.order)
+    t3 = time.perf_counter()
+    modes += phi_star_modes(rho_padded)
+    t4 = time.perf_counter()
+    phi_padded = inverse_dst(modes, padded, g.as_full_array())
     phi_padded.assert_finite()
     t5 = time.perf_counter()
 

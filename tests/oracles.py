@@ -21,6 +21,7 @@ from freepoisson import (
     inverse_dst,
 )
 from freepoisson.dirichlet import check_support, phi_star_modes
+from freepoisson.grid import _broadcast_samples, _face_shape
 from freepoisson.harmonic import check_panels, harmonic_modes
 
 _D2 = np.array([1.0, -2.0, 1.0])
@@ -34,6 +35,27 @@ def node_coordinate(grid: UniformGrid, index) -> tuple[float, ...]:
     multiply-add, as in ``UniformGrid.axis_coordinates``.
     """
     return tuple(grid.lower[s] + i * grid.mesh[s] for s, i in enumerate(index))
+
+
+def zero_function(grid: UniformGrid) -> GridFunction:
+    """The grid function that is zero at every node."""
+    return GridFunction(grid, np.zeros(grid.shape))
+
+
+def boundary_from_callable(grid: UniformGrid, fn) -> BoundaryValues:
+    """Sample ``fn`` on every boundary node (fn must broadcast).
+
+    Each face's normal coordinate is the domain bound itself.
+    """
+    return BoundaryValues(grid, {
+        (axis, side): _broadcast_samples(
+            fn(*grid.face_coordinate_arrays(axis, side)),
+            _face_shape(grid, axis),
+            f"face {(axis, side)} nodes",
+        )
+        for axis in range(grid.dim)
+        for side in (0, 1)
+    })
 
 
 def density_radial(bump: PolyBump, r) -> np.ndarray:
@@ -63,7 +85,7 @@ def solve_phi_star(rho: GridFunction) -> GridFunction:
 def solve_harmonic(g: BoundaryValues, order: int) -> GridFunction:
     """4th or 6th order discrete-harmonic extension of the boundary data.
 
-    Raises ShapeError on a 1D grid or one too coarse for the order.
+    Raises ShapeError on a 2D or 3D grid too coarse for the order.
     """
     return inverse_dst(harmonic_modes(g, order), g.grid, g.as_full_array()).assert_finite()
 
@@ -239,12 +261,17 @@ def _along(grid: UniformGrid, s: int, vec: np.ndarray) -> np.ndarray:
     return _outer([vec if t == s else np.ones(m - 1) for t, m in enumerate(grid.panels)])
 
 
-def operator_symbol_pairs(grid: UniformGrid) -> np.ndarray:
-    """Compact operator symbol sum_s lam_s + sum_{r<s} (h_r^2 + h_s^2)/12 lam_r lam_s."""
-    h2 = [h * h for h in grid.mesh]
-    lam = [(2.0 * np.cos(np.arange(1, m) * np.pi / m) - 2.0) / h2[s]
+def operator_symbol_pairs(grid: UniformGrid, dtype=np.float64) -> np.ndarray:
+    """Compact operator symbol sum_s lam_s + sum_{r<s} (h_r^2 + h_s^2)/12 lam_r lam_s.
+
+    lam_s = -4 sin^2(k pi / (2 M_s)) / h_s^2, computed in ``dtype`` (pass
+    ``np.longdouble`` for an extended-precision reference).
+    """
+    pi = np.arccos(dtype(-1.0))
+    h2 = [dtype(h) ** 2 for h in grid.mesh]
+    lam = [-4.0 * np.sin(np.arange(1, m, dtype=dtype) * pi / (2 * m)) ** 2 / h2[s]
            for s, m in enumerate(grid.panels)]
-    out = np.zeros(grid.interior_shape)
+    out = np.zeros(grid.interior_shape, dtype)
     for s in range(grid.dim):
         out += _along(grid, s, lam[s])
     for r, s in itertools.combinations(range(grid.dim), 2):

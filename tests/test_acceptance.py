@@ -24,7 +24,12 @@ from freepoisson import (
     solve_free_space,
 )
 from freepoisson.cli import fit_slope
-from oracles import bump_from_differentiability, solve_harmonic, solve_phi_star
+from oracles import (
+    boundary_from_callable,
+    bump_from_differentiability,
+    solve_harmonic,
+    solve_phi_star,
+)
 
 CENTER = (1.0 / math.sqrt(31.0), 0.2, 0.1)
 THREADS = min(8, os.cpu_count() or 1)
@@ -89,7 +94,7 @@ def test_criterion_2_dense_solve_equivalence():
         (((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)), (6, 6, 6)),
     ]:
         g = UniformGrid(bounds[0], bounds[1], panels)
-        bv = BoundaryValues.from_callable(
+        bv = boundary_from_callable(
             g, lambda *xs: np.sin(2 * xs[0]) + np.cos(3 * xs[1]) + 0.5 * xs[-1]
         )
         A, b = assemble_dense(g, bv)
@@ -122,7 +127,7 @@ def test_criterion_3_exactness_suite():
         ):
             exact = GridFunction.from_callable(g, fn)
             scale = np.max(np.abs(exact.values))
-            bv = BoundaryValues.from_callable(g, fn)
+            bv = boundary_from_callable(g, fn)
             for order in (4, 6):
                 err = np.max(np.abs(solve_harmonic(bv, order).values - exact.values)) / scale
                 results.append(("harmonic", err, 1e-11))
@@ -179,7 +184,7 @@ def test_criterion_4_harmonic_convergence_rates():
         for M in panels:
             g = UniformGrid(bounds[0], bounds[1], [M, M])
             exact = GridFunction.from_callable(g, fn)
-            u = solve_harmonic(BoundaryValues.from_callable(g, fn), order)
+            u = solve_harmonic(boundary_from_callable(g, fn), order)
             errs.append(
                 float(
                     np.max(np.abs(u.values - exact.values))

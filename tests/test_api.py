@@ -2,8 +2,8 @@
 
 ``freepoisson.__all__`` is an explicit list, every module's ``__all__``
 resolves, and ``src/`` holds no function, class or method that only tests
-would call: each one is referenced by name somewhere in ``src/`` or
-exported by an ``__all__``.
+would call: each one is referenced somewhere in ``src/`` (a method only
+by an attribute read, see ``_references``) or exported by an ``__all__``.
 """
 
 import ast
@@ -35,7 +35,6 @@ PUBLIC = [
     "read_pgrid",
     "restrict_to_subgrid",
     "solve_free_space",
-    "solve_harmonic_1d",
     "transfer_boundary_to_rhs",
     "write_pgrid",
 ]
@@ -74,35 +73,77 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Every name a module loads, reads as an attribute or imports."""
-    names = set()
+def _root(node: ast.expr) -> ast.expr:
+    """The object an attribute chain such as ``np.random.default_rng`` starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def _references(tree: ast.Module, classes: set[str]) -> tuple[set[str], set[str], set[str]]:
+    """Every name a module loads or imports, and every attribute it reads.
+
+    Returns the loaded and imported names, the attribute names, and the
+    ``Class.name`` reads.  An attribute read off a module the file imports
+    is no reference (``np.zeros`` does not use a ``zeros`` method), and one
+    read off a class of ``src/`` credits only that class
+    (``GridFunction.from_callable`` uses no other class's ``from_callable``).
+    """
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    names, attributes, members = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            root = _root(node)
+            owner = root.id if isinstance(root, ast.Name) else None
+            if owner in modules:
+                continue
+            if owner in classes and node.value is root:
+                members.add(f"{owner}.{node.attr}")
+            else:
+                attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
-    return names
+    return names, attributes, members
 
 
 def test_src_has_no_unreferenced_definitions():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    referenced, exported = set(), set()
+    classes = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    names, attributes, members, exported = set(), set(), set(), set()
     for name in MODULES + ["__init__"]:
         module = importlib.import_module(
             "freepoisson" if name == "__init__" else f"freepoisson.{name}"
         )
         exported.update(getattr(module, "__all__", []))
     for tree in trees.values():
-        referenced |= _references(tree)
+        loaded, read, reads = _references(tree, classes)
+        names |= loaded
+        attributes |= read
+        members |= reads
+
+    def used(qualified: str, name: str) -> bool:
+        if name in exported or qualified in UNREFERENCED_ALLOWED:
+            return True
+        if qualified != name:  # a method: a local of its name (pgrid's ``zeros``) is no use
+            return name in attributes or qualified in members
+        return name in names or name in attributes
+
     unused = [
         f"{file}: {qualified}"
         for file, tree in trees.items()
         for qualified, name in _definitions(tree)
-        if name not in referenced
-        and name not in exported
-        and qualified not in UNREFERENCED_ALLOWED
+        if not used(qualified, name)
     ]
     assert unused == []

@@ -19,7 +19,7 @@ from freepoisson import boundary
 from freepoisson.boundary import _periods, _slice_spectrum
 from freepoisson.greens import green_values
 from freepoisson.transforms import next_smooth_length
-from oracles import node_coordinate
+from oracles import boundary_from_callable, node_coordinate, zero_function
 
 
 def rel_face_diff(a: BoundaryValues, b: BoundaryValues) -> float:
@@ -41,7 +41,7 @@ def random_density(grid: UniformGrid, rng, collar: int = 2) -> GridFunction:
 def test_zero_density_gives_zero_everywhere():
     for dims in ([6], [5, 6], [4, 5, 6]):
         g = UniformGrid([-1.0] * len(dims), [1.0] * len(dims), dims)
-        rho = GridFunction.zeros(g)
+        rho = zero_function(g)
         for bv in (boundary_values_naive(rho), boundary_values_fast(rho)):
             assert all(np.all(f == 0.0) for f in bv.faces.values())
 
@@ -197,7 +197,7 @@ def test_bump_boundary_values_near_analytic_potential():
     g = UniformGrid([-1, -1, -1], [1, 1, 1], [16, 16, 16])
     rho = GridFunction.from_callable(g, bump)
     bv = boundary_values_naive(rho)
-    exact = BoundaryValues.from_callable(g, bump.potential)
+    exact = boundary_from_callable(g, bump.potential)
     err = max(
         float(np.max(np.abs(bv.faces[k] - exact.faces[k]))) for k in bv.faces
     )
@@ -213,7 +213,7 @@ def test_boundary_spectral_convergence_rate():
         g = UniformGrid([-1, -1, -1], [1, 1, 1], [M, M, M])
         rho = GridFunction.from_callable(g, bump)
         bv = boundary_values_fast(rho, 4)
-        exact = BoundaryValues.from_callable(g, bump.potential)
+        exact = boundary_from_callable(g, bump.potential)
         err = max(
             float(np.max(np.abs(bv.faces[k] - exact.faces[k])))
             for k in bv.faces

@@ -9,7 +9,7 @@ from freepoisson import (
     UniformGrid,
 )
 from freepoisson.dirichlet import continuous_eigenvalues
-from oracles import solve_phi_star
+from oracles import solve_phi_star, zero_function
 
 
 def test_eigenvalue_table_negative_and_correct():
@@ -37,7 +37,7 @@ def test_single_mode_is_eigenfunction():
 
 def test_zero_density_gives_zero():
     g = UniformGrid([0, 0, 0], [1, 1, 1], [4, 4, 4])
-    phi = solve_phi_star(GridFunction.zeros(g))
+    phi = solve_phi_star(zero_function(g))
     assert np.all(phi.values == 0.0)
 
 

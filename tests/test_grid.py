@@ -3,13 +3,13 @@ import pytest
 
 from freepoisson import (
     AlignmentError,
-    BoundaryValues,
     GridFunction,
     ShapeError,
     UniformGrid,
     max_norm_difference,
     restrict_to_subgrid,
 )
+from oracles import boundary_from_callable, zero_function
 
 
 def test_node_coordinate_endpoints():
@@ -51,7 +51,7 @@ def test_max_norm_difference_identity_and_constants():
     g = UniformGrid([0, 0], [1, 1], [4, 5])
     f = GridFunction(g, np.ones(g.shape))
     assert max_norm_difference(f, f) == 0.0
-    zero = GridFunction.zeros(g)
+    zero = zero_function(g)
     assert max_norm_difference(f, zero) == 1.0
 
 
@@ -67,8 +67,8 @@ def test_max_norm_difference_random_matches_scan():
 
 
 def test_max_norm_difference_rejects_mismatched_grids():
-    f = GridFunction.zeros(UniformGrid([0], [1], [4]))
-    g = GridFunction.zeros(UniformGrid([0], [1], [5]))
+    f = zero_function(UniformGrid([0], [1], [4]))
+    g = zero_function(UniformGrid([0], [1], [5]))
     with pytest.raises(ShapeError):
         max_norm_difference(f, g)
 
@@ -99,7 +99,7 @@ def test_restrict_strided_mesh():
 
 def test_restrict_misaligned_raises():
     g = UniformGrid([-1.0], [1.0], [10])
-    f = GridFunction.zeros(g)
+    f = zero_function(g)
     with pytest.raises(AlignmentError):
         restrict_to_subgrid(f, UniformGrid([-0.95], [0.85], [9]))
     with pytest.raises(AlignmentError):
@@ -110,7 +110,7 @@ def test_restrict_after_embed_is_identity():
     rng = np.random.default_rng(11)
     sub = UniformGrid([-1.0, 0.0], [1.0, 1.0], [10, 5])
     parent = UniformGrid([-1.4, -0.4], [1.4, 1.4], [14, 9])
-    embedded = GridFunction.zeros(parent)
+    embedded = zero_function(parent)
     inner = rng.standard_normal(sub.shape)
     embedded.values[2:13, 2:8] = inner
     r = restrict_to_subgrid(embedded, sub)
@@ -125,7 +125,7 @@ def test_gridfunction_shape_check():
 
 def test_boundary_abs_max():
     g = UniformGrid([0, 0], [1, 1], [4, 4])
-    f = GridFunction.zeros(g)
+    f = zero_function(g)
     f.values[0, 2] = -3.0
     f.values[2, 2] = 100.0  # interior, must not count
     assert f.boundary_abs_max() == 3.0
@@ -144,13 +144,13 @@ def test_boundary_from_callable_wrong_shape_rejected():
     # shapes, as for GridFunction.from_callable, not numpy's broadcast error.
     g = UniformGrid([-1, -1], [1, 1], [8, 8])
     with pytest.raises(ShapeError, match=r"\(5,\).*\(9,\)"):
-        BoundaryValues.from_callable(g, lambda x, y: np.zeros(5))
+        boundary_from_callable(g, lambda x, y: np.zeros(5))
 
 
 def test_boundary_from_callable_samples_every_face():
     g = UniformGrid([-1, 0, 2], [1, 2.5, 3], [6, 8, 5])
     fn = lambda x, y, z: x + 10 * y + 100 * z
-    bv = BoundaryValues.from_callable(g, fn)
+    bv = boundary_from_callable(g, fn)
     full = GridFunction.from_callable(g, fn).values
     for axis in range(3):
         lower = [slice(None)] * 3
@@ -171,9 +171,9 @@ def test_mismatched_edge_rejected(panels):
     d = len(panels)
     g = UniformGrid([0.0] * d, [1.0, 2.0, 0.5][:d], panels)
     fn = lambda *xs: 1.0 + xs[0] - 2.0 * xs[-1]
-    for key, face in BoundaryValues.from_callable(g, fn).faces.items():
+    for key, face in boundary_from_callable(g, fn).faces.items():
         for node in np.ndindex(face.shape):
-            bv = BoundaryValues.from_callable(g, fn)
+            bv = boundary_from_callable(g, fn)
             bv.faces[key][node] += 1e-6
             if all(0 < i < n - 1 for i, n in zip(node, face.shape)):
                 assert bv.check_consistency() == 0.0

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -13,7 +11,6 @@ from freepoisson import (
     UniformGrid,
     forward_dst,
     inverse_dst,
-    solve_harmonic_1d,
     transfer_boundary_to_rhs,
 )
 from freepoisson import harmonic
@@ -25,6 +22,7 @@ from freepoisson.harmonic import (
 )
 from oracles import (
     assemble_dense,
+    boundary_from_callable,
     boundary_from_full,
     compact_operator_stencil,
     continuous_eigenvalues_pairs,
@@ -33,6 +31,7 @@ from oracles import (
     operator_symbol_pairs,
     sixth_order_rhs,
     solve_harmonic,
+    zero_function,
 )
 
 RNG = np.random.default_rng(2024)
@@ -75,8 +74,8 @@ def mode_grids(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mode_grids(), st.data())
-def test_factored_tables_match_pair_sums(g, data):
+@given(mode_grids())
+def test_factored_tables_match_pair_sums(g):
     # The symbol, Q and the continuous eigenvalues, built factored along
     # axis 0, against direct sums of outer products over axis pairs.
     for got, want in [
@@ -86,15 +85,16 @@ def test_factored_tables_match_pair_sums(g, data):
     ]:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    # A symbol that vanishes on one mode (eigenvalues zero there on every
-    # axis) is refused.
-    mode = [data.draw(st.integers(0, m - 2)) for m in g.panels]
-    lam = [vec.copy() for vec in discrete_eigenvalues(g)]
-    for vec, k in zip(lam, mode):
-        vec[k] = 0.0
-    with mock.patch.object(harmonic, "discrete_eigenvalues", lambda grid: lam):
-        with pytest.raises(ShapeError, match="vanishing eigenvalue"):
-            build_operator_symbol(g)
+
+
+@pytest.mark.parametrize("M", [1024, 4096])
+@pytest.mark.parametrize("upper", [(1.0, 1.0), (0.1, 3.0)])
+def test_symbol_matches_extended_precision_on_every_mode(M, upper):
+    # Mode by mode, not relative to the largest mode: the low modes of the
+    # long axis are where 2 cos - 2 would cancel (2e-12 and 2e-11 here).
+    g = UniformGrid([-1.0, 0.0], upper, [M, 8])
+    want = operator_symbol_pairs(g, np.longdouble)
+    assert np.max(np.abs((build_operator_symbol(g) - want) / want)) <= 1e-15
 
 
 def test_stencil_point_counts():
@@ -121,7 +121,7 @@ def independent_faces(g: UniformGrid) -> BoundaryValues:
 
 def test_transfer_zero_is_zero():
     g = UniformGrid([0, 0], [1, 1], [6, 7])
-    out = transfer_boundary_to_rhs(BoundaryValues.zeros(g))
+    out = transfer_boundary_to_rhs(BoundaryValues(g))
     assert np.all(out == 0.0)
 
 
@@ -129,7 +129,7 @@ def test_transfer_supported_on_first_layer_only():
     # The coefficients are those of a field that vanishes at depth >= 2:
     # the width-one stencil reaches the boundary only from the first layer.
     g = UniformGrid([0, 0, 0], [1, 1, 2], [8, 9, 7])
-    bv = BoundaryValues.from_callable(g, lambda x, y, z: np.sin(3 * x) + y * z)
+    bv = boundary_from_callable(g, lambda x, y, z: np.sin(3 * x) + y * z)
     field = inverse_dst(transfer_boundary_to_rhs(bv), g).values
     scale = np.max(np.abs(field))
     assert np.max(np.abs(field[2:-2, 2:-2, 2:-2])) <= 1e-13 * scale
@@ -195,7 +195,7 @@ def test_exactness_on_low_degree_data(dim):
     ]
     for fn in cases:
         exact = GridFunction.from_callable(g, fn)
-        bv = BoundaryValues.from_callable(g, fn)
+        bv = boundary_from_callable(g, fn)
         scale = np.max(np.abs(exact.values))
         boundary_mask = np.ones(g.shape, dtype=bool)
         boundary_mask[(slice(1, -1),) * dim] = False
@@ -215,7 +215,7 @@ def test_exactness_on_low_degree_data(dim):
 )
 def test_dense_solve_equivalence(bounds, panels):
     g = UniformGrid(bounds[0], bounds[1], panels)
-    bv = BoundaryValues.from_callable(
+    bv = boundary_from_callable(
         g, lambda *xs: np.sin(3 * xs[0]) + np.cos(2 * xs[1]) + 0.3 * xs[-1]
     )
     A, b = assemble_dense(g, bv)
@@ -233,7 +233,7 @@ def test_degree5_harmonic_reproduced_exactly_by_4th_order():
         for M in (16, 32):
             g = UniformGrid(bounds[0], bounds[1], [M, M])
             exact = GridFunction.from_callable(g, fn)
-            u = solve_harmonic(BoundaryValues.from_callable(g, fn), 4)
+            u = solve_harmonic(boundary_from_callable(g, fn), 4)
             err = np.max(np.abs(u.values - exact.values))
             assert err <= 1e-12 * np.max(np.abs(exact.values))
 
@@ -243,7 +243,7 @@ def test_degree7_harmonic_reproduced_exactly_by_6th_order_square_mesh():
     for M in (16, 32):
         g = UniformGrid([-1, -1], [1, 1], [M, M])
         exact = GridFunction.from_callable(g, fn)
-        u = solve_harmonic(BoundaryValues.from_callable(g, fn), 6)
+        u = solve_harmonic(boundary_from_callable(g, fn), 6)
         err = np.max(np.abs(u.values - exact.values))
         assert err <= 1e-12 * np.max(np.abs(exact.values))
 
@@ -253,7 +253,7 @@ def convergence_slope(fn, order, bounds, panels_list, dim):
     for M in panels_list:
         g = UniformGrid(bounds[0], bounds[1], [M] * dim)
         exact = GridFunction.from_callable(g, fn)
-        u = solve_harmonic(BoundaryValues.from_callable(g, fn), order)
+        u = solve_harmonic(boundary_from_callable(g, fn), order)
         errs.append(
             np.max(np.abs(u.values - exact.values)) / np.max(np.abs(exact.values))
         )
@@ -303,7 +303,7 @@ def test_sixth_order_no_worse_than_fourth_on_square_mesh(M):
     fn = lambda x, y: np.exp(x) * np.cos(y)
     g = UniformGrid([-1, -1], [1, 1], [M, M])
     exact = GridFunction.from_callable(g, fn)
-    bv = BoundaryValues.from_callable(g, fn)
+    bv = boundary_from_callable(g, fn)
     err4, err6 = (
         np.max(np.abs(solve_harmonic(bv, order).values - exact.values))
         for order in (4, 6)
@@ -401,29 +401,27 @@ def test_max_principle_surrogate():
             assert u.values.max() <= full[mask].max() + 1e-10
 
 
-def test_solve_1d():
-    g = UniformGrid([0.0], [1.0], [10])
-    u = solve_harmonic_1d(5.0, 5.0, g)
-    assert np.all(u.values == 5.0)
-    u = solve_harmonic_1d(0.0, 1.0, g)
-    assert np.allclose(u.values, g.axis_coordinates(0), atol=1e-15)
-    g2 = UniformGrid([-1.0], [1.0], [8])
-    u = solve_harmonic_1d(2.0, -4.0, g2)
-    assert u.values[4] == pytest.approx(-1.0, abs=1e-15)
+def test_1d_modes_reproduce_linear_interpolant():
+    # In 1D the compact operator is D2, whose harmonic solution is linear,
+    # and the 6th order correction is identically zero.
+    for M in (8, 1000, 100000):
+        g = UniformGrid([-1.0], [1.5], [M])
+        bv = BoundaryValues(g, {(0, 0): 0.75, (0, 1): -2.5})
+        t = np.arange(M + 1) / M
+        want = 0.75 * (1.0 - t) - 2.5 * t
+        assert np.max(np.abs(solve_harmonic(bv, 4).values - want)) <= 1e-14 * 2.5, M
+        assert np.array_equal(harmonic_modes(bv, 6), harmonic_modes(bv, 4)), M
 
 
 def test_size_preconditions():
     small = UniformGrid([0, 0], [1, 1], [3, 8])
     with pytest.raises(ShapeError):
-        solve_harmonic(BoundaryValues.zeros(small), 4)
+        solve_harmonic(BoundaryValues(small), 4)
     six = UniformGrid([0, 0], [1, 1], [6, 8])
     with pytest.raises(ShapeError):
-        sixth_order_rhs(GridFunction.zeros(six))
+        sixth_order_rhs(zero_function(six))
     with pytest.raises(ShapeError):
-        solve_harmonic(BoundaryValues.zeros(six), 6)
-    g1 = UniformGrid([0], [1], [8])
-    with pytest.raises(ShapeError):
-        solve_harmonic(BoundaryValues.zeros(g1), 4)
+        solve_harmonic(BoundaryValues(six), 6)
 
 
 def test_sixth_order_rhs_deep_region_matches_dense_stencil_3d():

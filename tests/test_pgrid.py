@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freepoisson import GridFunction, PGridFormatError, UniformGrid, read_pgrid, write_pgrid
+from oracles import zero_function
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -53,7 +54,7 @@ def test_no_partial_file_on_error(tmp_path):
     target = tmp_path / "nodir" / "f.pgrid"
     g = UniformGrid([0], [1], [2])
     with pytest.raises(OSError):
-        write_pgrid(target, GridFunction.zeros(g))
+        write_pgrid(target, zero_function(g))
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
 

@@ -25,7 +25,13 @@ from freepoisson import (
     solve_free_space,
 )
 from freepoisson.dirichlet import check_support
-from oracles import bump_from_differentiability, node_coordinate, solve_harmonic, solve_phi_star
+from oracles import (
+    bump_from_differentiability,
+    node_coordinate,
+    solve_harmonic,
+    solve_phi_star,
+    zero_function,
+)
 
 CENTER_3D = (1.0 / math.sqrt(31.0), 0.2, 0.1)
 
@@ -71,7 +77,7 @@ def test_original_nodes_subset_of_padded_nodes():
 def test_zero_density_gives_zero_solution():
     for dim in (1, 2, 3):
         g = UniformGrid([-1.0] * dim, [1.0] * dim, [8] * dim)
-        phi, report = solve_free_space(GridFunction.zeros(g), config=SolverConfig(order=4))
+        phi, report = solve_free_space(zero_function(g), config=SolverConfig(order=4))
         assert np.all(phi.values == 0.0)
         assert report.boundary_rho_max == 0.0
 
@@ -424,13 +430,13 @@ def test_too_few_panels_rejected_before_any_phase(monkeypatch, dim, panels, orde
     monkeypatch.setattr(freepoisson.solver, "boundary_values_fast", boundary_phase)
     g = UniformGrid([-1.0] * dim, [1.0] * dim, [panels] * dim)
     with pytest.raises(ShapeError, match="padding_panels"):
-        solve_free_space(GridFunction.zeros(g), config=SolverConfig(order=order))
+        solve_free_space(zero_function(g), config=SolverConfig(order=order))
 
 
 def test_padding_lifts_the_panel_guard():
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [5] * 3)
     phi, report = solve_free_space(
-        GridFunction.zeros(g), config=SolverConfig(order=6, padding_panels=1)
+        zero_function(g), config=SolverConfig(order=6, padding_panels=1)
     )
     assert report.padded_grid.panels == (7, 7, 7)
     assert np.all(phi.values == 0.0)

@@ -14,10 +14,10 @@ WEIGHTS = st.one_of(st.floats(-4.0, -0.25), st.floats(0.25, 4.0))
 
 @st.composite
 def problems(draw):
-    """A random 2D/3D grid (8..16 panels per axis, random extents), an
+    """A random 1D/2D/3D grid (8..16 panels per axis, random extents), an
     order, and two random densities on one box of nodes that keeps a
     collar of at least two panels."""
-    dim = draw(st.integers(2, 3))
+    dim = draw(st.integers(1, 3))
     panels = draw(st.lists(st.integers(8, 16), min_size=dim, max_size=dim))
     lower = draw(st.lists(st.floats(-3.0, 1.0), min_size=dim, max_size=dim))
     extent = draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim))
