@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ShapeError, SupportViolationError
 from .grid import GridFunction, UniformGrid
+from .harmonic import _row_blocks
 from .transforms import forward_dst
 
 __all__ = ["continuous_eigenvalues", "phi_star_modes"]
@@ -28,17 +29,20 @@ __all__ = ["continuous_eigenvalues", "phi_star_modes"]
 SUPPORT_RTOL = 1e-14
 
 
-def continuous_eigenvalues(grid: UniformGrid) -> np.ndarray:
-    """Continuous Laplacian eigenvalue per interior sine mode (all negative).
+def continuous_eigenvalues(grid: UniformGrid):
+    """Continuous Laplacian eigenvalue per interior sine mode (all negative), block by block.
 
-    One outer difference of axis 0's table and the trailing axes' sum, so
-    the full-volume pass runs along whole trailing planes.
+    Returns ``table(rows)``, the eigenvalues on the modes ``rows`` of axis
+    0: one outer difference of axis 0's table and the trailing axes' sum,
+    built once, so each block is one pass along whole trailing planes and
+    the full table is never built.
     """
     squares = [
         (np.arange(1, m) * math.pi / (grid.upper[s] - grid.lower[s])) ** 2
         for s, m in enumerate(grid.panels)
     ]
-    return np.subtract.outer(-squares[0], sum(np.ix_(*squares[1:]), 0.0))
+    trail = sum(np.ix_(*squares[1:]), 0.0)
+    return lambda rows: np.subtract.outer(-squares[0][rows], trail)
 
 
 def check_support(rho: GridFunction) -> float:
@@ -69,8 +73,12 @@ def check_support(rho: GridFunction) -> float:
 def phi_star_modes(rho: GridFunction) -> np.ndarray:
     """Sine coefficients of phi*: the density's, divided by the eigenvalues.
 
-    The density is not checked here; callers run :func:`check_support`.
+    The division runs in blocks of axis-0 rows, so besides the density and
+    the forward DST's own arrays no full-volume table is alive.  The
+    density is not checked here; callers run :func:`check_support`.
     """
     modes = forward_dst(rho)
-    modes /= continuous_eigenvalues(rho.grid)
+    eigenvalues = continuous_eigenvalues(rho.grid)
+    for rows in _row_blocks(modes.shape):
+        modes[rows] /= eigenvalues(rows)
     return modes

@@ -182,9 +182,11 @@ class BoundaryValues:
                 complete[key] = arr
         self.faces = complete
 
-    def as_full_array(self) -> np.ndarray:
-        """Full node array with boundary values set and interior zero."""
-        out = np.zeros(self.grid.shape)
+    def write_into(self, out: np.ndarray) -> np.ndarray:
+        """Set the boundary nodes of the node array ``out``; returns ``out``.
+
+        Its interior nodes are left as they are.
+        """
         # Write lower faces after upper ones so face (0, 0) wins on shared
         # edges; any face would do once consistency holds.
         for axis in reversed(range(self.grid.dim)):

@@ -40,8 +40,8 @@ compact operator.  Near the boundary, where the width-two stencils do not
 fit, the right-hand side is filled by cubic extrapolation along the inward
 normal of the nearest face (averaged over ties at edges and corners).
 
-:func:`harmonic_modes` returns the solution as sine coefficients, so the
-free-space solver adds them to the spectral Poisson component's and
+:func:`harmonic_modes` adds the solution's sine coefficients to an array
+that holds the spectral Poisson component's, so the free-space solver
 evaluates both with one shared inverse DST.  Only what must touch the
 whole volume does:
 
@@ -54,7 +54,7 @@ whole volume does:
   with c_as = (h_a^2 + h_s^2)/12 and D2_s the undivided second difference
   along the face (the 19-point stencil has no corner taps).  An edge node
   is counted by the face of its lowest axis, as in
-  :meth:`BoundaryValues.as_full_array`: a face's data are zeroed on its
+  :meth:`BoundaryValues.write_into`: a face's data are zeroed on its
   edges with lower axes first.  A value on the layer at depth j behind a
   face reaches the coefficients through one in-face DST times
   2 sin(j k pi / M) along the normal (the far face with the (-1)^(k+1)
@@ -96,27 +96,36 @@ whole volume does:
   So the depth-1 and depth-2 layers go through separate scatters, and the
   contractions along the normals stay elementwise (``np.einsum``, no BLAS).
 * Tables.  The operator's symbol, Q and the spectral solve's continuous
-  eigenvalues are built factored along axis 0, from contiguous tables over
-  the trailing axes, so every full-volume pass runs along whole trailing
-  planes: the symbol as lam_0 A + P, and Q u in place as
+  eigenvalues are never built as full arrays.  Each is factored along
+  axis 0, from contiguous tables over the trailing axes built once, and
+  evaluated per block of axis-0 rows of about ``_BLOCK`` elements, which
+  is divided into (or multiplied with) the coefficients while it is in
+  cache: the symbol as lam_0 A + P, and Q u in place as
   ((mu_0 Y + X) mu_0 + P) u.
+* Arrays.  :func:`harmonic_modes` adds into the coefficient array it is
+  given, which holds the spectral coefficients, and allocates one more:
+  the 4th order coefficients, which become Q u and then the correction's
+  right-hand side in place.  Each of the two is divided by the symbol and
+  added block by block.
 
 An order-6 solve thus makes no full-volume DST of its own: the free-space
 solve makes two, the spectral forward DST and the shared inverse.  Besides
-them, a 3D order-6 free-space solve makes 32 elementwise full-volume passes
-from :func:`harmonic_modes` to the restricted potential (2D: 27):
+them, a 3D order-6 free-space solve makes 31 elementwise full-volume passes
+from the spectral coefficients to the restricted potential (2D: 26); the
+15 marked (b) (2D: 14) run on cache-sized blocks:
 
-* :func:`harmonic_modes`, 23 (2D: 18): the symbol 2 (its outer product,
-  the added table); the boundary transfer 4 (2D: 3; zeros
-  and a scatter per axis); dividing by the symbol 1; Q u 5 (2D: 4); a
-  depth-2 scatter, a contraction and a depth-1 scatter per axis, 9 (2D:
-  6); dividing the correction by the symbol and adding it, 2;
-* the spectral coefficients, 4: the forward DST's scaling, the eigenvalue
-  table, dividing by it, adding the coefficients to the harmonic ones;
-* the boundary-extended node array 1, the inverse DST 3 (a copy to
-  transform in place, its scaling, the copy into the node array), the
-  finiteness check 1, and the restriction to the user grid 1 when the grid
-  was padded.
+* the spectral coefficients, 3: the forward DST's scaling; the eigenvalue
+  table 1 (b) and dividing by it 1 (b);
+* :func:`harmonic_modes`, 26 (2D: 21): the boundary transfer 4 (2D: 3;
+  zeros and a scatter per axis); the symbol 2 (b: its outer product, the
+  added table), dividing by it and adding to the coefficients 2 (b); Q u
+  5 (2D: 4; b); a depth-2 scatter, a contraction and a depth-1 scatter per
+  axis, 9 (2D: 6); the symbol again 2 (b), dividing the correction by it
+  and adding it 2 (b);
+* the inverse DST, in place on the coefficients, 1: its scaling, written
+  into the node array, whose interior is never zero-filled; the
+  finiteness check 1; and the restriction to the user grid 1 when the
+  grid was padded.
 """
 
 from __future__ import annotations
@@ -137,7 +146,8 @@ __all__ = [
 
 # Cubic extrapolation to depth 1 from depths 2, 3, 4, 5 along a normal.
 _EXTRAPOLATE = np.array([4.0, -6.0, 4.0, -1.0])
-# Elements per block of a scatter into the coefficients (bounds its temporaries).
+# Elements per block of axis-0 rows in the scatters and the tables
+# (bounds their temporaries).
 _BLOCK = 8 * 96**2
 
 # Fewest panels per axis each order's stencils fit in.
@@ -158,12 +168,20 @@ def discrete_eigenvalues(grid: UniformGrid) -> list[np.ndarray]:
     return [_mode_table(m) / h**2 for m, h in zip(grid.panels, grid.mesh)]
 
 
-def build_operator_symbol(grid: UniformGrid) -> np.ndarray:
-    """Tabulate the operator's eigenvalue per discrete sine mode.
+def _row_blocks(shape) -> list[slice]:
+    """Slices of axis 0 that cut an array of ``shape`` into blocks of about ``_BLOCK`` elements."""
+    step = max(1, _BLOCK * shape[0] // int(np.prod(shape)))
+    return [slice(start, start + step) for start in range(0, shape[0], step)]
 
-    Factored along axis 0 as lam_0 A + P, with A = 1 + sum_{s>0} c_0s lam_s
-    and P the rest, two contiguous tables over the trailing axes, so that
-    each full-volume pass runs along whole trailing planes.
+
+def build_operator_symbol(grid: UniformGrid):
+    """The operator's eigenvalue per discrete sine mode, block by block.
+
+    Returns ``symbol(rows)``, the table on the modes ``rows`` of axis 0.
+    It is factored along axis 0 as lam_0 A + P, with A = 1 + sum_{s>0}
+    c_0s lam_s and P the rest, two contiguous tables over the trailing axes
+    built once: each block is two passes over whole trailing planes, and
+    the full table is never built.
     """
     lam = discrete_eigenvalues(grid)
     h2 = [h * h for h in grid.mesh]
@@ -177,8 +195,12 @@ def build_operator_symbol(grid: UniformGrid) -> np.ndarray:
         c(r, s) * trail[r - 1] * trail[s - 1]
         for r, s in itertools.combinations(range(1, grid.dim), 2)
     )
-    symbol = np.multiply.outer(lam[0], slope)
-    symbol += rest
+
+    def symbol(rows: slice) -> np.ndarray:
+        block = np.multiply.outer(lam[0][rows], slope)
+        block += rest
+        return block
+
     return symbol
 
 
@@ -202,10 +224,8 @@ def _scatter(out: np.ndarray, axis: int, table: np.ndarray, faces: np.ndarray) -
     (C, B); on the last axis faces as (C, A) transposed times the table
     transposed; on the middle axis of 3D the table times faces as (A, C, B).
     """
-    n, c = table.shape
-    step = max(1, _BLOCK * out.shape[0] // out.size)
-    for start in range(0, out.shape[0], step):
-        rows = slice(start, start + step)
+    c = table.shape[1]
+    for rows in _row_blocks(out.shape):
         block = out[rows]
         if axis == 0:
             block += (table[rows] @ faces.reshape(c, -1)).reshape(block.shape)
@@ -305,24 +325,33 @@ def _weights(grid: UniformGrid) -> dict:
     }
 
 
-def _q_times(u: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    """Q u in a new array, Q = sum_r mu_r^2 sum_{s != r} c_rs mu_s.
+def _q_table(grid: UniformGrid):
+    """Q = sum_r mu_r^2 sum_{s != r} c_rs mu_s, block by block like the symbol.
 
-    Built in place as ((mu_0 Y + X) mu_0 + P) u, with Y, X and P contiguous
-    tables over the trailing axes, so that each full-volume pass runs along
-    whole trailing planes.
+    ``q(rows)`` is built as (mu_0 Y + X) mu_0 + P on the modes ``rows`` of
+    axis 0, with Y (``slope``), X (``offset``) and P (``rest``, 3D only)
+    contiguous tables over the trailing axes built once, so that each pass
+    runs along whole trailing planes.
     """
     d = grid.dim
     c = _weights(grid)
     mu = [_mode_table(m) for m in grid.panels]
     trail = np.ix_(*mu[1:])
-    out = np.multiply.outer(mu[0], sum(c[0, s] * trail[s - 1] for s in range(1, d)))
-    out += sum(c[s, 0] * trail[s - 1] ** 2 for s in range(1, d))
-    out *= mu[0].reshape((-1,) + (1,) * (d - 1))
+    slope = sum(c[0, s] * trail[s - 1] for s in range(1, d))
+    offset = sum(c[s, 0] * trail[s - 1] ** 2 for s in range(1, d))
     if d == 3:
-        out += c[1, 2] * trail[0] ** 2 * trail[1] + c[2, 1] * trail[0] * trail[1] ** 2
-    out *= u
-    return out
+        rest = c[1, 2] * trail[0] ** 2 * trail[1] + c[2, 1] * trail[0] * trail[1] ** 2
+
+    def q(rows: slice) -> np.ndarray:
+        head = mu[0][rows]
+        block = np.multiply.outer(head, slope)
+        block += offset
+        block *= head.reshape((-1,) + (1,) * (d - 1))
+        if d == 3:
+            block += rest
+        return block
+
+    return q
 
 
 def _face_terms(g: BoundaryValues) -> dict:
@@ -347,17 +376,20 @@ def _face_terms(g: BoundaryValues) -> dict:
     return terms
 
 
-def _correction_rhs(g: BoundaryValues, u: np.ndarray) -> np.ndarray:
-    """Sine coefficients of the 6th order correction's right-hand side.
+def _correction_rhs(g: BoundaryValues, coeff: np.ndarray) -> np.ndarray:
+    """Sine coefficients of the 6th order correction's right-hand side, in ``coeff``.
 
-    ``u`` holds the 4th order solution's coefficients.  Built by the
-    identity in the module docstring, without a full-volume node array or
-    DST; equal to the forward DST of the dense right-hand side in
+    ``coeff`` holds the 4th order solution's coefficients u; it is turned
+    into Q u in place and returned holding the right-hand side.  Built by
+    the identity in the module docstring, without a full-volume node array
+    or DST; equal to the forward DST of the dense right-hand side in
     ``tests/oracles.py``.
     """
     grid = g.grid
     d = grid.dim
-    coeff = _q_times(u, grid)
+    q = _q_table(grid)
+    for rows in _row_blocks(coeff.shape):
+        coeff[rows] *= q(rows)
     _add_layer(coeff, grid, _face_terms(g), 2)
 
     # Per face: the series at depth 1 and extrapolated from depths 2..5.
@@ -397,19 +429,27 @@ def _correction_rhs(g: BoundaryValues, u: np.ndarray) -> np.ndarray:
     return _add_layer(coeff, grid, layer, 1)
 
 
-def harmonic_modes(g: BoundaryValues, order: int) -> np.ndarray:
-    """Sine coefficients of the 4th or 6th order harmonic extension of g.
+def _divide_and_add(modes: np.ndarray, x: np.ndarray, symbol) -> None:
+    """``x /= symbol`` and then ``modes += x``, block by block."""
+    for rows in _row_blocks(x.shape):
+        block = x[rows]
+        block /= symbol(rows)
+        modes[rows] += block
 
-    In 1D both orders give the same coefficients, those of the exact,
-    linear solution.
+
+def harmonic_modes(g: BoundaryValues, order: int, modes: np.ndarray) -> np.ndarray:
+    """Add the sine coefficients of g's 4th or 6th order harmonic extension to ``modes``.
+
+    Returns ``modes``.  Besides it, one coefficient array is alive: the 4th
+    order coefficients, which become the correction's right-hand side in
+    place.  In 1D both orders give the same coefficients, those of the
+    exact, linear solution.
     """
     grid = g.grid
     check_panels(grid, order)
     symbol = build_operator_symbol(grid)
-    modes = transfer_boundary_to_rhs(g)
-    modes /= symbol
+    u = transfer_boundary_to_rhs(g)
+    _divide_and_add(modes, u, symbol)
     if order == 6:
-        correction = _correction_rhs(g, modes)
-        correction /= symbol
-        modes += correction
+        _divide_and_add(modes, _correction_rhs(g, u), symbol)
     return modes

@@ -66,19 +66,25 @@ def inverse_dst(
     Boundary nodes are exactly 0, unless a node array ``out`` is given: the
     series is then written into its interior and its boundary nodes keep
     their values, so the result carries Dirichlet data without another full
-    array.
+    array.  ``coeff`` is left unchanged.
     """
     if coeff.shape != grid.interior_shape:
         raise ShapeError(
             f"coefficient shape {coeff.shape} does not match interior "
             f"extents {grid.interior_shape}"
         )
-    values = np.zeros(grid.shape) if out is None else out
-    # A copy transformed in place is faster than dstn's fresh output.
-    series = sfft.dstn(coeff.copy(), type=1, overwrite_x=True)
-    series /= 2.0**grid.dim
-    values[(slice(1, -1),) * grid.dim] = series
-    return GridFunction(grid, values)
+    return _series_into(coeff.copy(), grid, np.zeros(grid.shape) if out is None else out)
+
+
+def _series_into(coeff: np.ndarray, grid: UniformGrid, out: np.ndarray) -> GridFunction:
+    """:func:`inverse_dst` that transforms ``coeff`` in place, which destroys it.
+
+    Only the interior nodes of ``out`` are written, so its interior need
+    not be initialized.
+    """
+    series = sfft.dstn(coeff, type=1, overwrite_x=True)
+    np.divide(series, 2.0**grid.dim, out=out[(slice(1, -1),) * grid.dim])
+    return GridFunction(grid, out)
 
 
 @lru_cache(maxsize=None)

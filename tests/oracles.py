@@ -17,12 +17,17 @@ from freepoisson import (
     GridFunction,
     PolyBump,
     ShapeError,
+    SolverConfig,
     UniformGrid,
+    boundary_values_fast,
     inverse_dst,
+    pad_domain,
+    restrict_to_subgrid,
 )
 from freepoisson.dirichlet import check_support, phi_star_modes
 from freepoisson.grid import _broadcast_samples, _face_shape
 from freepoisson.harmonic import check_panels, harmonic_modes
+from freepoisson.solver import _embed_samples, _pad_counts
 
 _D2 = np.array([1.0, -2.0, 1.0])
 _DELTA3 = np.array([0.0, 1.0, 0.0])
@@ -82,12 +87,44 @@ def solve_phi_star(rho: GridFunction) -> GridFunction:
     return inverse_dst(phi_star_modes(rho), rho.grid).assert_finite()
 
 
+def boundary_array(g: BoundaryValues) -> np.ndarray:
+    """Full node array with the boundary values set and the interior zero."""
+    return g.write_into(np.zeros(g.grid.shape))
+
+
+def modes_of_harmonic(g: BoundaryValues, order: int) -> np.ndarray:
+    """Sine coefficients of the 4th or 6th order harmonic extension alone."""
+    return harmonic_modes(g, order, np.zeros(g.grid.interior_shape))
+
+
 def solve_harmonic(g: BoundaryValues, order: int) -> GridFunction:
     """4th or 6th order discrete-harmonic extension of the boundary data.
 
     Raises ShapeError on a 2D or 3D grid too coarse for the order.
     """
-    return inverse_dst(harmonic_modes(g, order), g.grid, g.as_full_array()).assert_finite()
+    return inverse_dst(modes_of_harmonic(g, order), g.grid, boundary_array(g)).assert_finite()
+
+
+def solve_by_composition(rho: GridFunction, config: SolverConfig) -> GridFunction:
+    """The free-space solve of sampled ``rho`` composed from whole-array steps.
+
+    The harmonic coefficients and the spectral ones are built apart and
+    added, then evaluated by the public ``inverse_dst`` into a zero-filled
+    node array carrying the boundary values: the sum that
+    ``solve_free_space`` accumulates in one array, in another order.
+    """
+    padded = pad_domain(rho.grid, config)
+    rho_padded = _embed_samples(rho, padded, _pad_counts(rho.grid, config))
+    g = boundary_values_fast(rho_padded, config.thread_count)
+    modes = modes_of_harmonic(g, config.order)
+    modes += phi_star_modes(rho_padded)
+    phi = inverse_dst(modes, padded, boundary_array(g)).assert_finite()
+    return phi if padded == rho.grid else restrict_to_subgrid(phi, rho.grid)
+
+
+def row_blocks_assembled(table, n_rows: int, step: int) -> np.ndarray:
+    """A block-by-block table, ``table(rows)``, assembled from blocks of ``step`` rows."""
+    return np.concatenate([table(slice(i, i + step)) for i in range(0, n_rows, step)])
 
 
 def _outer(arrays) -> np.ndarray:
@@ -157,7 +194,7 @@ def assemble_dense(grid: UniformGrid, g: BoundaryValues):
     n = int(np.prod(interior))
     A = np.zeros((n, n))
     b = np.zeros(n)
-    g_ext = g.as_full_array()
+    g_ext = boundary_array(g)
     offsets = list(np.ndindex(stencil.shape))
     for row, node in enumerate(np.ndindex(interior)):
         node = tuple(v + 1 for v in node)

@@ -18,23 +18,30 @@ from freepoisson.dirichlet import continuous_eigenvalues
 from freepoisson.harmonic import (
     build_operator_symbol,
     discrete_eigenvalues,
-    harmonic_modes,
 )
 from oracles import (
     assemble_dense,
+    boundary_array,
     boundary_from_callable,
     boundary_from_full,
     compact_operator_stencil,
     continuous_eigenvalues_pairs,
     correction_q_pairs,
     correlate_valid,
+    modes_of_harmonic,
     operator_symbol_pairs,
+    row_blocks_assembled,
     sixth_order_rhs,
     solve_harmonic,
     zero_function,
 )
 
 RNG = np.random.default_rng(2024)
+
+
+def full_symbol(g: UniformGrid, step: int = 2) -> np.ndarray:
+    """The operator's symbol on every mode, assembled from blocks of ``step`` rows."""
+    return row_blocks_assembled(build_operator_symbol(g), g.panels[0] - 1, step)
 
 
 def sampled_sine_mode(grid: UniformGrid, k) -> np.ndarray:
@@ -51,7 +58,7 @@ def sampled_sine_mode(grid: UniformGrid, k) -> np.ndarray:
 @pytest.mark.parametrize("panels", [(6, 7), (5, 6, 7)])
 def test_symbol_matches_stencil_on_every_mode(panels):
     g = UniformGrid([-1.0] * len(panels), [1.0, 2.0, 1.5][: len(panels)], panels)
-    symbol = build_operator_symbol(g)
+    symbol = full_symbol(g)
     stencil = compact_operator_stencil(g)
     lam = discrete_eigenvalues(g)
     assert all(np.all(l < 0) for l in lam)
@@ -74,15 +81,17 @@ def mode_grids(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mode_grids())
-def test_factored_tables_match_pair_sums(g):
+@given(mode_grids(), st.integers(1, 8))
+def test_factored_tables_match_pair_sums(g, step):
     # The symbol, Q and the continuous eigenvalues, built factored along
-    # axis 0, against direct sums of outer products over axis pairs.
-    for got, want in [
+    # axis 0 block by block and assembled from blocks of ``step`` rows,
+    # against direct sums of outer products over axis pairs.
+    for table, want in [
         (build_operator_symbol(g), operator_symbol_pairs(g)),
-        (harmonic._q_times(np.ones(g.interior_shape), g), correction_q_pairs(g)),
+        (harmonic._q_table(g), correction_q_pairs(g)),
         (continuous_eigenvalues(g), continuous_eigenvalues_pairs(g)),
     ]:
+        got = row_blocks_assembled(table, g.panels[0] - 1, step)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -94,7 +103,7 @@ def test_symbol_matches_extended_precision_on_every_mode(M, upper):
     # long axis are where 2 cos - 2 would cancel (2e-12 and 2e-11 here).
     g = UniformGrid([-1.0, 0.0], upper, [M, 8])
     want = operator_symbol_pairs(g, np.longdouble)
-    assert np.max(np.abs((build_operator_symbol(g) - want) / want)) <= 1e-15
+    assert np.max(np.abs((full_symbol(g, 100) - want) / want)) <= 1e-15
 
 
 def test_stencil_point_counts():
@@ -199,7 +208,7 @@ def test_exactness_on_low_degree_data(dim):
         scale = np.max(np.abs(exact.values))
         boundary_mask = np.ones(g.shape, dtype=bool)
         boundary_mask[(slice(1, -1),) * dim] = False
-        g_full = bv.as_full_array()
+        g_full = boundary_array(bv)
         for order in (4, 6):
             u = solve_harmonic(bv, order)
             assert np.max(np.abs(u.values - exact.values)) <= 1e-11 * scale
@@ -327,11 +336,11 @@ def test_sixth_order_modes_match_dense_correction(panels):
     lower = RNG.uniform(-1.0, 0.0, d)
     g = UniformGrid(lower, lower + RNG.uniform(0.5, 2.0, d), panels)
     for bv in (random_boundary(g), independent_faces(g)):
-        modes4 = harmonic_modes(bv, 4)
-        u1 = inverse_dst(modes4, g, bv.as_full_array())
-        correction = forward_dst(sixth_order_rhs(u1)) / build_operator_symbol(g)
+        modes4 = modes_of_harmonic(bv, 4)
+        u1 = inverse_dst(modes4, g, boundary_array(bv))
+        correction = forward_dst(sixth_order_rhs(u1)) / full_symbol(g)
         want = modes4 + correction
-        got = harmonic_modes(bv, 6)
+        got = modes_of_harmonic(bv, 6)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -410,7 +419,7 @@ def test_1d_modes_reproduce_linear_interpolant():
         t = np.arange(M + 1) / M
         want = 0.75 * (1.0 - t) - 2.5 * t
         assert np.max(np.abs(solve_harmonic(bv, 4).values - want)) <= 1e-14 * 2.5, M
-        assert np.array_equal(harmonic_modes(bv, 6), harmonic_modes(bv, 4)), M
+        assert np.array_equal(modes_of_harmonic(bv, 6), modes_of_harmonic(bv, 4)), M
 
 
 def test_size_preconditions():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from freepoisson import (
 )
 from freepoisson.dirichlet import check_support
 from oracles import (
+    boundary_array,
     bump_from_differentiability,
     node_coordinate,
     solve_harmonic,
@@ -82,6 +84,57 @@ def test_zero_density_gives_zero_solution():
         assert report.boundary_rho_max == 0.0
 
 
+def test_unpadded_density_read_in_place_and_left_unchanged():
+    # Without padding the solver reads the caller's samples directly and
+    # never writes them; the result is bitwise that of solving a copy.
+    g = UniformGrid([-1.0, -1.0, -1.0], [1.0, 1.2, 0.9], [20, 22, 18])
+    rho = GridFunction.from_callable(g, PolyBump(3, 0.5, 5, (0.1, 0.05, -0.1)))
+    before = rho.values.copy()
+    phi, _ = solve_free_space(rho, config=SolverConfig(order=6))
+    assert np.array_equal(rho.values, before)
+    copy, _ = solve_free_space(GridFunction(g, before.copy()), config=SolverConfig(order=6))
+    assert np.array_equal(phi.values, copy.values)
+
+
+def _peak_node_arrays(solve, grid: UniformGrid) -> float:
+    """Traced peak allocation of ``solve()``, in node arrays of ``grid``.
+
+    A first, untraced call keeps lazy imports and caches out of the peak.
+    """
+    solve()
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * math.prod(grid.shape))
+
+
+def test_peak_memory_3d_order6_callable():
+    # After the forward DST at most two volume arrays are alive.  At
+    # M = 48 a block of the harmonic phase's tables and scatters is most
+    # of a node array, so the peak, in that phase, is about 3.0 node
+    # arrays (at M = 96 about 2.5, in the forward DST).
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
+    bump = PolyBump(3, 0.4, 7, CENTER_3D)
+    peak = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
+    assert peak <= 3.5
+
+
+def test_peak_memory_2d_unpadded_samples():
+    # The caller's samples are not copied (they are allocated before the
+    # trace starts), so the harmonic phase's two coefficient arrays and
+    # its block temporaries make the peak: about 2.4 node arrays.
+    g = UniformGrid([-1.0, -3.0], [1.0, 3.0], [512, 512])
+    coords = g.coordinate_arrays()
+    rho = GridFunction(g, sum(
+        PolyBump(2, 0.15, 7, c).density(*coords) for c in ((0.5, 1.0), (-0.4, -1.5), (0.1, 0.2))
+    ))
+    peak = _peak_node_arrays(lambda: solve_free_space(rho, config=SolverConfig(order=6)), g)
+    assert peak <= 3.0
+
+
 def test_linearity():
     rng = np.random.default_rng(4)
     g = UniformGrid([-1, -1], [1, 1], [16, 16])
@@ -134,7 +187,7 @@ def test_boundary_of_phi_equals_accumulated_values_exactly():
     # values bitwise (shared corners resolved the same way the solve did)
     mask = np.ones(g.shape, dtype=bool)
     mask[1:-1, 1:-1] = False
-    assert np.array_equal(phi.values[mask], bv.as_full_array()[mask])
+    assert np.array_equal(phi.values[mask], boundary_array(bv)[mask])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -1,11 +1,15 @@
 """Property tests of the free-space solve: linearity, mirror symmetry and
-whole-panel translation, each to roundoff."""
+whole-panel translation, each to roundoff, and agreement with the solve
+composed from whole-array steps."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freepoisson import GridFunction, SolverConfig, UniformGrid, solve_free_space
+from freepoisson import GridFunction, SolverConfig, UniformGrid, harmonic, solve_free_space
+from oracles import solve_by_composition
 
 TOL = 1e-11
 # Weights bounded away from zero: subnormal products would lose digits.
@@ -76,3 +80,18 @@ def test_translation_by_whole_panels(problem, shifts):
     )
     phi = solve(grid, rho.values, config)
     assert np.max(np.abs(solve(moved, rho.values, config) - phi)) <= TOL * np.max(np.abs(phi))
+
+
+@settings(max_examples=24)
+@given(problems(), st.sampled_from([0, 2]), st.sampled_from([1, 64, harmonic._BLOCK]))
+def test_solve_matches_whole_array_composition(problem, padding, block):
+    # The solve keeps one coefficient array, builds its tables block by
+    # block and transforms the coefficients in place; against whole-array
+    # steps that changes only the order of the sums.  ``block`` = 1 makes
+    # every block one row of axis 0.
+    grid, config, (rho, _) = problem
+    config = SolverConfig(order=config.order, padding_panels=padding)
+    with mock.patch.object(harmonic, "_BLOCK", block):
+        phi = solve_free_space(rho, config=config)[0].values
+    want = solve_by_composition(rho, config).values
+    assert np.max(np.abs(phi - want)) <= 1e-14 * np.max(np.abs(want))
