@@ -224,6 +224,7 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     # the upper; the farthest of these distances is the reach of axis s.
     occupied = [(np.flatnonzero(nonzero.any(axis=in_axes[s])) + 1).tolist()
                 for s in range(grid.dim)]
+    del nonzero
     dists = [sorted({q for p in nodes for q in (p, m - p)})
              for nodes, m in zip(occupied, grid.panels)]
     all_periods = _periods(grid.panels, [max(d, default=0) for d in dists])
@@ -247,4 +248,5 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
         for side in (0, 1):
             out = sfft.irfftn(acc[side], periods, workers=thread_count)
             faces[(axis, side)] = out[window]
+        del kernels, acc  # before the next axis's spectra are built
     return BoundaryValues(grid, faces)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ShapeError, SupportViolationError
 from .grid import GridFunction, UniformGrid
 from .harmonic import _row_blocks
-from .transforms import forward_dst
+from .transforms import _dst_support_in_place
 
 __all__ = ["continuous_eigenvalues", "phi_star_modes"]
 
@@ -73,12 +73,25 @@ def check_support(rho: GridFunction) -> float:
 def phi_star_modes(rho: GridFunction) -> np.ndarray:
     """Sine coefficients of phi*: the density's, divided by the eigenvalues.
 
-    The division runs in blocks of axis-0 rows, so besides the density and
-    the forward DST's own arrays no full-volume table is alive.  The
-    density is not checked here; callers run :func:`check_support`.
+    The density is not checked here; callers run :func:`check_support`.
+    ``rho`` is left unchanged.
     """
-    modes = forward_dst(rho)
-    eigenvalues = continuous_eigenvalues(rho.grid)
-    for rows in _row_blocks(modes.shape):
-        modes[rows] /= eigenvalues(rows)
-    return modes
+    return _phi_star_in_place(np.array(rho.interior()), rho.grid)
+
+
+def _phi_star_in_place(x: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """:func:`phi_star_modes` of the density's interior values ``x``, in place.
+
+    ``x`` may be the interior view of the density's node array.  The forward
+    DST runs in place; its scaling and the division by the eigenvalues run
+    in blocks of axis-0 rows, so no other full-volume array is built.
+    Returns ``x``.
+    """
+    _dst_support_in_place(x)
+    scale = 1.0 / np.prod([float(m) for m in grid.panels])
+    eigenvalues = continuous_eigenvalues(grid)
+    for rows in _row_blocks(x.shape):
+        block = x[rows]
+        block *= scale
+        block /= eigenvalues(rows)
+    return x

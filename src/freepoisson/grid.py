@@ -98,11 +98,18 @@ class UniformGrid:
         return tuple(coords)
 
 
-def _broadcast_samples(values, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """A callable's samples broadcast to ``shape``, as a new array."""
+def _broadcast_samples(values, shape: tuple[int, ...], where: str, out=None) -> np.ndarray:
+    """A callable's samples broadcast to ``shape``, as a new array.
+
+    With ``out``, a part of an array of ``shape``, they are broadcast to
+    ``out`` instead and written into it.
+    """
     values = np.asarray(values, dtype=np.float64)
     try:
-        return np.broadcast_to(values, shape).copy()
+        if out is None:
+            return np.broadcast_to(values, shape).copy()
+        out[...] = np.broadcast_to(values, out.shape)
+        return out
     except ValueError:
         raise ShapeError(
             f"callable returned an array of shape {values.shape}, which does "
@@ -127,9 +134,20 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: UniformGrid, fn) -> "GridFunction":
-        """Sample ``fn(x[, y[, z]])`` at all nodes; fn must broadcast."""
-        values = fn(*grid.coordinate_arrays())
-        return cls(grid, _broadcast_samples(values, grid.shape, "grid nodes"))
+        """Sample ``fn(x[, y[, z]])`` at all nodes, into a new array.
+
+        ``fn`` must be pointwise and broadcast its arguments: it may be
+        called once per block of axis-0 node rows, with that block's x
+        coordinates, so that no whole-grid temporary is built.
+        """
+        from .harmonic import _row_blocks  # harmonic imports this module
+
+        x, *rest = grid.coordinate_arrays()
+        values = np.empty(grid.shape)
+        for rows in _row_blocks(grid.shape):
+            where = f"rows {rows.start}..{min(rows.stop, grid.shape[0]) - 1} of the grid nodes"
+            _broadcast_samples(fn(x[rows], *rest), grid.shape, where, values[rows])
+        return cls(grid, values)
 
     def interior(self) -> np.ndarray:
         """View of the interior nodes (all axes sliced 1:-1)."""

@@ -85,47 +85,53 @@ whole volume does:
   arrays.  Each face's depth-1 change goes back like the boundary transfer,
   a depth-1 node being counted by the face of its lowest depth-1 axis.
 * Scatters and contractions.  A scatter adds a face pair's in-face DSTs,
-  times the normal's row, to the coefficients, in blocks of ``matmul`` with
-  an (n, 2) table: the row zeroed off odd k in one column and off even k
-  in the other.  Every table row has one nonzero entry, so every output of
-  a product is one rounded product plus exact zeros: neither BLAS's
-  blocking, nor its use of FMA, nor its thread count can change a bit,
-  and the result is that of an elementwise loop.  A product with two
-  nonzero terms per row, or a sum over k in BLAS, has no such guarantee;
-  with OpenBLAS both were seen to change bits between one and two threads.
-  So the depth-1 and depth-2 layers go through separate scatters, and the
-  contractions along the normals stay elementwise (``np.einsum``, no BLAS).
+  times the normal's row, to a block of the coefficients, as one
+  ``matmul`` with an (n, 2) table: the row zeroed off odd k in one column
+  and off even k in the other.  Every table row has one nonzero entry, so
+  every output of a product is one rounded product plus exact zeros:
+  neither BLAS's blocking, nor its use of FMA, nor its thread count can
+  change a bit, and the result is that of an elementwise loop.  A product
+  with two nonzero terms per row, or a sum over k in BLAS, has no such
+  guarantee; with OpenBLAS both were seen to change bits between one and
+  two threads.  So the depth-1 and depth-2 layers go through separate
+  scatters, and the contractions along the normals stay elementwise
+  (``np.einsum``, no BLAS); along axis 0 they are summed block by block.
 * Tables.  The operator's symbol, Q and the spectral solve's continuous
   eigenvalues are never built as full arrays.  Each is factored along
   axis 0, from contiguous tables over the trailing axes built once, and
-  evaluated per block of axis-0 rows of about ``_BLOCK`` elements, which
-  is divided into (or multiplied with) the coefficients while it is in
-  cache: the symbol as lam_0 A + P, and Q u in place as
-  ((mu_0 Y + X) mu_0 + P) u.
+  evaluated per block of axis-0 rows (``_row_blocks``: about ``_BLOCK``
+  elements, at most an eighth of axis 0), which is divided into (or
+  multiplied with) the coefficients while it is in cache: the symbol as
+  lam_0 A + P, and Q as (mu_0 Y + X) mu_0 + P.
 * Arrays.  :func:`harmonic_modes` adds into the coefficient array it is
-  given, which holds the spectral coefficients, and allocates one more:
-  the 4th order coefficients, which become Q u and then the correction's
-  right-hand side in place.  Each of the two is divided by the symbol and
-  added block by block.
+  given, which in the free-space solve is the interior of the density's
+  node array, holding the spectral coefficients, and allocates no other:
+  it works in two sweeps over blocks of axis-0 rows, each block built in
+  a buffer of its own.  Sweep 1: the transfer scatters, divided by the
+  symbol, give u, which is added; for order 6 the buffer then becomes
+  Q u plus the depth-2 face-term scatters, is contracted along every
+  normal, divided by the symbol and added.  Then, on O(face) arrays, the
+  shell, the extrapolation, its edges and corners.  Sweep 2 (order 6):
+  the depth-1 change scatters, divided by the symbol, are added.
 
 An order-6 solve thus makes no full-volume DST of its own: the free-space
-solve makes two, the spectral forward DST and the shared inverse.  Besides
-them, a 3D order-6 free-space solve makes 31 elementwise full-volume passes
-from the spectral coefficients to the restricted potential (2D: 26); the
-15 marked (b) (2D: 14) run on cache-sized blocks:
+solve makes two, the spectral forward DST and the shared inverse, both in
+place in the density's node array.  Besides them, a 3D order-6 free-space
+solve makes 37 elementwise full-volume passes from the spectral
+coefficients to the restricted potential (2D: 32), all but the last 3 on
+cache-sized blocks:
 
-* the spectral coefficients, 3: the forward DST's scaling; the eigenvalue
-  table 1 (b) and dividing by it 1 (b);
-* :func:`harmonic_modes`, 26 (2D: 21): the boundary transfer 4 (2D: 3;
-  zeros and a scatter per axis); the symbol 2 (b: its outer product, the
-  added table), dividing by it and adding to the coefficients 2 (b); Q u
-  5 (2D: 4; b); a depth-2 scatter, a contraction and a depth-1 scatter per
-  axis, 9 (2D: 6); the symbol again 2 (b), dividing the correction by it
-  and adding it 2 (b);
-* the inverse DST, in place on the coefficients, 1: its scaling, written
-  into the node array, whose interior is never zero-filled; the
-  finiteness check 1; and the restriction to the user grid 1 when the
-  grid was padded.
+* the spectral coefficients, 3: the forward DST's scaling, the eigenvalue
+  table and dividing by it;
+* sweep 1, 23 (2D: 19): zeros and a transfer scatter per axis 4 (2D: 3);
+  the symbol 2 (its outer product, the added table), dividing by it and
+  adding 2; Q 4 (2D: 3) and multiplying by it 1; a depth-2 scatter and a
+  contraction per axis 6 (2D: 4); the symbol again 2, dividing by it and
+  adding 2;
+* sweep 2, 8 (2D: 7): zeros and a depth-1 scatter per axis 4 (2D: 3); the
+  symbol 2, dividing by it and adding 2;
+* the inverse DST's scaling, in place; the finiteness check; and the
+  restriction to the user grid when the grid was padded.
 """
 
 from __future__ import annotations
@@ -169,8 +175,12 @@ def discrete_eigenvalues(grid: UniformGrid) -> list[np.ndarray]:
 
 
 def _row_blocks(shape) -> list[slice]:
-    """Slices of axis 0 that cut an array of ``shape`` into blocks of about ``_BLOCK`` elements."""
-    step = max(1, _BLOCK * shape[0] // int(np.prod(shape)))
+    """Slices of axis 0 that cut an array of ``shape`` into blocks of about ``_BLOCK`` elements.
+
+    A block holds at most an eighth of axis 0, so that on small grids too
+    a block's temporaries stay a small part of the array.
+    """
+    step = max(1, min(_BLOCK * shape[0] // int(np.prod(shape)), shape[0] // 8))
     return [slice(start, start + step) for start in range(0, shape[0], step)]
 
 
@@ -216,35 +226,34 @@ def _d2(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _scatter(out: np.ndarray, axis: int, table: np.ndarray, faces: np.ndarray) -> None:
-    """``out += sum_c table[k, c] faces[c]`` spread along ``axis``.
+    """``out += sum_c table[k, c] faces[c]`` spread along ``axis``, as one ``matmul``.
 
-    ``table`` is (n, C) over k along ``axis``; ``faces`` is (C, *face).
-    Runs in blocks of ``out``'s first axis of about ``_BLOCK`` elements,
-    each one ``matmul``: on axis 0 the table's block rows times faces as
-    (C, B); on the last axis faces as (C, A) transposed times the table
-    transposed; on the middle axis of 3D the table times faces as (A, C, B).
+    ``table`` is (n, C) over k along ``axis``; ``faces`` is (C, *face).  On
+    axis 0 the table times faces as (C, B); on the last axis faces as
+    (C, A) transposed times the table transposed; on the middle axis of 3D
+    the table times faces as (A, C, B).  ``out`` is a block of a sweep, so
+    the product's temporary is block-sized.
     """
     c = table.shape[1]
-    for rows in _row_blocks(out.shape):
-        block = out[rows]
-        if axis == 0:
-            block += (table[rows] @ faces.reshape(c, -1)).reshape(block.shape)
-        elif axis == out.ndim - 1:
-            block += (faces[:, rows].reshape(c, -1).T @ table.T).reshape(block.shape)
-        else:
-            block += table @ faces[:, rows].transpose(1, 0, 2)
+    if axis == 0:
+        out += (table @ faces.reshape(c, -1)).reshape(out.shape)
+    elif axis == out.ndim - 1:
+        out += (faces.reshape(c, -1).T @ table.T).reshape(out.shape)
+    else:
+        out += table @ faces.transpose(1, 0, 2)
 
 
-def _add_layer(coeff: np.ndarray, grid: UniformGrid, layers: dict, depth: int) -> np.ndarray:
-    """Add to ``coeff`` the sine coefficients of values on the layer ``depth`` behind each face.
+def _layer_scatters(grid: UniformGrid, layers: dict, depth: int) -> dict:
+    """The scatters that send values on the layer ``depth`` behind each face to the coefficients.
 
     ``layers[a, side]`` holds the values on face (a, side)'s interior nodes.
     Along a the far side's factor is the near side's times (-1)^(k+1), so
-    odd k take the sides' in-face DSTs summed and even k differenced: one
-    scatter of the row zeroed off each parity, as an (n, 2) table.
-    Returns ``coeff``.
+    odd k take the sides' in-face DSTs summed and even k differenced: per
+    axis, the row zeroed off each parity as an (n, 2) table and the two
+    in-face DSTs, for :func:`_add_scatters`.
     """
     scale = 2.0 / np.prod([float(m) for m in grid.panels])
+    scatters = {}
     for a, m in enumerate(grid.panels):
         near, far = layers[a, 0], layers[a, 1]
         row = scale * np.sin(depth * np.arange(1, m) * np.pi / m)
@@ -252,8 +261,26 @@ def _add_layer(coeff: np.ndarray, grid: UniformGrid, layers: dict, depth: int) -
         table[0::2, 0] = row[0::2]
         table[1::2, 1] = row[1::2]
         sides = sfft.dstn(np.stack([near + far, near - far]), type=1, axes=range(1, grid.dim))
-        _scatter(coeff, a, table, sides)
-    return coeff
+        scatters[a] = table, sides
+    return scatters
+
+
+def _add_scatters(block: np.ndarray, rows: slice, scatters: dict) -> np.ndarray:
+    """Add the ``scatters`` on the axis-0 modes ``rows`` to ``block``, axis by axis; returns it."""
+    for a, (table, sides) in scatters.items():
+        if a == 0:
+            _scatter(block, 0, table[rows], sides)
+        else:  # a face of axis a keeps axis 0 first
+            _scatter(block, a, table, sides[:, rows])
+    return block
+
+
+def _add_solved(modes: np.ndarray, rows: slice, scatters: dict, symbol) -> np.ndarray:
+    """Add the ``scatters``, divided by the symbol, to ``modes[rows]``; returns that block."""
+    block = _add_scatters(np.zeros(modes[rows].shape), rows, scatters)
+    block /= symbol(rows)
+    modes[rows] += block
+    return block
 
 
 def _cede_lower_edges(x: np.ndarray, a: int) -> np.ndarray:
@@ -263,13 +290,8 @@ def _cede_lower_edges(x: np.ndarray, a: int) -> np.ndarray:
     return x
 
 
-def transfer_boundary_to_rhs(g: BoundaryValues) -> np.ndarray:
-    """Sine coefficients of minus the compact operator applied to g extended by zero.
-
-    Equal to :func:`forward_dst` of that right-hand side, but sent to the
-    coefficients from the depth-1 layer behind each face (module docstring);
-    no node array is built.
-    """
+def _transfer_layers(g: BoundaryValues) -> dict:
+    """The boundary transfer's values on the depth-1 layer behind each face (module docstring)."""
     grid = g.grid
     d = grid.dim
     h2 = [h * h for h in grid.mesh]
@@ -282,7 +304,18 @@ def transfer_boundary_to_rhs(g: BoundaryValues) -> np.ndarray:
             sl[j] = slice(None)
             layer += (h2[a] + h2[s]) / 12.0 / h2[s] * _d2(face[tuple(sl)], j)
         layers[a, side] = layer * (-1.0 / h2[a])
-    return _add_layer(np.zeros(grid.interior_shape), grid, layers, 1)
+    return layers
+
+
+def transfer_boundary_to_rhs(g: BoundaryValues) -> np.ndarray:
+    """Sine coefficients of minus the compact operator applied to g extended by zero.
+
+    Equal to :func:`forward_dst` of that right-hand side, but sent to the
+    coefficients from the depth-1 layer behind each face (module docstring);
+    no node array is built.
+    """
+    transfer = _layer_scatters(g.grid, _transfer_layers(g), 1)
+    return _add_scatters(np.zeros(g.grid.interior_shape), slice(None), transfer)
 
 
 def check_panels(grid: UniformGrid, order: int) -> None:
@@ -376,34 +409,53 @@ def _face_terms(g: BoundaryValues) -> dict:
     return terms
 
 
-def _correction_rhs(g: BoundaryValues, coeff: np.ndarray) -> np.ndarray:
-    """Sine coefficients of the 6th order correction's right-hand side, in ``coeff``.
+def _normal_rows(grid: UniformGrid) -> list[np.ndarray]:
+    """Per axis, the rows that contract the coefficients along the normal.
 
-    ``coeff`` holds the 4th order solution's coefficients u; it is turned
-    into Q u in place and returned holding the right-hand side.  Built by
-    the identity in the module docstring, without a full-volume node array
-    or DST; equal to the forward DST of the dense right-hand side in
-    ``tests/oracles.py``.
+    Row 0 gives the series at depth 1, row 1 the cubic extrapolation
+    4 s_2 - 6 s_3 + 4 s_4 - s_5 from depths 2..5 (s_j = sin(j k pi / M)),
+    both divided by the in-face DST-I's factor 2 per in-face axis.
     """
-    grid = g.grid
-    d = grid.dim
-    q = _q_table(grid)
-    for rows in _row_blocks(coeff.shape):
-        coeff[rows] *= q(rows)
-    _add_layer(coeff, grid, _face_terms(g), 2)
-
-    # Per face: the series at depth 1 and extrapolated from depths 2..5.
-    # Odd and even k are contracted apart (sum: near face, difference: far
-    # face), by rows that undo the in-face DST-I's factor 2 per axis.
-    shell, layer = {}, {}
-    for a, m in enumerate(grid.panels):
+    rows = []
+    for m in grid.panels:
         kpi = np.arange(1, m) * np.pi / m
         extrapolated = sum(e * np.sin(j * kpi) for j, e in enumerate(_EXTRAPOLATE, start=2))
-        rows = np.stack([np.sin(kpi), extrapolated]) / 2.0 ** (d - 1)
-        odd, even = (
-            np.einsum("k...,rk->r...", np.moveaxis(coeff, a, 0)[p::2], rows[:, p::2])
-            for p in (0, 1)
-        )
+        rows.append(np.stack([np.sin(kpi), extrapolated]) / 2.0 ** (grid.dim - 1))
+    return rows
+
+
+def _contract(block: np.ndarray, rows: slice, normal_rows: list, sums: list) -> None:
+    """Add the contractions of ``block``, the modes ``rows`` of axis 0, to ``sums``.
+
+    ``sums[a][p]`` is the contraction along axis a of the modes with k of
+    parity p (p = 0: odd k) with ``normal_rows[a]``; it is elementwise
+    (``np.einsum``), never BLAS.  The block holds all of the modes of every
+    other axis, and a part of axis 0's, whose sums it adds to.
+    """
+    for a, weights in enumerate(normal_rows):
+        modes = np.moveaxis(block, a, 0)
+        for p in (0, 1):
+            if a == 0:
+                first = (p - rows.start) % 2  # the block's first row of parity p
+                sums[a][p] += np.einsum("k...,rk->r...", modes[first::2],
+                                        weights[:, rows][:, first::2])
+            else:
+                sums[a][p][:, rows] = np.einsum("k...,rk->r...", modes[p::2], weights[:, p::2])
+
+
+def _depth1_change(grid: UniformGrid, sums: list) -> dict:
+    """The change of the correction's right-hand side on the depth-1 layer behind each face.
+
+    From the contractions ``sums`` of Q u plus the depth-2 face terms: per
+    face, one in-face DST gives the series at depth 1 and the extrapolation
+    from depths 2..5 (the sum over parities is the near face, the
+    difference the far face); the extrapolation to edges, then corners,
+    runs on those face arrays, and the change is the extrapolation minus
+    the series, a node counted by the face of its lowest depth-1 axis.
+    """
+    d = grid.dim
+    shell, layer = {}, {}
+    for a, (odd, even) in enumerate(sums):
         values = sfft.dstn(np.stack([odd + even, odd - even]), type=1, axes=range(2, d + 1))
         for side in (0, 1):  # ``...`` keeps a 1D face a 0-d array, not a scalar
             shell[a, side] = values[side, 0, ...]
@@ -423,33 +475,41 @@ def _correction_rhs(g: BoundaryValues, coeff: np.ndarray) -> np.ndarray:
                 face, idx = _owner(grid, layer, at)
                 face[idx] = total / t
 
-    # Back to coefficients: the depth-1 layer's change from the series.
     for (a, side), x in layer.items():
         _cede_lower_edges(np.subtract(x, shell[a, side], out=x), a)
-    return _add_layer(coeff, grid, layer, 1)
-
-
-def _divide_and_add(modes: np.ndarray, x: np.ndarray, symbol) -> None:
-    """``x /= symbol`` and then ``modes += x``, block by block."""
-    for rows in _row_blocks(x.shape):
-        block = x[rows]
-        block /= symbol(rows)
-        modes[rows] += block
+    return layer
 
 
 def harmonic_modes(g: BoundaryValues, order: int, modes: np.ndarray) -> np.ndarray:
     """Add the sine coefficients of g's 4th or 6th order harmonic extension to ``modes``.
 
-    Returns ``modes``.  Besides it, one coefficient array is alive: the 4th
-    order coefficients, which become the correction's right-hand side in
-    place.  In 1D both orders give the same coefficients, those of the
-    exact, linear solution.
+    ``modes`` may be a strided view, such as the interior of a node array;
+    it is added into in blocked sweeps of axis-0 rows (module docstring),
+    and no other coefficient array is built.  Returns ``modes``.  In 1D
+    both orders give the same coefficients, those of the exact, linear
+    solution.
     """
     grid = g.grid
+    d = grid.dim
     check_panels(grid, order)
     symbol = build_operator_symbol(grid)
-    u = transfer_boundary_to_rhs(g)
-    _divide_and_add(modes, u, symbol)
+    transfer = _layer_scatters(grid, _transfer_layers(g), 1)
     if order == 6:
-        _divide_and_add(modes, _correction_rhs(g, u), symbol)
+        q = _q_table(grid)
+        face_terms = _layer_scatters(grid, _face_terms(g), 2)
+        normal_rows = _normal_rows(grid)
+        sums = [np.zeros((2, 2) + tuple(n for s, n in enumerate(modes.shape) if s != a))
+                for a in range(d)]
+    for rows in _row_blocks(modes.shape):
+        u = _add_solved(modes, rows, transfer, symbol)  # the 4th order coefficients
+        if order == 6:  # the correction, less its depth-1 change
+            u *= q(rows)
+            _add_scatters(u, rows, face_terms)
+            _contract(u, rows, normal_rows, sums)
+            u /= symbol(rows)
+            modes[rows] += u
+    if order == 6:
+        change = _layer_scatters(grid, _depth1_change(grid, sums), 1)
+        for rows in _row_blocks(modes.shape):
+            _add_solved(modes, rows, change, symbol)
     return modes

@@ -4,8 +4,9 @@ The infinite-domain solution restricted to the box is assembled from two
 finite-domain solves: the homogeneous-Dirichlet spectral solve of the density
 plus a discrete-harmonic extension of the Green's-function boundary values.
 Both are diagonal in the same discrete sine basis, in 1D, 2D and 3D alike,
-so their coefficients share one array, which one inverse DST evaluates in
-place into a node array that carries the boundary values.  The density
+so the whole solve runs in one node array: the density's interior becomes
+their shared coefficients, which one inverse DST evaluates in place, and
+its boundary nodes take the boundary values.  The density
 must keep a zero collar near the boundary; the collar is realized by
 padding the user grid outward by whole panels (preserving the mesh), with
 optional rounding of panel counts up to 7-smooth integers for fast FFTs.
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import boundary_values_fast
-from .dirichlet import phi_star_modes
+from .dirichlet import _phi_star_in_place
 from .errors import AlignmentError, ShapeError, check_count
 from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
 from .harmonic import check_panels, harmonic_modes
-from .transforms import _series_into, next_smooth_length
+from .transforms import _series_in_place, next_smooth_length
 
 __all__ = [
     "SolverConfig",
@@ -141,18 +142,26 @@ def solve_free_space(
     """Solve Poisson's equation in free space at all nodes of the user grid.
 
     ``rho`` is either a GridFunction on the user grid or a callable
-    ``rho(x[, y[, z]])`` (broadcasting) sampled on the padded grid directly.
+    ``rho(x[, y[, z]])`` (pointwise and broadcasting; it may be called once
+    per block of node rows) sampled on the padded grid directly.
     Returns the potential restricted to the user grid plus a phase report.
     The density's support must stay inside the padded domain's zero collar.
 
-    A GridFunction on an unpadded grid is read in place and never written.
-    Besides the density and the forward DST's buffers, the solve keeps at
-    most two volume arrays at a time: the spectral coefficients, into which
-    the harmonic ones are added, with the 4th order coefficients beside
-    them in the harmonic phase, and then the coefficients and the node
-    array of the result.  The solver's own copy
-    of the density is dropped after the forward DST, which is the peak: a
-    3D order-6 solve at M = 96 traces about 2.5 copies of its node array.
+    The solve owns one node array and carries it to the result: the
+    sampled density, the padded embedding, or a copy of an unpadded
+    GridFunction's values, made after the boundary phase has read them
+    (the caller's array is never written).  The boundary phase reads the
+    density; the forward DST turns the array's interior, in place,
+    into the spectral coefficients, to which the harmonic extension's are
+    added in blocked sweeps; the inverse DST turns them, in place, into the
+    potential, and the boundary values are written into its boundary
+    nodes.  A padded grid's result is then restricted by copy.  Besides
+    that array only cache-sized blocks and O(face) arrays are alive.  A 3D
+    order-6 solve of a callable at M = 96 traces these peaks, in node
+    arrays: sampling 1.10 (blocks of the callable's temporaries), boundary
+    1.56 (one axis's kernel spectra and face accumulators), forward DST
+    1.19 (the support mask), harmonic 1.64 (the sweeps' blocks and the
+    face arrays), inverse DST 1.19 (the finiteness check's mask).
     """
     t0 = time.perf_counter()
     if isinstance(rho, GridFunction):
@@ -170,21 +179,18 @@ def solve_free_space(
     elif padded != user_grid:
         rho_padded = _embed_samples(rho, padded, counts)
     else:
-        rho_padded = rho  # only read, never written
+        rho_padded = rho  # read by the boundary phase, then copied
     boundary_rho_max = rho_padded.boundary_abs_max()
 
     t1 = time.perf_counter()
     g = boundary_values_fast(rho_padded, config.thread_count)  # checks the density first
     t2 = time.perf_counter()
-    modes = phi_star_modes(rho_padded)
-    del rho_padded  # the rest of the solve needs only the coefficients
+    # From here on the solve's node array turns into the potential.
+    values = rho.values.copy() if rho_padded is rho else rho_padded.values
+    modes = _phi_star_in_place(values[(slice(1, -1),) * padded.dim], padded)
     t3 = time.perf_counter()
     harmonic_modes(g, config.order, modes)
-    # The shared inverse DST transforms the coefficients in place, into a
-    # node array that holds the boundary values; they are dropped before
-    # the restriction copies the result.
-    phi_padded = _series_into(modes, padded, g.write_into(np.empty(padded.shape)))
-    del modes
+    phi_padded = _series_in_place(g.write_into(values), padded)
     phi_padded.assert_finite()
     t4 = time.perf_counter()
 

@@ -8,17 +8,18 @@ per axis, which makes the inverse a plain series summation at the nodes.  Both
 directions are realized with scipy's FFT-backed DST-I; the contract is the
 mathematical definition above, not the backend.
 
-The forward transform skips the lines that hold only zeros.  ``dstn``
-transforms axis 0, then 1, ..., d-1, one 1D DST-I per line; ``forward_dst``
-keeps that order.  Before axis a is transformed, every later axis is
-restricted to the support box (the bounding box of the nonzero values),
-while the earlier axes, already transformed, stay full; axis a itself is
-widened to full length with zeros.  A line that leaves the box holds only
-zeros in ``dstn``'s intermediate arrays too, and its transform is exactly
-zero; every other line is the same data through the same 1D transform.  So
-the coefficients are bitwise equal to ``dstn``'s, which
-``tests/test_transforms.py`` checks, and a NaN or inf, being nonzero, is
-never skipped.  The inverse transform is dense.
+The forward transform skips the lines that hold only zeros, and works in
+place in one array.  ``dstn`` transforms axis 0, then 1, ..., d-1, one 1D
+DST-I per line; ``forward_dst`` keeps that order.  Before axis a is
+transformed, every later axis is restricted to the support box (the
+bounding box of the nonzero values), while the earlier axes, already
+transformed, stay full; along axis a itself the lines hold zeros outside
+the box.  A line that leaves the box holds only zeros in ``dstn``'s
+intermediate arrays too, and its transform is exactly zero; every other
+line is the same data through the same 1D transform.  So the coefficients
+are bitwise equal to ``dstn``'s, which ``tests/test_transforms.py``
+checks, and a NaN or inf, being nonzero, is never skipped.  The inverse
+transform is dense and also runs in place.
 """
 
 from __future__ import annotations
@@ -40,22 +41,42 @@ def forward_dst(f: GridFunction) -> np.ndarray:
     An array of shape ``f.grid.interior_shape`` over the interior modes
     k_s = 1 .. panels[s]-1.  Only lines that cross the support box of the
     values are transformed (see the module docstring); the result is
-    bitwise equal to ``dstn(f.interior(), type=1)`` scaled.
+    bitwise equal to ``dstn(f.interior(), type=1)`` scaled.  ``f`` is left
+    unchanged.
     """
-    values = f.interior()
-    nonzero = values != 0  # NaN and inf count as nonzero
-    box = [slice(None)] * values.ndim
-    for a in range(values.ndim):  # each reduction runs inside the box found so far
-        line = np.flatnonzero(nonzero[tuple(box)].any(
-            axis=tuple(t for t in range(values.ndim) if t != a)))
-        box[a] = slice(line[0], line[-1] + 1) if line.size else slice(0, 0)
-    coeff = values[tuple(box)]
-    for a, n in enumerate(values.shape):  # dstn's axis order
-        full = np.zeros(coeff.shape[:a] + (n,) + coeff.shape[a + 1:])
-        full[(slice(None),) * a + (box[a],)] = coeff
-        coeff = sfft.dst(full, type=1, axis=a, overwrite_x=True)
+    coeff = _dst_support_in_place(np.array(f.interior()))
     coeff *= 1.0 / np.prod([float(m) for m in f.grid.panels])
     return coeff
+
+
+def _dst_in_place(x: np.ndarray, axis: int) -> None:
+    """DST-I of ``x`` along ``axis``, written into ``x``, which may be a strided view.
+
+    ``scipy.fft`` transforms aligned float64 data in place when it may
+    overwrite it; the check makes sure ``x`` really holds the result.
+    """
+    if sfft.dst(x, type=1, axis=axis, overwrite_x=True).ctypes.data != x.ctypes.data:
+        raise RuntimeError("scipy.fft.dst did not transform its input in place")
+
+
+def _dst_support_in_place(x: np.ndarray) -> np.ndarray:
+    """Unscaled DST-I of ``x`` along every axis, in place, on the support box's lines.
+
+    The forward transform of the module docstring: bitwise ``dstn(x,
+    type=1)``, without another array of ``x``'s size.  Returns ``x``.
+    """
+    nonzero = x != 0  # NaN and inf count as nonzero
+    box = [slice(None)] * x.ndim
+    for a in range(x.ndim):  # each reduction runs inside the box found so far
+        line = np.flatnonzero(nonzero[tuple(box)].any(
+            axis=tuple(t for t in range(x.ndim) if t != a)))
+        if not line.size:
+            return x  # all zeros, as is their transform
+        box[a] = slice(line[0], line[-1] + 1)
+    del nonzero
+    for a in range(x.ndim):  # dstn's axis order; the rest of axis a holds zeros
+        _dst_in_place(x[(slice(None),) * (a + 1) + tuple(box[a + 1:])], a)
+    return x
 
 
 def inverse_dst(
@@ -73,18 +94,22 @@ def inverse_dst(
             f"coefficient shape {coeff.shape} does not match interior "
             f"extents {grid.interior_shape}"
         )
-    return _series_into(coeff.copy(), grid, np.zeros(grid.shape) if out is None else out)
+    out = np.zeros(grid.shape) if out is None else out
+    out[(slice(1, -1),) * grid.dim] = coeff
+    return _series_in_place(out, grid)
 
 
-def _series_into(coeff: np.ndarray, grid: UniformGrid, out: np.ndarray) -> GridFunction:
-    """:func:`inverse_dst` that transforms ``coeff`` in place, which destroys it.
+def _series_in_place(values: np.ndarray, grid: UniformGrid) -> GridFunction:
+    """:func:`inverse_dst` of the coefficients held in the node array's interior, in place.
 
-    Only the interior nodes of ``out`` are written, so its interior need
-    not be initialized.
+    The interior of ``values`` becomes the series at the interior nodes;
+    its boundary nodes are not touched.
     """
-    series = sfft.dstn(coeff, type=1, overwrite_x=True)
-    np.divide(series, 2.0**grid.dim, out=out[(slice(1, -1),) * grid.dim])
-    return GridFunction(grid, out)
+    interior = values[(slice(1, -1),) * grid.dim]
+    for a in range(grid.dim):
+        _dst_in_place(interior, a)
+    interior /= 2.0**grid.dim
+    return GridFunction(grid, values)
 
 
 @lru_cache(maxsize=None)

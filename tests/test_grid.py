@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from freepoisson import (
     AlignmentError,
     GridFunction,
+    PolyBump,
     ShapeError,
     UniformGrid,
+    harmonic,
     max_norm_difference,
     restrict_to_subgrid,
 )
@@ -137,6 +141,22 @@ def test_from_callable_matches_coordinates():
     i, j = 3, 5
     x, y = g.axis_coordinates(0)[i], g.axis_coordinates(1)[j]
     assert f.values[i, j] == pytest.approx(x + 10 * y, rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 50, harmonic._BLOCK])
+def test_from_callable_blocks_match_whole_grid_evaluation(dim, block):
+    # Sampling by blocks of axis-0 rows (one row, a few, the default) gives
+    # the samples of one whole-grid call bit for bit, for a bump and for
+    # transcendental functions that broadcast a lower-dimensional result.
+    g = UniformGrid([-1.0] * dim, [1.0, 1.5, 0.5][:dim], [40, 13, 9][:dim])
+    for fn in (PolyBump(dim, 0.8, 5, (0.1, -0.2, 0.05)[:dim]),
+               lambda x, *rest: np.sin(3.0 * x) * np.exp(sum(rest, 0.25)),
+               lambda x, *rest: np.cos(x) + 0.0 * sum(rest, 0.0)):
+        want = np.broadcast_to(fn(*g.coordinate_arrays()), g.shape)
+        with mock.patch.object(harmonic, "_BLOCK", block):
+            got = GridFunction.from_callable(g, fn).values
+        assert np.array_equal(got, want)
 
 
 def test_boundary_from_callable_wrong_shape_rejected():

@@ -162,15 +162,15 @@ def test_transfer_matches_dense_oracle():
 
 @pytest.mark.parametrize("shape", [(7, 6), (6, 9), (5, 8, 7), (8, 5, 6)])
 @pytest.mark.parametrize("planes", [1, 2, 3])
-def test_scatter_across_block_boundaries(monkeypatch, shape, planes):
-    # Blocks of a few planes of the first axis, whichever axis is scattered;
-    # the last block is partial where the planes do not divide the first
-    # extent, on the last axis too: (7, 6) and (5, 8, 7) at 2 and 3 planes,
-    # (8, 5, 6) at 3.  The sum must not depend on where the blocks fall.
-    # The solver's (n, 2) parity tables give each output one product; a
-    # four-column (two-depth) table gives it two, so those data are small
-    # integers, whose sums are exact in any order.
-    monkeypatch.setattr(harmonic, "_BLOCK", planes * int(np.prod(shape[1:])))
+def test_scatter_across_block_boundaries(shape, planes):
+    # The sweeps scatter into blocks of a few planes of the first axis,
+    # whichever axis is scattered; the last block is partial where the
+    # planes do not divide the first extent, on the last axis too: (7, 6)
+    # and (5, 8, 7) at 2 and 3 planes, (8, 5, 6) at 3.  The sum must not
+    # depend on where the blocks fall.  The solver's (n, 2) parity tables
+    # give each output one product; a four-column (two-depth) table gives
+    # it two, so those data are small integers, whose sums are exact in any
+    # order.
     rng = np.random.default_rng(sum(shape) + planes)
     for depths in (1, 2):
         def draw(*size):
@@ -189,7 +189,9 @@ def test_scatter_across_block_boundaries(monkeypatch, shape, planes):
             view = np.moveaxis(expected, axis, 0)
             for c in range(2 * depths):
                 view += table[:, c].reshape((-1,) + (1,) * len(face)) * faces[c]
-            harmonic._scatter(out, axis, table, faces)
+            for start in range(0, shape[0], planes):
+                rows = slice(start, start + planes)
+                harmonic._add_scatters(out[rows], rows, {axis: (table, faces)})
             assert np.array_equal(out, expected), (depths, axis)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,55 +86,112 @@ def test_zero_density_gives_zero_solution():
         assert report.boundary_rho_max == 0.0
 
 
-def test_unpadded_density_read_in_place_and_left_unchanged():
-    # Without padding the solver reads the caller's samples directly and
-    # never writes them; the result is bitwise that of solving a copy.
+def test_solve_leaves_caller_arrays_unchanged():
+    # The solve works in place in a node array of its own: a copy of an
+    # unpadded GridFunction's values, the padded embedding of a padded
+    # one's, or new samples of a callable, whose own results (kept here)
+    # are copied, not written.  Each result is bitwise that of solving a copy.
     g = UniformGrid([-1.0, -1.0, -1.0], [1.0, 1.2, 0.9], [20, 22, 18])
-    rho = GridFunction.from_callable(g, PolyBump(3, 0.5, 5, (0.1, 0.05, -0.1)))
+    bump = PolyBump(3, 0.5, 5, (0.1, 0.05, -0.1))
+    rho = GridFunction.from_callable(g, bump)
     before = rho.values.copy()
-    phi, _ = solve_free_space(rho, config=SolverConfig(order=6))
-    assert np.array_equal(rho.values, before)
-    copy, _ = solve_free_space(GridFunction(g, before.copy()), config=SolverConfig(order=6))
-    assert np.array_equal(phi.values, copy.values)
+    for config in (SolverConfig(order=6), SolverConfig(order=6, padding_panels=2)):
+        phi, _ = solve_free_space(rho, config=config)
+        assert np.array_equal(rho.values, before)
+        copy, _ = solve_free_space(GridFunction(g, before.copy()), config=config)
+        assert np.array_equal(phi.values, copy.values)
+
+    kept, copies = [], []
+
+    def keeping(*xs):
+        kept.append(bump(*xs))
+        copies.append(kept[-1].copy())
+        return kept[-1]
+
+    phi, _ = solve_free_space(keeping, g, SolverConfig(order=6))
+    assert kept and all(np.array_equal(k, c) for k, c in zip(kept, copies))
+    assert np.array_equal(phi.values, solve_free_space(bump, g, SolverConfig(order=6))[0].values)
 
 
-def _peak_node_arrays(solve, grid: UniformGrid) -> float:
+# Where each phase of a solve begins: the solver's call of that name.
+PHASE_CALLS = (
+    ("boundary", "boundary_values_fast"),
+    ("forward DST", "_phi_star_in_place"),
+    ("harmonic", "harmonic_modes"),
+    ("inverse", "_series_in_place"),
+)
+
+
+def _peak_node_arrays(solve, grid: UniformGrid) -> tuple[float, str]:
     """Traced peak allocation of ``solve()``, in node arrays of ``grid``.
 
-    A first, untraced call keeps lazy imports and caches out of the peak.
+    Also returns each phase's peak, for an assertion message: a phase runs
+    from the solver's call that begins it until the next one, so sampling
+    ends where the boundary phase begins, and the inverse DST includes the
+    finiteness check and any restriction.  A first, untraced call keeps
+    lazy imports and caches out of the peak.
     """
     solve()
-    tracemalloc.start()
-    try:
-        solve()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / (8.0 * math.prod(grid.shape))
+    node_array = 8.0 * math.prod(grid.shape)
+    peaks = {}
+    phase = "sampling"
+
+    def begin(name):
+        nonlocal phase
+        peaks[phase] = tracemalloc.get_traced_memory()[1] / node_array
+        tracemalloc.reset_peak()
+        phase = name
+
+    def entering(name, fn):
+        def call(*args, **kwargs):
+            begin(name)
+            return fn(*args, **kwargs)
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name, attr in PHASE_CALLS:
+            fn = getattr(freepoisson.solver, attr)
+            stack.enter_context(mock.patch.object(freepoisson.solver, attr, entering(name, fn)))
+        tracemalloc.start()
+        try:
+            solve()
+            begin(None)
+        finally:
+            tracemalloc.stop()
+    return max(peaks.values()), ", ".join(f"{k} {v:.2f}" for k, v in peaks.items())
 
 
 def test_peak_memory_3d_order6_callable():
-    # After the forward DST at most two volume arrays are alive.  At
-    # M = 48 a block of the harmonic phase's tables and scatters is most
-    # of a node array, so the peak, in that phase, is about 3.0 node
-    # arrays (at M = 96 about 2.5, in the forward DST).
+    # One node array per solve, plus blocks of at most an eighth of axis 0
+    # and O(face) arrays: about 2.25 node arrays at M = 48, in the boundary
+    # phase (harmonic 2.15), where a face is still a large part of the
+    # volume.
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
     bump = PolyBump(3, 0.4, 7, CENTER_3D)
-    peak = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
-    assert peak <= 3.5
+    peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
+    assert peak <= 3.5, phases
+
+
+def test_peak_memory_3d_order6_callable_at_m96():
+    # The headline size: about 1.64 node arrays, in the harmonic phase
+    # (boundary 1.56, sampling 1.10).
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [96] * 3)
+    bump = PolyBump(3, 0.4, 7, CENTER_3D)
+    peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
+    assert peak <= 1.8, phases
 
 
 def test_peak_memory_2d_unpadded_samples():
-    # The caller's samples are not copied (they are allocated before the
-    # trace starts), so the harmonic phase's two coefficient arrays and
-    # its block temporaries make the peak: about 2.4 node arrays.
+    # The caller's samples (allocated before the trace starts) are read by
+    # the boundary phase and then copied once into the node array the
+    # solve owns: about 1.5 node arrays, in the harmonic phase.
     g = UniformGrid([-1.0, -3.0], [1.0, 3.0], [512, 512])
     coords = g.coordinate_arrays()
     rho = GridFunction(g, sum(
         PolyBump(2, 0.15, 7, c).density(*coords) for c in ((0.5, 1.0), (-0.4, -1.5), (0.1, 0.2))
     ))
-    peak = _peak_node_arrays(lambda: solve_free_space(rho, config=SolverConfig(order=6)), g)
-    assert peak <= 3.0
+    peak, phases = _peak_node_arrays(lambda: solve_free_space(rho, config=SolverConfig(order=6)), g)
+    assert peak <= 3.0, phases
 
 
 def test_linearity():

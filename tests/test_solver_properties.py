@@ -85,10 +85,10 @@ def test_translation_by_whole_panels(problem, shifts):
 @settings(max_examples=24)
 @given(problems(), st.sampled_from([0, 2]), st.sampled_from([1, 64, harmonic._BLOCK]))
 def test_solve_matches_whole_array_composition(problem, padding, block):
-    # The solve keeps one coefficient array, builds its tables block by
-    # block and transforms the coefficients in place; against whole-array
-    # steps that changes only the order of the sums.  ``block`` = 1 makes
-    # every block one row of axis 0.
+    # The solve works in place in one node array and runs its tables and
+    # sweeps block by block; against whole-array steps that changes only
+    # the order of the sums.  ``block`` = 1 makes every block one row of
+    # axis 0.
     grid, config, (rho, _) = problem
     config = SolverConfig(order=config.order, padding_panels=padding)
     with mock.patch.object(harmonic, "_BLOCK", block):

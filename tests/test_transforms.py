@@ -11,7 +11,7 @@ from freepoisson import (
     forward_dst,
     inverse_dst,
 )
-from freepoisson.transforms import next_smooth_length
+from freepoisson.transforms import _dst_support_in_place, next_smooth_length
 from oracles import zero_function
 
 
@@ -197,7 +197,17 @@ def support_boxes(draw):
 def test_forward_is_bitwise_equal_to_dstn_on_support_boxes(case, seed):
     panels, box = case
     f = _supported(panels, box, seed)
+    before = f.values.copy()
     assert np.array_equal(forward_dst(f), _dstn_coefficients(f))
+    assert np.array_equal(f.values, before)
+    # The solver's path: in place on the interior view of a node array,
+    # unscaled, with the boundary nodes untouched.
+    inside = (slice(1, -1),) * len(panels)
+    values = f.values.copy()
+    _dst_support_in_place(values[inside])
+    assert np.array_equal(values[inside], sfft.dstn(f.interior(), type=1))
+    values[inside] = before[inside]
+    assert np.array_equal(values, before)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
