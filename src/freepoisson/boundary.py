@@ -27,8 +27,8 @@ the DCT-I of its non-negative quadrant, offsets 0..P/2 (zero beyond M-1):
     K^[k] = K[0] + (-1)^k K[P/2] + 2 sum_{n=1}^{P/2-1} K[n] cos(2 pi k n / P).
 
 Only offsets 0..min(M-1, P/2) are evaluated per axis, and the transforms of
-all kernels of one axis are one batched ``dctn(type=1)``.  The frequencies
-above P/2 of a full FFT axis are read back to front from the stored half,
+a group's kernels are one batched ``dctn(type=1)``.  The frequencies above
+P/2 of a full FFT axis are read back to front from the stored half,
 K^[P-k] = K^[k], without a mirrored copy.
 
 Slice data at nodes 1..M-1 sits at circular indices 0..M-2, so face node j
@@ -56,7 +56,15 @@ cases sit on these bounds:
 Since the FFT is linear, the slices are summed in frequency space: each
 non-empty slice is transformed once, its spectrum times the real kernel
 spectra of both opposite faces is added to one accumulator per face, and
-each face needs a single inverse FFT.  A slice's transform is ``rfftn``'s
+each face needs a single inverse FFT.  Slice p needs the kernels at
+distances p and M-p, one pair {d, M-d}, and every distance belongs to
+exactly one pair.  The pairs of a face-normal axis are worked through in
+groups whose spectra hold at most ``harmonic._BLOCK`` values (at least one
+pair): a group's spectra are built, every slice whose pair is in the group
+is added, and they are dropped before the next group's are built.  So each
+kernel is still evaluated and transformed once, and besides the density
+only one group's spectra, the two face accumulators, one slice's spectrum
+and the finished faces are alive.  A slice's transform is ``rfftn``'s
 own sequence with the zero rows left out: the r2c along the last in-face
 axis runs only on the range of rows occupied in the whole density (along
 the first in-face axis in 3D; a 2D slice is one row), the results are
@@ -64,15 +72,19 @@ placed in a zeroed half spectrum, and the c2c runs along the leading
 in-face axis.  A skipped row would transform to exact zeros, so the
 spectrum is bitwise ``rfftn``'s.  ``thread_count`` is passed to
 ``scipy.fft`` as ``workers``; each 1D transform is computed the same way on
-any worker and the accumulation order is fixed, which makes the output
-bitwise independent of the thread count.
+any worker and the accumulation order (groups in increasing d, each
+group's slices in increasing p) is fixed, which makes the output bitwise
+independent of the thread count.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.fft as sfft
 
+from . import harmonic
 from .dirichlet import check_support
 from .errors import check_count
 from .grid import BoundaryValues, GridFunction, UniformGrid
@@ -142,6 +154,9 @@ def _kernel_spectra(grid: UniformGrid, axis: int, dists, periods, workers: int) 
     every in-face axis: one batched DCT-I of the kernel's values at offsets
     0..min(M_s-1, P_s/2), zero-filled to P_s/2+1 per axis.  The Trapezoidal
     weights are folded in, so each spectrum serves both faces of the axis.
+    The kernel values are evaluated in sub-blocks of at most an eighth of
+    ``_BLOCK`` values (whole kernels, or rows of one kernel's leading
+    in-face axis), so the Green's function's temporaries stay small.
     """
     in_axes = [s for s in range(grid.dim) if s != axis]
     # squared in-face distances at offsets 0..min(M_s-1, P_s/2)
@@ -151,13 +166,16 @@ def _kernel_spectra(grid: UniformGrid, axis: int, dists, periods, workers: int) 
         (-1,) + (1,) * in_face.ndim)
     buf = np.zeros((len(dists),) + tuple(p // 2 + 1 for p in periods))
     kernel = buf[(slice(None),) + tuple(slice(0, n) for n in in_face.shape)]
+    np.add(normal, in_face, out=kernel)
+    np.sqrt(kernel, out=kernel)
     weight = float(np.prod(grid.mesh))
-    step = max(1, 2**16 // in_face.size)  # blocks of rows keep temporaries small
-    for i in range(0, len(dists), step):
-        block = kernel[i:i + step]
-        np.add(normal[i:i + step], in_face, out=block)
-        np.sqrt(block, out=block)
-        np.multiply(green_values(grid.dim, block), weight, out=block)
+    budget = harmonic._BLOCK // 8
+    kernels_per_block = max(1, budget // in_face.size)
+    rows_per_block = max(1, budget * in_face.shape[0] // in_face.size)
+    for i in range(0, len(dists), kernels_per_block):
+        for j in range(0, in_face.shape[0], rows_per_block):
+            block = kernel[i:i + kernels_per_block, j:j + rows_per_block]
+            np.multiply(green_values(grid.dim, block), weight, out=block)
     return sfft.dctn(buf, type=1, axes=tuple(range(1, buf.ndim)),
                      workers=workers, overwrite_x=True)
 
@@ -200,13 +218,18 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     Mathematically identical to :func:`boundary_values_naive` (the slices
     cover exactly the interior sources); agreement is limited only by FFT
     roundoff.  The in-face FFT periods follow the density's support
-    (:func:`_periods`).  Per face-normal axis, the kernel spectra at every
-    normal distance a non-empty source slice needs are built at once, by one
-    batched DCT-I of the kernels' non-negative offsets; they are real
-    because the kernels are even.  Each non-empty slice is then transformed
-    once, its spectrum times the kernel spectrum at its distance to each of
-    the two faces is added to that face's accumulator, and one inverse FFT
-    per face finishes the sum.  The density is checked (:func:`check_support`)
+    (:func:`_periods`).  Per face-normal axis, the normal distances that
+    non-empty source slices need come in pairs {d, M - d}, which are taken
+    in groups of at most ``harmonic._BLOCK`` spectrum values.  A group's
+    kernel spectra are built by one batched DCT-I of the kernels'
+    non-negative offsets; they are real because the kernels are even.  Each
+    non-empty slice whose pair is in the group is then transformed, its
+    spectrum times the kernel spectrum at its distance to each of the two
+    faces is added to that face's accumulator, and the group's spectra are
+    dropped before the next group's are built.  One inverse FFT per face
+    finishes the sum.  Besides the density, one group's spectra, the face
+    accumulators of one axis, one slice's spectrum and the finished faces
+    are alive at any time.  The density is checked (:func:`check_support`)
     before any transform.  ``thread_count`` is the ``workers`` count of
     every ``scipy.fft`` call, and the accumulation order is fixed, so the
     result is bitwise identical for any value.
@@ -220,33 +243,41 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     interior = rho.interior()
     nonzero = interior != 0
     in_axes = [tuple(t for t in range(grid.dim) if t != s) for s in range(grid.dim)]
-    # Slice p along axis s lies p panels from the lower face and M_s - p from
-    # the upper; the farthest of these distances is the reach of axis s.
-    occupied = [(np.flatnonzero(nonzero.any(axis=in_axes[s])) + 1).tolist()
+    occupied = [set((np.flatnonzero(nonzero.any(axis=in_axes[s])) + 1).tolist())
                 for s in range(grid.dim)]
     del nonzero
-    dists = [sorted({q for p in nodes for q in (p, m - p)})
-             for nodes, m in zip(occupied, grid.panels)]
-    all_periods = _periods(grid.panels, [max(d, default=0) for d in dists])
-    span = [slice(nodes[0] - 1, nodes[-1]) if nodes else slice(0) for nodes in occupied]
+    # Slice p along axis s lies p panels from the lower face and M_s - p from
+    # the upper: it needs the kernels of the pair {d, M_s - d}, d = min(p, M_s - p).
+    # The farthest of these distances, M_s minus the nearest, is the reach.
+    pairs = [sorted({min(p, m - p) for p in nodes}) for nodes, m in zip(occupied, grid.panels)]
+    all_periods = _periods(grid.panels, [m - d[0] if d else 0
+                                         for d, m in zip(pairs, grid.panels)])
+    span = [slice(min(nodes) - 1, max(nodes)) if nodes else slice(0) for nodes in occupied]
     faces = {}
     for axis, m in enumerate(grid.panels):
         periods = tuple(all_periods[s] for s in in_axes[axis])
-        row = {q: i for i, q in enumerate(dists[axis])}
-        kernels = _kernel_spectra(grid, axis, dists[axis], periods, thread_count)
         half = periods[:-1] + (periods[-1] // 2 + 1,)
         acc = np.zeros((2,) + half, dtype=complex)  # lower, upper face
         # rows of the leading in-face axes (one in 3D, none in 2D) that hold the density
         rows = tuple(span[s] for s in in_axes[axis][:-1])
-        for p in occupied[axis]:  # fixed order: deterministic
-            x = interior[(slice(None),) * axis + (p - 1,)]
-            spectrum = _slice_spectrum(x, rows, periods, thread_count)
-            _add_product(acc[0], spectrum, kernels[row[p]])
-            _add_product(acc[1], spectrum, kernels[row[m - p]])
+        # Groups of pairs whose spectra hold at most _BLOCK values.
+        step = max(1, harmonic._BLOCK // (2 * math.prod(p // 2 + 1 for p in periods)))
+        for start in range(0, len(pairs[axis]), step):
+            dists = sorted({q for d in pairs[axis][start:start + step] for q in (d, m - d)})
+            row = {q: i for i, q in enumerate(dists)}
+            kernels = _kernel_spectra(grid, axis, dists, periods, thread_count)
+            for p in dists:  # the group's slices, in a fixed order: deterministic
+                if p not in occupied[axis]:
+                    continue
+                x = interior[(slice(None),) * axis + (p - 1,)]
+                spectrum = _slice_spectrum(x, rows, periods, thread_count)
+                _add_product(acc[0], spectrum, kernels[row[p]])
+                _add_product(acc[1], spectrum, kernels[row[m - p]])
+            del kernels, spectrum  # before the next group's spectra are built
         # Face nodes 0..M_s are the circular indices -1..M_s-1.
         window = np.ix_(*(range(-1, grid.panels[s]) for s in in_axes[axis]))
         for side in (0, 1):
             out = sfft.irfftn(acc[side], periods, workers=thread_count)
             faces[(axis, side)] = out[window]
-        del kernels, acc  # before the next axis's spectra are built
+        del acc  # before the next axis's accumulators are built
     return BoundaryValues(grid, faces)

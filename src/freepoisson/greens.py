@@ -23,12 +23,13 @@ __all__ = ["green_values"]
 def green_values(dim: int, r: np.ndarray) -> np.ndarray:
     """Green's function at every distance of an array (all ``>= 0``)."""
     r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 0):
-        raise ValueError("distances must be nonnegative")
+    if not r.min(initial=np.inf) > 0:  # one reduction when every distance is positive
+        if np.any(r < 0):
+            raise ValueError("distances must be nonnegative")
+        if dim != 1 and np.any(r == 0.0):
+            raise SingularityError(f"Green's function is singular at r=0 for dim {dim}")
     if dim == 1:
         return 0.5 * r
-    if np.any(r == 0.0):
-        raise SingularityError(f"Green's function is singular at r=0 for dim {dim}")
     if dim == 2:
         return np.log(r) / (2.0 * np.pi)
     if dim == 3:

@@ -159,9 +159,10 @@ def solve_free_space(
     that array only cache-sized blocks and O(face) arrays are alive.  A 3D
     order-6 solve of a callable at M = 96 traces these peaks, in node
     arrays: sampling 1.10 (blocks of the callable's temporaries), boundary
-    1.56 (one axis's kernel spectra and face accumulators), forward DST
-    1.19 (the support mask), harmonic 1.64 (the sweeps' blocks and the
-    face arrays), inverse DST 1.19 (the finiteness check's mask).
+    1.27 (one group of kernel spectra and one axis's face accumulators),
+    forward DST 1.19 (the support mask), harmonic 1.64 (the sweeps' blocks
+    and the face arrays), inverse DST 1.13 (the finiteness check's mask;
+    the boundary values are released once written).
     """
     t0 = time.perf_counter()
     if isinstance(rho, GridFunction):
@@ -190,7 +191,9 @@ def solve_free_space(
     modes = _phi_star_in_place(values[(slice(1, -1),) * padded.dim], padded)
     t3 = time.perf_counter()
     harmonic_modes(g, config.order, modes)
-    phi_padded = _series_in_place(g.write_into(values), padded)
+    g.write_into(values)
+    del g  # the node array holds the boundary values now
+    phi_padded = _series_in_place(values, padded)
     phi_padded.assert_finite()
     t4 = time.perf_counter()
 

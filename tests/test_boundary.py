@@ -15,7 +15,7 @@ from freepoisson import (
     boundary_values_fast,
     boundary_values_naive,
 )
-from freepoisson import boundary
+from freepoisson import boundary, harmonic
 from freepoisson.boundary import _periods, _slice_spectrum
 from freepoisson.greens import green_values
 from freepoisson.transforms import next_smooth_length
@@ -373,10 +373,12 @@ def test_slice_spectrum_is_bitwise_rfftn(case):
 
 @pytest.mark.parametrize("panels", [(17, 12), (11, 9, 13)])
 def test_fast_fft_calls_pass_the_shape_as_a_positional_tuple(monkeypatch, panels):
-    # Per-call FFT counters (as in perfbench's tracer) take the transform
-    # shape as the second positional argument, a tuple; any other call form
-    # must fail here rather than in a traced benchmark run.
-    real, calls = boundary.sfft, []
+    # Per-call counters (as in perfbench's tracer) take the transform shape
+    # as the second positional argument of each FFT, a tuple, and wrap
+    # ``green_values`` in a function of exactly (dim, r); any other call
+    # form must fail here rather than in a traced benchmark run.  With
+    # ``_BLOCK = 1`` every group of kernel spectra is one pair {d, M - d}.
+    real, calls, evals = boundary.sfft, [], []
 
     class TupleShapeOnly:
         def __getattr__(self, name):
@@ -392,11 +394,35 @@ def test_fast_fft_calls_pass_the_shape_as_a_positional_tuple(monkeypatch, panels
 
             return checked
 
+    def counted_green_values(dim, r):
+        out = green_values(dim, r)
+        evals.append(out.size)
+        return out
+
     rho = random_density(UniformGrid([-1.0] * len(panels), [1.0] * len(panels), panels),
                          np.random.default_rng(29))
-    ref = boundary_values_fast(rho)
+    refs = {}
+    for block in (1, harmonic._BLOCK):
+        monkeypatch.setattr(harmonic, "_BLOCK", block)
+        refs[block] = boundary_values_fast(rho)
     monkeypatch.setattr(boundary, "sfft", TupleShapeOnly())
-    got = boundary_values_fast(rho)
-    assert {"rfftn", "irfftn"} <= set(calls)
-    assert ("fftn" in calls) == (len(panels) == 3)  # the leading in-face axis
-    assert all(np.array_equal(ref.faces[k], got.faces[k]) for k in ref.faces)
+    monkeypatch.setattr(boundary, "green_values", counted_green_values)
+    # Each kernel is evaluated once: sum over normal axes a of |D_a| times
+    # the evaluated in-face offsets, prod_{s != a} min(M_s, P_s/2 + 1).  The
+    # density fills slices 2..M-2, so D_a = {2, ..., M_a - 2} and R_a = M_a - 2.
+    periods = _periods(panels, [m - 2 for m in panels])
+    kernel_evals = sum(
+        (panels[a] - 3) * math.prod(min(m, p // 2 + 1)
+                                    for s, (m, p) in enumerate(zip(panels, periods)) if s != a)
+        for a in range(len(panels)))
+    for block, ref in refs.items():
+        monkeypatch.setattr(harmonic, "_BLOCK", block)
+        calls.clear()
+        evals.clear()
+        got = boundary_values_fast(rho)
+        assert {"rfftn", "irfftn"} <= set(calls)
+        assert ("fftn" in calls) == (len(panels) == 3)  # the leading in-face axis
+        # One r2c (and in 3D one c2c) per occupied slice, two inverse FFTs per axis.
+        assert len(calls) == sum((m - 3) * (len(panels) - 1) + 2 for m in panels)
+        assert sum(evals) == kernel_evals
+        assert all(np.array_equal(ref.faces[k], got.faces[k]) for k in ref.faces)

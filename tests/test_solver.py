@@ -163,8 +163,8 @@ def _peak_node_arrays(solve, grid: UniformGrid) -> tuple[float, str]:
 
 def test_peak_memory_3d_order6_callable():
     # One node array per solve, plus blocks of at most an eighth of axis 0
-    # and O(face) arrays: about 2.25 node arrays at M = 48, in the boundary
-    # phase (harmonic 2.15), where a face is still a large part of the
+    # and O(face) arrays: about 2.15 node arrays at M = 48, in the harmonic
+    # phase (boundary 1.74), where a face is still a large part of the
     # volume.
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
     bump = PolyBump(3, 0.4, 7, CENTER_3D)
@@ -179,6 +179,28 @@ def test_peak_memory_3d_order6_callable_at_m96():
     bump = PolyBump(3, 0.4, 7, CENTER_3D)
     peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
     assert peak <= 1.8, phases
+
+
+def test_peak_memory_3d_order6_wide_support():
+    # A wide support needs kernel spectra at many normal distances; built in
+    # groups of pairs {d, M - d}, they keep the boundary phase at about 1.68
+    # node arrays, below the harmonic phase's 1.95.
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [64] * 3)
+    bump = PolyBump(3, 0.8, 7, CENTER_3D)
+    peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
+    assert peak <= 2.1, phases
+
+
+def test_peak_memory_3d_order4_padded_samples():
+    # Time stepping's shape: samples on the user grid, embedded in a padded
+    # 7-smooth grid.  About 1.81 node arrays of the padded grid, in the
+    # boundary phase (inverse 1.71, once the boundary values are released).
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
+    config = SolverConfig(order=4, padding_panels=2, fft_friendly_expansion=True)
+    rho = GridFunction.from_callable(g, PolyBump(3, 0.6, 5, CENTER_3D))
+    peak, phases = _peak_node_arrays(lambda: solve_free_space(rho, config=config),
+                                     pad_domain(g, config))
+    assert peak <= 2.0, phases
 
 
 def test_peak_memory_2d_unpadded_samples():
