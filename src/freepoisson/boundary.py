@@ -53,18 +53,29 @@ cases sit on these bounds:
   their offsets -+M/2 read one kernel value) and for an all-zero density
   (R = 0).  It keeps the window's indices distinct and inside the period.
 
+Axes with the same mesh width and panel count take the largest of their
+periods, which still meets both bounds for each of them.  Then face-normal
+axes with the same normal mesh width and the same in-face mesh widths,
+panel counts and periods, in axis order, have one kernel: on a cubic mesh
+all three axes do, and on a square one both.  Such axes form a class and
+share its spectra.  Exact float equality decides; axes 0 and 2 of a mesh
+where only they match have transposed in-face kernels and stay apart.
+
 Since the FFT is linear, the slices are summed in frequency space: each
 non-empty slice is transformed once, its spectrum times the real kernel
 spectra of both opposite faces is added to one accumulator per face, and
 each face needs a single inverse FFT.  Slice p needs the kernels at
 distances p and M-p, one pair {d, M-d}, and every distance belongs to
-exactly one pair.  The pairs of a face-normal axis are worked through in
-groups whose spectra hold at most ``harmonic._BLOCK`` values (at least one
-pair): a group's spectra are built, every slice whose pair is in the group
-is added, and they are dropped before the next group's are built.  So each
-kernel is still evaluated and transformed once, and besides the density
-only one group's spectra, the two face accumulators, one slice's spectrum
-and the finished faces are alive.  A slice's transform is ``rfftn``'s
+exactly one pair.  The union of the pairs that a class's axes need is
+worked through in groups (at least one pair each) whose spectra, together
+with the accumulators of the class's axes beyond the first, hold at most
+``harmonic._BLOCK`` values: a group's spectra are built, every slice of
+every axis of the class whose pair is in the group is added, and they are
+dropped before the next group's are built.  So each kernel is evaluated
+and transformed once per solve, and besides the density only one group's
+spectra, the two face accumulators of each axis of one class, one slice's
+spectrum and the finished faces are alive.  A class of one axis has the
+groups of that axis alone.  A slice's transform is ``rfftn``'s
 own sequence with the zero rows left out: the r2c along the last in-face
 axis runs only on the range of rows occupied in the whole density (along
 the first in-face axis in 3D; a 2D slice is one row), the results are
@@ -73,8 +84,8 @@ in-face axis.  A skipped row would transform to exact zeros, so the
 spectrum is bitwise ``rfftn``'s.  ``thread_count`` is passed to
 ``scipy.fft`` as ``workers``; each 1D transform is computed the same way on
 any worker and the accumulation order (groups in increasing d, each
-group's slices in increasing p) is fixed, which makes the output bitwise
-independent of the thread count.
+group's slices in increasing p, axis by axis) is fixed, which makes the
+output bitwise independent of the thread count.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ from .dirichlet import check_support
 from .errors import check_count
 from .grid import BoundaryValues, GridFunction, UniformGrid
 from .greens import green_values
-from .transforms import next_smooth_length
+from .transforms import _support_box, _support_lines, next_smooth_length
 
 __all__ = ["boundary_values_naive", "boundary_values_fast"]
 
@@ -212,27 +223,23 @@ def _add_product(acc: np.ndarray, spectrum: np.ndarray, kernel: np.ndarray):
     acc[h:] += spectrum[h:] * kernel[h - 2:0:-1]
 
 
-def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryValues:
+def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
+                         lines: list[np.ndarray] | None = None) -> BoundaryValues:
     """Boundary sums via FFT convolutions summed in frequency space; O(N log N).
 
     Mathematically identical to :func:`boundary_values_naive` (the slices
     cover exactly the interior sources); agreement is limited only by FFT
-    roundoff.  The in-face FFT periods follow the density's support
-    (:func:`_periods`).  Per face-normal axis, the normal distances that
-    non-empty source slices need come in pairs {d, M - d}, which are taken
-    in groups of at most ``harmonic._BLOCK`` spectrum values.  A group's
-    kernel spectra are built by one batched DCT-I of the kernels'
-    non-negative offsets; they are real because the kernels are even.  Each
-    non-empty slice whose pair is in the group is then transformed, its
-    spectrum times the kernel spectrum at its distance to each of the two
-    faces is added to that face's accumulator, and the group's spectra are
-    dropped before the next group's are built.  One inverse FFT per face
-    finishes the sum.  Besides the density, one group's spectra, the face
-    accumulators of one axis, one slice's spectrum and the finished faces
-    are alive at any time.  The density is checked (:func:`check_support`)
-    before any transform.  ``thread_count`` is the ``workers`` count of
-    every ``scipy.fft`` call, and the accumulation order is fixed, so the
-    result is bitwise identical for any value.
+    roundoff.  The module docstring sets out the in-face periods, the
+    classes of face-normal axes that share one kernel, and the groups in
+    which a class's kernel spectra are built once each and dropped after
+    use.  Besides the density, one group's spectra, the face accumulators
+    of one class, one slice's spectrum and the finished faces are alive at
+    any time.  The density is checked (:func:`check_support`) before any
+    transform.  ``lines``, if given, is ``transforms._support_lines`` of
+    the density's interior, from a caller that has scanned it already.
+    ``thread_count`` is the ``workers`` count of every ``scipy.fft`` call,
+    and the accumulation order is fixed, so the result is bitwise identical
+    for any value.
     """
     check_count("thread_count", thread_count, 1)
     grid = rho.grid
@@ -241,43 +248,54 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1) -> BoundaryVa
     check_support(rho)
 
     interior = rho.interior()
-    nonzero = interior != 0
+    if lines is None:
+        lines = _support_lines(interior)
+    mesh, panels = grid.mesh, grid.panels
     in_axes = [tuple(t for t in range(grid.dim) if t != s) for s in range(grid.dim)]
-    occupied = [set((np.flatnonzero(nonzero.any(axis=in_axes[s])) + 1).tolist())
-                for s in range(grid.dim)]
-    del nonzero
+    occupied = [set((line + 1).tolist()) for line in lines]
     # Slice p along axis s lies p panels from the lower face and M_s - p from
     # the upper: it needs the kernels of the pair {d, M_s - d}, d = min(p, M_s - p).
     # The farthest of these distances, M_s minus the nearest, is the reach.
-    pairs = [sorted({min(p, m - p) for p in nodes}) for nodes, m in zip(occupied, grid.panels)]
-    all_periods = _periods(grid.panels, [m - d[0] if d else 0
-                                         for d, m in zip(pairs, grid.panels)])
-    span = [slice(min(nodes) - 1, max(nodes)) if nodes else slice(0) for nodes in occupied]
+    pairs = [sorted({min(p, m - p) for p in nodes}) for nodes, m in zip(occupied, panels)]
+    own = _periods(panels, [m - d[0] if d else 0 for d, m in zip(pairs, panels)])
+    all_periods = [max(p for t, p in enumerate(own) if (mesh[t], panels[t]) == (mesh[s], panels[s]))
+                   for s in range(grid.dim)]
+    classes = {}
+    for axis in range(grid.dim):
+        key = (mesh[axis], tuple((mesh[s], panels[s], all_periods[s]) for s in in_axes[axis]))
+        classes.setdefault(key, []).append(axis)
+    box = _support_box(lines)
     faces = {}
-    for axis, m in enumerate(grid.panels):
+    for members in classes.values():
+        axis, m = members[0], panels[members[0]]  # every member has M_s = m
         periods = tuple(all_periods[s] for s in in_axes[axis])
         half = periods[:-1] + (periods[-1] // 2 + 1,)
-        acc = np.zeros((2,) + half, dtype=complex)  # lower, upper face
+        acc = {a: np.zeros((2,) + half, dtype=complex) for a in members}  # lower, upper face
         # rows of the leading in-face axes (one in 3D, none in 2D) that hold the density
-        rows = tuple(span[s] for s in in_axes[axis][:-1])
-        # Groups of pairs whose spectra hold at most _BLOCK values.
-        step = max(1, harmonic._BLOCK // (2 * math.prod(p // 2 + 1 for p in periods)))
-        for start in range(0, len(pairs[axis]), step):
-            dists = sorted({q for d in pairs[axis][start:start + step] for q in (d, m - d)})
+        rows = {a: tuple(box[s] for s in in_axes[a][:-1]) for a in members}
+        union = sorted(set().union(*(pairs[a] for a in members)))
+        # Groups of pairs whose spectra, with the accumulators beyond one
+        # axis's, hold at most _BLOCK values.
+        budget = harmonic._BLOCK - (len(members) - 1) * acc[axis].nbytes // 8
+        step = max(1, budget // (2 * math.prod(p // 2 + 1 for p in periods)))
+        for start in range(0, len(union), step):
+            dists = sorted({q for d in union[start:start + step] for q in (d, m - d)})
             row = {q: i for i, q in enumerate(dists)}
             kernels = _kernel_spectra(grid, axis, dists, periods, thread_count)
-            for p in dists:  # the group's slices, in a fixed order: deterministic
-                if p not in occupied[axis]:
-                    continue
-                x = interior[(slice(None),) * axis + (p - 1,)]
-                spectrum = _slice_spectrum(x, rows, periods, thread_count)
-                _add_product(acc[0], spectrum, kernels[row[p]])
-                _add_product(acc[1], spectrum, kernels[row[m - p]])
+            for a in members:
+                for p in dists:  # the group's slices, in a fixed order: deterministic
+                    if p not in occupied[a]:
+                        continue
+                    x = interior[(slice(None),) * a + (p - 1,)]
+                    spectrum = _slice_spectrum(x, rows[a], periods, thread_count)
+                    _add_product(acc[a][0], spectrum, kernels[row[p]])
+                    _add_product(acc[a][1], spectrum, kernels[row[m - p]])
             del kernels, spectrum  # before the next group's spectra are built
         # Face nodes 0..M_s are the circular indices -1..M_s-1.
-        window = np.ix_(*(range(-1, grid.panels[s]) for s in in_axes[axis]))
-        for side in (0, 1):
-            out = sfft.irfftn(acc[side], periods, workers=thread_count)
-            faces[(axis, side)] = out[window]
-        del acc  # before the next axis's accumulators are built
+        window = np.ix_(*(range(-1, panels[s]) for s in in_axes[axis]))
+        for a in members:
+            for side in (0, 1):
+                out = sfft.irfftn(acc[a][side], periods, workers=thread_count)
+                faces[(a, side)] = out[window]
+            del acc[a]  # before the next accumulators are built
     return BoundaryValues(grid, faces)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ShapeError, SupportViolationError
 from .grid import GridFunction, UniformGrid
 from .harmonic import _row_blocks
-from .transforms import _dst_support_in_place
+from .transforms import _dst_support_in_place, _support_box, _support_lines
 
 __all__ = ["continuous_eigenvalues", "phi_star_modes"]
 
@@ -76,18 +76,19 @@ def phi_star_modes(rho: GridFunction) -> np.ndarray:
     The density is not checked here; callers run :func:`check_support`.
     ``rho`` is left unchanged.
     """
-    return _phi_star_in_place(np.array(rho.interior()), rho.grid)
+    x = np.array(rho.interior())
+    return _phi_star_in_place(x, rho.grid, _support_box(_support_lines(x)))
 
 
-def _phi_star_in_place(x: np.ndarray, grid: UniformGrid) -> np.ndarray:
+def _phi_star_in_place(x: np.ndarray, grid: UniformGrid, box: tuple[slice, ...]) -> np.ndarray:
     """:func:`phi_star_modes` of the density's interior values ``x``, in place.
 
-    ``x`` may be the interior view of the density's node array.  The forward
-    DST runs in place; its scaling and the division by the eigenvalues run
-    in blocks of axis-0 rows, so no other full-volume array is built.
-    Returns ``x``.
+    ``x`` may be the interior view of the density's node array, and ``box``
+    is its support box (``transforms._support_box``).  The forward DST runs
+    in place; its scaling and the division by the eigenvalues run in blocks
+    of axis-0 rows, so no other full-volume array is built.  Returns ``x``.
     """
-    _dst_support_in_place(x)
+    _dst_support_in_place(x, box)
     scale = 1.0 / np.prod([float(m) for m in grid.panels])
     eigenvalues = continuous_eigenvalues(grid)
     for rows in _row_blocks(x.shape):

@@ -24,7 +24,7 @@ from .dirichlet import _phi_star_in_place
 from .errors import AlignmentError, ShapeError, check_count
 from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
 from .harmonic import check_panels, harmonic_modes
-from .transforms import _series_in_place, next_smooth_length
+from .transforms import _series_in_place, _support_box, _support_lines, next_smooth_length
 
 __all__ = [
     "SolverConfig",
@@ -75,8 +75,8 @@ class SolveReport:
     t_sample_s: sampling or embedding the density, the final restriction
         and the rest of the bookkeeping.
     t_phistar_s: the spectral component's sine coefficients.
-    t_boundary_s: the density's support check and the Green's-function
-        boundary values.
+    t_boundary_s: the scan for the density's nonzero lines, its support
+        check and the Green's-function boundary values.
     t_harmonic_s: the harmonic extension's sine coefficients plus the one
         inverse DST shared with the spectral component.
     """
@@ -150,19 +150,22 @@ def solve_free_space(
     The solve owns one node array and carries it to the result: the
     sampled density, the padded embedding, or a copy of an unpadded
     GridFunction's values, made after the boundary phase has read them
-    (the caller's array is never written).  The boundary phase reads the
-    density; the forward DST turns the array's interior, in place,
-    into the spectral coefficients, to which the harmonic extension's are
-    added in blocked sweeps; the inverse DST turns them, in place, into the
-    potential, and the boundary values are written into its boundary
-    nodes.  A padded grid's result is then restricted by copy.  Besides
+    (the caller's array is never written).  One scan finds the lines that
+    hold the density's nonzero values; the boundary phase reads the density
+    and those lines, and the forward DST, on their bounding box, turns the
+    array's interior, in place, into the spectral coefficients, to which
+    the harmonic extension's are added in blocked sweeps; the inverse DST
+    turns them, in place, into the potential, and the boundary values are
+    written into its boundary nodes.  A padded grid's result is then
+    restricted by copy.  Besides
     that array only cache-sized blocks and O(face) arrays are alive.  A 3D
     order-6 solve of a callable at M = 96 traces these peaks, in node
-    arrays: sampling 1.10 (blocks of the callable's temporaries), boundary
-    1.27 (one group of kernel spectra and one axis's face accumulators),
-    forward DST 1.19 (the support mask), harmonic 1.64 (the sweeps' blocks
-    and the face arrays), inverse DST 1.13 (the finiteness check's mask;
-    the boundary values are released once written).
+    arrays: sampling and the scan 1.13 (blocks of the callable's
+    temporaries, then the scan's mask), boundary 1.26 (one group of kernel
+    spectra and one class of axes' face accumulators), forward DST 1.17,
+    harmonic 1.64 (the sweeps' blocks and the face arrays), inverse DST
+    1.13 (the finiteness check's mask; the boundary values are released
+    once written).
     """
     t0 = time.perf_counter()
     if isinstance(rho, GridFunction):
@@ -184,11 +187,12 @@ def solve_free_space(
     boundary_rho_max = rho_padded.boundary_abs_max()
 
     t1 = time.perf_counter()
-    g = boundary_values_fast(rho_padded, config.thread_count)  # checks the density first
+    lines = _support_lines(rho_padded.interior())  # the one scan for nonzero values
+    g = boundary_values_fast(rho_padded, config.thread_count, lines=lines)  # checks the density first
     t2 = time.perf_counter()
     # From here on the solve's node array turns into the potential.
     values = rho.values.copy() if rho_padded is rho else rho_padded.values
-    modes = _phi_star_in_place(values[(slice(1, -1),) * padded.dim], padded)
+    modes = _phi_star_in_place(values[(slice(1, -1),) * padded.dim], padded, _support_box(lines))
     t3 = time.perf_counter()
     harmonic_modes(g, config.order, modes)
     g.write_into(values)

@@ -18,7 +18,9 @@ the box.  A line that leaves the box holds only zeros in ``dstn``'s
 intermediate arrays too, and its transform is exactly zero; every other
 line is the same data through the same 1D transform.  So the coefficients
 are bitwise equal to ``dstn``'s, which ``tests/test_transforms.py``
-checks, and a NaN or inf, being nonzero, is never skipped.  The inverse
+checks, and a NaN or inf, being nonzero, is never skipped.  The box comes
+from one scan of the nonzero lines (``_support_lines``), which the
+free-space solver also hands to the boundary phase.  The inverse
 transform is dense and also runs in place.
 """
 
@@ -44,7 +46,8 @@ def forward_dst(f: GridFunction) -> np.ndarray:
     bitwise equal to ``dstn(f.interior(), type=1)`` scaled.  ``f`` is left
     unchanged.
     """
-    coeff = _dst_support_in_place(np.array(f.interior()))
+    coeff = np.array(f.interior())
+    _dst_support_in_place(coeff, _support_box(_support_lines(coeff)))
     coeff *= 1.0 / np.prod([float(m) for m in f.grid.panels])
     return coeff
 
@@ -59,23 +62,42 @@ def _dst_in_place(x: np.ndarray, axis: int) -> None:
         raise RuntimeError("scipy.fft.dst did not transform its input in place")
 
 
-def _dst_support_in_place(x: np.ndarray) -> np.ndarray:
-    """Unscaled DST-I of ``x`` along every axis, in place, on the support box's lines.
+def _support_lines(x: np.ndarray) -> list[np.ndarray]:
+    """Indices, along each axis of ``x``, of the lines that hold a nonzero value.
 
-    The forward transform of the module docstring: bitwise ``dstn(x,
-    type=1)``, without another array of ``x``'s size.  Returns ``x``.
+    Line i of axis a is ``x[(slice(None),) * a + (i,)]``; NaN and inf count
+    as nonzero.  One scan of ``x``: each axis's reduction runs inside the
+    bounding box of the axes before it, which holds every nonzero value.
+    Every axis's indices are empty when ``x`` is all zeros.
     """
-    nonzero = x != 0  # NaN and inf count as nonzero
-    box = [slice(None)] * x.ndim
-    for a in range(x.ndim):  # each reduction runs inside the box found so far
+    nonzero = x != 0
+    box, lines = [slice(None)] * x.ndim, []
+    for a in range(x.ndim):
         line = np.flatnonzero(nonzero[tuple(box)].any(
             axis=tuple(t for t in range(x.ndim) if t != a)))
         if not line.size:
-            return x  # all zeros, as is their transform
+            return [line] * x.ndim
+        lines.append(line)
         box[a] = slice(line[0], line[-1] + 1)
-    del nonzero
+    return lines
+
+
+def _support_box(lines) -> tuple[slice, ...]:
+    """Bounding box of the nonzero values from their :func:`_support_lines`; empty slices if none."""
+    return tuple(slice(line[0], line[-1] + 1) if line.size else slice(0) for line in lines)
+
+
+def _dst_support_in_place(x: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
+    """Unscaled DST-I of ``x`` along every axis, in place, on the support box's lines.
+
+    The forward transform of the module docstring: bitwise ``dstn(x,
+    type=1)``, without another array of ``x``'s size.  ``box`` is
+    :func:`_support_box` of ``x``.  Returns ``x``.
+    """
+    if not x[box].size:
+        return x  # all zeros, as is their transform
     for a in range(x.ndim):  # dstn's axis order; the rest of axis a holds zeros
-        _dst_in_place(x[(slice(None),) * (a + 1) + tuple(box[a + 1:])], a)
+        _dst_in_place(x[(slice(None),) * (a + 1) + box[a + 1:]], a)
     return x
 
 

@@ -426,3 +426,97 @@ def test_fast_fft_calls_pass_the_shape_as_a_positional_tuple(monkeypatch, panels
         assert len(calls) == sum((m - 3) * (len(panels) - 1) + 2 for m in panels)
         assert sum(evals) == kernel_evals
         assert all(np.array_equal(ref.faces[k], got.faces[k]) for k in ref.faces)
+
+
+def _counted_kernel_spectra(monkeypatch) -> list:
+    """Patch ``boundary._kernel_spectra`` to record how many spectra each call builds."""
+    built, real = [], boundary._kernel_spectra
+
+    def counted(grid, axis, dists, periods, workers):
+        built.append(len(dists))
+        return real(grid, axis, dists, periods, workers)
+
+    monkeypatch.setattr(boundary, "_kernel_spectra", counted)
+    return built
+
+
+def _distances(rho: GridFunction, axis: int) -> set[int]:
+    """The normal distances {d, M - d} that the non-empty slices along ``axis`` need."""
+    m = rho.grid.panels[axis]
+    others = tuple(t for t in range(rho.grid.dim) if t != axis)
+    nodes = np.flatnonzero((rho.interior() != 0).any(axis=others)) + 1
+    return {q for p in nodes.tolist() for q in (p, m - p)}
+
+
+def _offset_density(grid: UniformGrid, seed: int) -> GridFunction:
+    """Random values on a box that sits differently along every axis, so
+    the axes' distance sets and reaches differ."""
+    vals = np.zeros(grid.shape)
+    box = tuple(slice(1 + 2 * s, m // 2 + s + 1) for s, m in enumerate(grid.panels))
+    vals[box] = np.random.default_rng(seed).standard_normal(vals[box].shape)
+    return GridFunction(grid, vals)
+
+
+@pytest.mark.parametrize("block", [1, harmonic._BLOCK])
+@pytest.mark.parametrize("upper, panels, classes", [
+    ((1.0, 1.0, 1.0), (14, 14, 14), [(0, 1, 2)]),  # cubic: one class
+    ((1.0, 1.0), (17, 17), [(0, 1)]),  # square
+    ((1.0, 1.0, 1.5), (13, 13, 15), [(0, 1), (2,)]),  # only axes 0 and 1 match
+])
+def test_axes_with_one_kernel_share_its_spectra(monkeypatch, block, upper, panels, classes):
+    # Each class of face-normal axes builds every kernel spectrum its
+    # members need once: the union of their distances, not the sum.
+    dim = len(panels)
+    rho = _offset_density(UniformGrid([-1.0] * dim, upper, panels), 41)
+    distances = [_distances(rho, a) for a in range(dim)]
+    union = sum(len(set().union(*(distances[a] for a in members))) for members in classes)
+    assert union < sum(len(d) for d in distances)
+    monkeypatch.setattr(harmonic, "_BLOCK", block)
+    built = _counted_kernel_spectra(monkeypatch)
+    ref = boundary_values_fast(rho, 1)
+    assert sum(built) == union
+    assert rel_face_diff(boundary_values_naive(rho), ref) <= 1e-11
+    for threads in (2, 3):
+        other = boundary_values_fast(rho, threads)
+        assert all(np.array_equal(ref.faces[k], other.faces[k]) for k in ref.faces)
+
+
+@pytest.mark.parametrize("upper, panels", [
+    ((1.0, 1.0, 1.0), (16, 16, 16)),
+    ((1.0, 1.0), (18, 18)),
+    ((1.0, 1.0, 1.5), (12, 12, 9)),
+])
+def test_fast_matches_naive_on_a_shared_period(upper, panels):
+    # The support reaches differently far along each axis, so an axis of a
+    # class runs on a period longer than its own reach needs.
+    dim = len(panels)
+    rho = _offset_density(UniformGrid([-1.0] * dim, upper, panels), 43)
+    reach = _reach(rho)
+    own = _periods(panels, reach)
+    assert own[0] > own[1]  # axes 0 and 1 share axis 0's period
+    assert rel_face_diff(boundary_values_naive(rho), boundary_values_fast(rho)) <= 1e-11
+
+
+def _assert_built_per_axis(monkeypatch, grid: UniformGrid):
+    """Every normal axis builds its own kernel spectra, and the faces stay accurate."""
+    rho = _offset_density(grid, 47)
+    built = _counted_kernel_spectra(monkeypatch)
+    fast = boundary_values_fast(rho)
+    assert sum(built) == sum(len(_distances(rho, a)) for a in range(grid.dim))
+    assert rel_face_diff(boundary_values_naive(rho), fast) <= 1e-11
+
+
+def test_axes_with_transposed_kernels_do_not_share(monkeypatch):
+    # Axes 0 and 2 match but axis 1 does not: the in-face kernels of normal
+    # axes 0 and 2 are transposes of each other (the two axes still share
+    # one in-face period).
+    grid = UniformGrid([-1.0] * 3, [1.0, 1.5, 1.0], [12, 10, 12])
+    assert grid.mesh[0] == grid.mesh[2] != grid.mesh[1]
+    _assert_built_per_axis(monkeypatch, grid)
+
+
+def test_axes_one_ulp_apart_do_not_share(monkeypatch):
+    # Mesh widths 1/8 and the next float above it (scaling by 16 is exact).
+    grid = UniformGrid([0.0, 0.0], [2.0, 16 * float(np.nextafter(0.125, 1.0))], [16, 16])
+    assert grid.mesh[1] == np.nextafter(grid.mesh[0], 1.0)
+    _assert_built_per_axis(monkeypatch, grid)

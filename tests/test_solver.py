@@ -122,10 +122,10 @@ PHASE_CALLS = (
 )
 
 
-def _peak_node_arrays(solve, grid: UniformGrid) -> tuple[float, str]:
+def _peak_node_arrays(solve, grid: UniformGrid) -> tuple[float, dict[str, float]]:
     """Traced peak allocation of ``solve()``, in node arrays of ``grid``.
 
-    Also returns each phase's peak, for an assertion message: a phase runs
+    Also returns each phase's peak, by phase name: a phase runs
     from the solver's call that begins it until the next one, so sampling
     ends where the boundary phase begins, and the inverse DST includes the
     finiteness check and any restriction.  A first, untraced call keeps
@@ -158,14 +158,14 @@ def _peak_node_arrays(solve, grid: UniformGrid) -> tuple[float, str]:
             begin(None)
         finally:
             tracemalloc.stop()
-    return max(peaks.values()), ", ".join(f"{k} {v:.2f}" for k, v in peaks.items())
+    return max(peaks.values()), peaks
 
 
 def test_peak_memory_3d_order6_callable():
     # One node array per solve, plus blocks of at most an eighth of axis 0
     # and O(face) arrays: about 2.15 node arrays at M = 48, in the harmonic
-    # phase (boundary 1.74), where a face is still a large part of the
-    # volume.
+    # phase (boundary 1.91: one group of kernel spectra and the three axes'
+    # face accumulators), where a face is still a large part of the volume.
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
     bump = PolyBump(3, 0.4, 7, CENTER_3D)
     peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
@@ -174,7 +174,7 @@ def test_peak_memory_3d_order6_callable():
 
 def test_peak_memory_3d_order6_callable_at_m96():
     # The headline size: about 1.64 node arrays, in the harmonic phase
-    # (boundary 1.56, sampling 1.10).
+    # (boundary 1.26, sampling 1.13).
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [96] * 3)
     bump = PolyBump(3, 0.4, 7, CENTER_3D)
     peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
@@ -183,18 +183,22 @@ def test_peak_memory_3d_order6_callable_at_m96():
 
 def test_peak_memory_3d_order6_wide_support():
     # A wide support needs kernel spectra at many normal distances; built in
-    # groups of pairs {d, M - d}, they keep the boundary phase at about 1.68
-    # node arrays, below the harmonic phase's 1.95.
+    # groups of pairs {d, M - d}, they keep the boundary phase at about 1.56
+    # node arrays, below the harmonic phase's 1.95.  The three axes of the
+    # cube share their kernel spectra, and the groups shrink to make room
+    # for all six face accumulators; the boundary phase has its own bound,
+    # since the harmonic phase's higher peak would hide it.
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [64] * 3)
     bump = PolyBump(3, 0.8, 7, CENTER_3D)
     peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
     assert peak <= 2.1, phases
+    assert phases["boundary"] <= 1.75, phases
 
 
 def test_peak_memory_3d_order4_padded_samples():
     # Time stepping's shape: samples on the user grid, embedded in a padded
-    # 7-smooth grid.  About 1.81 node arrays of the padded grid, in the
-    # boundary phase (inverse 1.71, once the boundary values are released).
+    # 7-smooth grid.  About 1.71 node arrays of the padded grid, in the
+    # inverse DST once the boundary values are released (boundary 1.70).
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
     config = SolverConfig(order=4, padding_panels=2, fft_friendly_expansion=True)
     rho = GridFunction.from_callable(g, PolyBump(3, 0.6, 5, CENTER_3D))
