@@ -19,7 +19,7 @@ import numpy as np
 from .bumps import PolyBump
 from .grid import GridFunction, UniformGrid
 from .pgrid import atomic_open, read_pgrid, write_nodes_csv, write_pgrid
-from .solver import SolverConfig, domain_invariance_study, solve_free_space
+from .solver import SolverConfig, _solve, domain_invariance_study, solve_free_space
 
 __all__ = [
     "StudySpec",
@@ -251,17 +251,21 @@ def _run_study(spec: StudySpec) -> None:
         print(f"wrote {spec.out}")
 
 
+def _read_density(path) -> GridFunction:
+    start = time.perf_counter()
+    rho = read_pgrid(path)
+    print(f"read {_file_note(path, start)}")
+    return rho
+
+
 def _run_solve(spec: StudySpec) -> None:
     config = spec.solver_config()
     if spec.rho_file:
-        start = time.perf_counter()
-        rho = read_pgrid(spec.rho_file)
-        print(f"read {_file_note(spec.rho_file, start)}")
-        phi, report = solve_free_space(rho, None, config)
-        grid = rho.grid
+        # Nothing here keeps the density: the solve takes its array over.
+        phi, report = _solve(_read_density(spec.rho_file), None, config, owned=True)
     else:
-        grid = spec.base_grid()
-        phi, report = solve_free_space(spec.bump(), grid, config)
+        phi, report = solve_free_space(spec.bump(), spec.base_grid(), config)
+    grid = phi.grid
     print(
         f"solved {grid.dim}D grid {'x'.join(str(m) for m in grid.panels)} "
         f"(order {spec.order}); timings: phi* {report.t_phistar_s:.3f}s, "

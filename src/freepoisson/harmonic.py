@@ -508,8 +508,12 @@ def harmonic_modes(g: BoundaryValues, order: int, modes: np.ndarray) -> np.ndarr
             _contract(u, rows, normal_rows, sums)
             u /= symbol(rows)
             modes[rows] += u
-    if order == 6:
-        change = _layer_scatters(grid, _depth1_change(grid, sums), 1)
+    if order == 6:  # sweep 2 adds the depth-1 change alone
+        del transfer, face_terms, u
+        layers = _depth1_change(grid, sums)
+        del sums
+        change = _layer_scatters(grid, layers, 1)
+        del layers
         for rows in _row_blocks(modes.shape):
             _add_solved(modes, rows, change, symbol)
     return modes

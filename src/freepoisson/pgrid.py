@@ -15,8 +15,12 @@ by raw 8-byte values.  Unknown or repeated header keys are rejected.
 
 Text values are written exactly as ``"%.17g\\n" % v`` prints them, so they
 read back bit for bit.  The writer makes those bytes with array operations,
-one chunk of values at a time; the solve command's CSV node table uses the
-same engine for its ``"%.16e"`` cells.
+one chunk of values at a time, in cell buffers allocated once per call; the
+solve command's CSV node table uses the same engine for its ``"%.16e"``
+cells.  A binary body is written from the values' own buffer.
+
+The reader holds one array of values: it parses a text body a chunk of
+bytes at a time straight into that array, and reads a binary body into it.
 
 Each value is taken to 17 correctly rounded significant digits D and a
 decimal exponent E, |v| ~ D * 10**(E - 16).  E is first estimated as
@@ -54,6 +58,7 @@ import contextlib
 import functools
 import itertools
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -69,6 +74,7 @@ _ORDER_LINE = "order x y z row-major"
 _DATA_TEXT = "data text"
 _DATA_BINARY = "data binary little-endian f64"
 _TEXT_CHUNK = 8192  # values per array pass: its temporaries stay in a 2 MiB L2 cache
+_READ_CHUNK = 1 << 14  # text bytes parsed at a time
 
 _SAFE = (1e-200, 1e200)  # |v| formatted by array operations
 _E_RANGE = (-201, 200)  # exponent estimates for |v| in _SAFE
@@ -205,11 +211,12 @@ def _keeps():
     return body.view("<u8").T.copy(), tail.view("<u8").ravel()
 
 
-def _cells(values: np.ndarray, scientific: bool, end: bytes):
+def _cells(values: np.ndarray, scientific: bool, end: bytes, cells, keep) -> None:
     """Cells ``"%.17g" % v + end`` (``"%.16e"`` if scientific) of float64 values.
 
-    Returns a (n, 32) byte matrix and a mask that keeps each row's cell:
-    the body from byte 0 and the tail (exponent, ``end``) from byte 24.
+    Writes each value's cell into its row of ``cells``, (n, 4) words in
+    text order, and into ``keep`` the byte mask that keeps it: the body
+    from byte 0 and the tail (exponent, ``end``) from byte 24.
     """
     digits, e, fallback = _decimal(values)
     quad, zeros = _quads()
@@ -220,6 +227,7 @@ def _cells(values: np.ndarray, scientific: bool, end: bytes):
     digit_words = [(lead + ord("0")).astype(np.uint64) | w[0] << 8 | w[1] << 40,
                    w[1] >> 24 | w[2] << 8 | w[3] << 40,
                    w[3] >> 24]
+    del digits, high, low, lead, w  # a chunk's temporaries stay few
     form = 21 + (np.abs(e) >= 100)
     if scientific:
         significant = 17
@@ -227,6 +235,8 @@ def _cells(values: np.ndarray, scientific: bool, end: bytes):
         z = [zeros[i] for i in q]
         significant = 17 - z[3] - (q[3] == 0) * (z[2] + (q[2] == 0) * (z[1] + (q[1] == 0) * z[0]))
         form = np.where((e >= -4) & (e < 17), e + 4, form)
+        del z
+    del q
     kind = np.signbit(values) * 23 + form
     before, after, heads, fills, body = _layouts()
     before, after = before[kind], after[kind]
@@ -234,8 +244,6 @@ def _cells(values: np.ndarray, scientific: bool, end: bytes):
     tail = (form > 20) * (e - _E_RANGE[0] + 1)
     body_words, tail_words = _keeps()
 
-    cells = np.empty((values.size, _BODY // 8 + 1), dtype="<u8")  # words in text order
-    keep = np.empty_like(cells)
     carry = 0
     for k, word in enumerate(digit_words):
         head = word & heads[k][kind]
@@ -259,13 +267,30 @@ def _cells(values: np.ndarray, scientific: bool, end: bytes):
     for k in range(_BODY // 8):
         keep[:, k] = body_words[k][size]
     keep[:, -1] = tail_words[tail_size]
-    return cells.view(np.uint8), keep.view(bool)
 
 
-def _rows(*columns) -> bytes:
-    """Text of rows whose cells are given column by column as ``_cells`` results."""
-    cells, keep = columns[0] if len(columns) == 1 else map(np.hstack, zip(*columns))
-    return cells[keep].tobytes()
+def _write_rows(fh, chunks, width: int) -> None:
+    """Write rows of ``width`` text cells, one chunk of rows at a time.
+
+    ``chunks`` yields each chunk's columns as ``(values, scientific, end)``
+    of ``_cells``.  The cell words, their masks and the chunk's bytes live
+    in buffers allocated once per call.  ``np.compress`` gathers the kept
+    bytes through an index array, 8 bytes per byte kept; freeing the first
+    one raises glibc's dynamic mmap and trim thresholds above a chunk's
+    temporaries, so later chunks reuse heap pages instead of trimming and
+    refaulting them (a test counts the page faults).
+    """
+    cells = np.empty((_TEXT_CHUNK, 4 * width), dtype="<u8")
+    keep = np.empty_like(cells)
+    text = np.empty(cells.nbytes, dtype=np.uint8)
+    for columns in chunks:
+        n = columns[0][0].size
+        for c, column in enumerate(columns):
+            _cells(*column, cells[:n, 4 * c:4 * c + 4], keep[:n, 4 * c:4 * c + 4])
+        mask = keep[:n].view(bool).ravel()
+        size = np.count_nonzero(mask)
+        np.compress(mask, cells[:n].view(np.uint8).ravel(), out=text[:size])
+        fh.write(text[:size])
 
 
 def write_pgrid(path, f: GridFunction, binary: bool = False) -> None:
@@ -285,10 +310,10 @@ def write_pgrid(path, f: GridFunction, binary: bool = False) -> None:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         flat = np.ascontiguousarray(f.values, dtype="<f8").ravel()
         if binary:
-            fh.write(flat.tobytes())
+            fh.write(flat)
         else:
-            for lo in range(0, flat.size, _TEXT_CHUNK):
-                fh.write(_rows(_cells(flat[lo:lo + _TEXT_CHUNK], False, b"\n")))
+            _write_rows(fh, ([(flat[lo:lo + _TEXT_CHUNK], False, b"\n")]
+                             for lo in range(0, flat.size, _TEXT_CHUNK)), 1)
 
 
 def write_nodes_csv(path, f: GridFunction) -> None:
@@ -300,13 +325,17 @@ def write_nodes_csv(path, f: GridFunction) -> None:
     axes = [grid.axis_coordinates(s) for s in range(grid.dim)]
     flat = np.ascontiguousarray(f.values, dtype=np.float64).ravel()
     ends = [b","] * grid.dim + [b"\n"]
-    with atomic_open(path, ".csv-") as fh:
-        fh.write((",".join("xyz"[: grid.dim]) + ",phi\n").encode("ascii"))
+
+    def chunks():
         for lo in range(0, flat.size, _TEXT_CHUNK):
             chunk = flat[lo:lo + _TEXT_CHUNK]
             index = np.unravel_index(np.arange(lo, lo + chunk.size), grid.shape)
             columns = [axis[i] for axis, i in zip(axes, index)] + [chunk]
-            fh.write(_rows(*(_cells(c, True, end) for c, end in zip(columns, ends))))
+            yield [(c, True, end) for c, end in zip(columns, ends)]
+
+    with atomic_open(path, ".csv-") as fh:
+        fh.write((",".join("xyz"[: grid.dim]) + ",phi\n").encode("ascii"))
+        _write_rows(fh, chunks(), grid.dim + 1)
 
 
 def read_pgrid(path) -> GridFunction:
@@ -360,33 +389,64 @@ def read_pgrid(path) -> GridFunction:
                 f"header lines {header['bounds']!r} and {header['panels']!r} "
                 f"do not describe a grid: {exc}"
             ) from None
-        count = int(np.prod(grid.shape))
-        if mode == "binary":
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise PGridFormatError(
-                    f"expected {count} binary values, file truncated"
-                )
-            if fh.read(1):
-                raise PGridFormatError(
-                    f"bytes follow the last of {count} binary values"
-                )
-            values = np.frombuffer(buf, dtype="<f8").astype(np.float64)
-        else:
-            tokens = fh.read().split()
-            if len(tokens) != count:
-                raise PGridFormatError(
-                    f"expected {count} values, found {len(tokens)}"
-                )
-            try:
-                values = np.array(tokens, dtype=np.float64)
-            except ValueError:
-                for i, token in enumerate(tokens):
-                    try:
-                        float(token)
-                    except ValueError:
-                        raise PGridFormatError(
-                            f"value {i} is not a number: {token.decode(errors='replace')!r}"
-                        ) from None
-                raise
+        values = np.empty(int(np.prod(grid.shape)))
+        (_read_binary if mode == "binary" else _read_text)(fh, values)
         return GridFunction(grid, values.reshape(grid.shape))
+
+
+def _read_binary(fh, values: np.ndarray) -> None:
+    """Read the rest of ``fh``, little-endian f64, into ``values`` in place."""
+    view = memoryview(values).cast("B")
+    filled = 0
+    while filled < view.nbytes:
+        n = fh.readinto(view[filled:])
+        if not n:
+            raise PGridFormatError(f"expected {values.size} binary values, file truncated")
+        filled += n
+    if fh.read(1):
+        raise PGridFormatError(f"bytes follow the last of {values.size} binary values")
+    if sys.byteorder == "big":
+        values.byteswap(inplace=True)
+
+
+def _read_text(fh, values: np.ndarray) -> None:
+    """Parse the rest of ``fh``, whitespace-separated tokens, into ``values``.
+
+    The text is read and parsed ``_READ_CHUNK`` bytes at a time; a token
+    cut by a chunk's end is carried into the next one.  The errors are
+    those of a parse of the whole text at once: a wrong token count first,
+    then the first token that is not a number, by its index.
+    """
+    found = 0
+    bad = None  # (index, token) of the first token that is not a number
+    carry = b""
+    while True:
+        block = fh.read(_READ_CHUNK)
+        tokens = (carry + block).split()
+        carry = tokens.pop() if tokens and block and not block[-1:].isspace() else b""
+        if bad is None and found + len(tokens) <= values.size:
+            try:
+                values[found:found + len(tokens)] = np.array(tokens, dtype=np.float64)
+            except ValueError:
+                bad = next(((found + i, token) for i, token in enumerate(tokens)
+                            if not _is_number(token)), None)
+                if bad is None:
+                    raise
+        found += len(tokens)
+        del tokens  # before the next chunk's are made
+        if not block:
+            break
+    if found != values.size:
+        raise PGridFormatError(f"expected {values.size} values, found {found}")
+    if bad is not None:
+        raise PGridFormatError(
+            f"value {bad[0]} is not a number: {bad[1].decode(errors='replace')!r}"
+        )
+
+
+def _is_number(token: bytes) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True

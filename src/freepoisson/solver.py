@@ -165,8 +165,17 @@ def solve_free_space(
     spectra and one class of axes' face accumulators), forward DST 1.17,
     harmonic 1.64 (the sweeps' blocks and the face arrays), inverse DST
     1.13 (the finiteness check's mask; the boundary values are released
-    once written).
+    once written).  The ``solve`` command keeps one node array from file
+    to file: it reads the density into an array that an unpadded solve
+    takes over (a padded one releases it once embedded), and writes the
+    potential from the solve's array.
     """
+    return _solve(rho, user_grid, config, owned=False)
+
+
+def _solve(rho, user_grid: UniformGrid | None, config: SolverConfig, owned: bool):
+    """``solve_free_space``, which with ``owned`` takes an unpadded
+    GridFunction's values as its node array and writes them in place."""
     t0 = time.perf_counter()
     if isinstance(rho, GridFunction):
         if user_grid is not None and rho.grid != user_grid:
@@ -183,7 +192,9 @@ def solve_free_space(
     elif padded != user_grid:
         rho_padded = _embed_samples(rho, padded, counts)
     else:
-        rho_padded = rho  # read by the boundary phase, then copied
+        rho_padded = rho  # read by the boundary phase, then copied unless owned
+    copy = rho_padded is rho and not owned
+    del rho  # an owned density that was embedded is released here
     boundary_rho_max = rho_padded.boundary_abs_max()
 
     t1 = time.perf_counter()
@@ -191,7 +202,7 @@ def solve_free_space(
     g = boundary_values_fast(rho_padded, config.thread_count, lines=lines)  # checks the density first
     t2 = time.perf_counter()
     # From here on the solve's node array turns into the potential.
-    values = rho.values.copy() if rho_padded is rho else rho_padded.values
+    values = rho_padded.values.copy() if copy else rho_padded.values
     modes = _phi_star_in_place(values[(slice(1, -1),) * padded.dim], padded, _support_box(lines))
     t3 = time.perf_counter()
     harmonic_modes(g, config.order, modes)

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +143,57 @@ def test_cli_solve_roundtrip_density_file(tmp_path):
     ])
     assert rc == 0
     assert read_pgrid(out).grid == g
+
+
+def test_cli_solve_holds_one_node_array_from_file_to_file(tmp_path):
+    # The density is read into the array the solve works in, and the
+    # potential is written from it: the read, the solve and the write each
+    # add only chunks, blocks and O(face) arrays to that one node array
+    # (about 1.3 node arrays, in the write).  The grid is the benchmark's
+    # CLI grid, large enough that the writer's fixed scratch (about 2 MiB)
+    # and the harmonic phase's blocks are small beside a node array.
+    from freepoisson import GridFunction, PolyBump, UniformGrid, solve_free_space, write_pgrid
+
+    g = UniformGrid([-1.0, -3.0], [1.0, 3.0], [1024, 1024])
+    coords = g.coordinate_arrays()
+    rho = GridFunction(g, sum(
+        PolyBump(2, 0.15, 7, c).density(*coords) for c in ((0.5, 1.0), (-0.4, -1.5), (0.1, 0.2))
+    ))
+    del coords
+    rho_path, out = tmp_path / "rho.pgrid", tmp_path / "phi.pgrid"
+    write_pgrid(rho_path, rho)
+    argv = ["solve", "--rho-file", str(rho_path), "--out", str(out), "--format", "pgrid"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] / rho.values.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5
+    # The command's output is bitwise that of the in-process solve.
+    assert np.array_equal(read_pgrid(out).values, solve_free_space(rho)[0].values)
+
+
+@pytest.mark.parametrize("padding", ["0", "2"])
+def test_cli_solve_from_file_matches_the_in_process_solve(tmp_path, padding):
+    # Unpadded, the solve works in the array it read; padded, in the
+    # embedding, and the read array is released.
+    from freepoisson import GridFunction, PolyBump, SolverConfig, UniformGrid, solve_free_space
+    from freepoisson import write_pgrid
+
+    g = UniformGrid([-1, -1], [1, 1.5], [24, 30])
+    rho = GridFunction.from_callable(g, PolyBump(2, 0.4, 5, (0.1, 0.2)))
+    rho_path, out = tmp_path / "rho.pgrid", tmp_path / "phi.pgrid"
+    write_pgrid(rho_path, rho)
+    argv = ["solve", "--rho-file", str(rho_path), "--out", str(out), "--format", "pgrid",
+            "--padding-panels", padding]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    expected, _ = solve_free_space(rho, config=SolverConfig(padding_panels=int(padding)))
+    phi = read_pgrid(out)
+    assert phi.grid == g
+    assert np.array_equal(phi.values, expected.values)
 
 
 def test_cli_solve_reports_read_and_write(tmp_path, capsys):

@@ -1,11 +1,25 @@
+import os
+import platform
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freepoisson import GridFunction, PGridFormatError, UniformGrid, read_pgrid, write_pgrid
+import freepoisson.pgrid
+from freepoisson import (
+    GridFunction,
+    PGridFormatError,
+    PolyBump,
+    UniformGrid,
+    read_pgrid,
+    write_pgrid,
+)
 from oracles import zero_function
 
 
@@ -201,3 +215,142 @@ def test_rejects_malformed_header_naming_the_line(tmp_path, header, line):
     )
     with pytest.raises(PGridFormatError, match=re.escape(repr(line))):
         read_pgrid(path)
+
+
+def _body_file(tmp_path, count: int, body: bytes):
+    """A 1D text PGRID file of ``count`` nodes whose data lines are ``body``."""
+    path = tmp_path / "body.pgrid"
+    path.write_bytes(f"PGRID 1\ndim 1\nbounds 0 1\npanels {count - 1}\n"
+                     f"order x y z row-major\ndata text\n".encode() + body)
+    return path
+
+
+# Separators of every kind, runs of them, and a last token with no newline.
+_MIXED_BODY = (b"1.25\r\n-3e-2\t\t 7   \r\n0.5\x0b\x0c 12345.678\n"
+               b"-0.0 \t1e-310\r\n+.5e-3   1_000.5\t-Infinity\n\n  2.5")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13, 1 << 14])
+def test_text_reader_streams_tokens_across_chunks(tmp_path, monkeypatch, chunk):
+    # Chunks of a few bytes cut tokens, CR LF pairs and runs of blanks.
+    monkeypatch.setattr(freepoisson.pgrid, "_READ_CHUNK", chunk)
+    expected = np.array([float(t) for t in _MIXED_BODY.split()])
+    back = read_pgrid(_body_file(tmp_path, expected.size, _MIXED_BODY)).values
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.floats(allow_nan=False),
+                          st.sampled_from([b" ", b"\n", b"\r\n", b"\t", b"  \t ", b"\n\n"])),
+                min_size=3, max_size=30),
+       st.integers(1, 40))
+def test_text_reader_matches_a_whole_text_parse(tmp_path_factory, values, chunk):
+    body = b"".join(repr(v).encode() + sep for v, sep in values)
+    path = _body_file(tmp_path_factory.mktemp("s"), len(values), body)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(freepoisson.pgrid, "_READ_CHUNK", chunk)
+        back = read_pgrid(path).values
+    assert np.array_equal(back.view(np.int64), np.array([v for v, _ in values]).view(np.int64))
+
+
+@pytest.mark.parametrize("count, found", [(12, 11), (10, 11)])
+def test_text_reader_counts_every_token_across_chunks(tmp_path, monkeypatch, count, found):
+    monkeypatch.setattr(freepoisson.pgrid, "_READ_CHUNK", 4)
+    path = _body_file(tmp_path, count, _MIXED_BODY)
+    with pytest.raises(PGridFormatError, match=f"expected {count} values, found {found}$"):
+        read_pgrid(path)
+
+
+def test_bad_token_after_the_first_chunk_reports_its_global_index(tmp_path, monkeypatch):
+    monkeypatch.setattr(freepoisson.pgrid, "_READ_CHUNK", 16)
+    tokens = [f"{i}.5" for i in range(40)]
+    tokens[33] = "1.5q"
+    path = _body_file(tmp_path, 40, "\n".join(tokens).encode() + b"\n")
+    with pytest.raises(PGridFormatError, match=r"value 33 is not a number: '1\.5q'"):
+        read_pgrid(path)
+    # A wrong count is reported first, as by a parse of the whole text.
+    path = _body_file(tmp_path, 41, "\n".join(tokens).encode() + b"\n")
+    with pytest.raises(PGridFormatError, match="expected 41 values, found 40"):
+        read_pgrid(path)
+
+
+def _traced_peak(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_GRID_512 = UniformGrid([-1.0, -3.0], [1.0, 3.0], [512, 512])
+
+
+def _dense_values():
+    return np.random.default_rng(7).standard_normal(_GRID_512.shape)
+
+
+def _mostly_zero_values():
+    """Three bumps: about 6% of the nodes are nonzero."""
+    coords = _GRID_512.coordinate_arrays()
+    return sum(PolyBump(2, 0.15, 7, c).density(*coords)
+               for c in ((0.5, 1.0), (-0.4, -1.5), (0.1, 0.2)))
+
+
+@pytest.mark.parametrize("values", [_dense_values, _mostly_zero_values])
+def test_text_read_holds_one_node_array(tmp_path, values):
+    # The values are parsed a chunk at a time straight into the returned
+    # array, so no token list of the whole file is built.
+    f = GridFunction(_GRID_512, values())
+    path = tmp_path / "f.pgrid"
+    write_pgrid(path, f)
+    read_pgrid(path)  # lazy imports and caches
+    peak = _traced_peak(lambda: read_pgrid(path)) / f.values.nbytes
+    assert peak <= 1.2
+    assert np.array_equal(read_pgrid(path).values, f.values)
+
+
+def test_binary_read_and_write_hold_no_copy(tmp_path):
+    f = GridFunction(_GRID_512, _dense_values())
+    path = tmp_path / "f.pgrid"
+    write_pgrid(path, f, binary=True)
+    assert path.read_bytes().split(b"\n", 6)[6] == f.values.astype("<f8").tobytes()
+    read_pgrid(path)
+    # The reader fills the returned array from the file; the writer writes
+    # the values' own buffer.
+    assert _traced_peak(lambda: read_pgrid(path)) <= 1.02 * f.values.nbytes
+    assert _traced_peak(lambda: write_pgrid(path, f, binary=True)) <= 0.02 * f.values.nbytes
+    assert np.array_equal(read_pgrid(path).values, f.values)
+
+
+_WRITE_FAULTS_PROBE = """
+import resource, sys
+import numpy as np
+from freepoisson import GridFunction, UniformGrid, write_pgrid
+grid = UniformGrid([-1.0, -3.0], [1.0, 3.0], [1024, 1024])
+values = np.empty(grid.shape)
+np.random.default_rng(3).standard_normal(out=values)  # no full-size temporary
+f = GridFunction(grid, values)
+if sys.argv[2] == "raised":
+    block = np.ones((30 << 20) // 8)
+    del block
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+write_pgrid(sys.argv[1], f)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's malloc")
+@pytest.mark.parametrize("state", ["fresh", "raised"])
+def test_text_writer_page_faults_do_not_depend_on_allocator_history(tmp_path, state):
+    # In a fresh process glibc's malloc trims its heap whenever enough of
+    # its top is free, so a chunk's temporaries can be refaulted for every
+    # chunk (60-80k minor faults for this grid).  An earlier allocate-and-free
+    # of 30 MiB raises its mmap and trim thresholds (32 MiB and more do not).
+    # The write must fault about as little in both states.
+    src = str(Path(freepoisson.pgrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _WRITE_FAULTS_PROBE, str(tmp_path / "f.pgrid"), state],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) <= 5000
