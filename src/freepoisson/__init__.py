@@ -23,7 +23,6 @@ from .grid import (
     max_norm_difference,
     restrict_to_subgrid,
 )
-from .harmonic import transfer_boundary_to_rhs
 from .pgrid import read_pgrid, write_pgrid
 from .solver import (
     SolveReport,
@@ -32,7 +31,6 @@ from .solver import (
     pad_domain,
     solve_free_space,
 )
-from .transforms import forward_dst, inverse_dst
 
 __version__ = "0.1.0"
 
@@ -51,13 +49,10 @@ __all__ = [
     "boundary_values_fast",
     "boundary_values_naive",
     "domain_invariance_study",
-    "forward_dst",
-    "inverse_dst",
     "max_norm_difference",
     "pad_domain",
     "read_pgrid",
     "restrict_to_subgrid",
     "solve_free_space",
-    "transfer_boundary_to_rhs",
     "write_pgrid",
 ]

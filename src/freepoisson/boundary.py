@@ -96,11 +96,11 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import harmonic
-from .dirichlet import check_support
+from .dirichlet import _Support, check_support
 from .errors import check_count
 from .grid import BoundaryValues, GridFunction, UniformGrid
 from .greens import green_values
-from .transforms import _support_box, _support_lines, next_smooth_length
+from .transforms import next_smooth_length
 
 __all__ = ["boundary_values_naive", "boundary_values_fast"]
 
@@ -120,8 +120,13 @@ def boundary_values_naive(rho: GridFunction) -> BoundaryValues:
 
     Pure reference implementation; use the fast variant for production runs.
     """
-    grid = rho.grid
     check_support(rho)
+    return _direct_sums(rho)
+
+
+def _direct_sums(rho: GridFunction) -> BoundaryValues:
+    """:func:`boundary_values_naive` of a density that has been checked already."""
+    grid = rho.grid
     weight = float(np.prod(grid.mesh))
     src = _interior_points(grid)
     density = rho.interior().ravel()
@@ -224,7 +229,7 @@ def _add_product(acc: np.ndarray, spectrum: np.ndarray, kernel: np.ndarray):
 
 
 def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
-                         lines: list[np.ndarray] | None = None) -> BoundaryValues:
+                         support: _Support | None = None) -> BoundaryValues:
     """Boundary sums via FFT convolutions summed in frequency space; O(N log N).
 
     Mathematically identical to :func:`boundary_values_naive` (the slices
@@ -234,25 +239,24 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
     which a class's kernel spectra are built once each and dropped after
     use.  Besides the density, one group's spectra, the face accumulators
     of one class, one slice's spectrum and the finished faces are alive at
-    any time.  The density is checked (:func:`check_support`) before any
-    transform.  ``lines``, if given, is ``transforms._support_lines`` of
-    the density's interior, from a caller that has scanned it already.
+    any time.  ``support``, if given, is :func:`check_support`'s record of
+    the density, from a caller that has checked it already; without it the
+    density is checked here.  Either way it is checked once, before any
+    transform, and its nonzero lines and their box come from the record.
     ``thread_count`` is the ``workers`` count of every ``scipy.fft`` call,
     and the accumulation order is fixed, so the result is bitwise identical
     for any value.
     """
     check_count("thread_count", thread_count, 1)
+    support = check_support(rho) if support is None else support
     grid = rho.grid
     if grid.dim == 1:
-        return boundary_values_naive(rho)  # two single sums: nothing to convolve
-    check_support(rho)
+        return _direct_sums(rho)  # two single sums: nothing to convolve
 
     interior = rho.interior()
-    if lines is None:
-        lines = _support_lines(interior)
     mesh, panels = grid.mesh, grid.panels
     in_axes = [tuple(t for t in range(grid.dim) if t != s) for s in range(grid.dim)]
-    occupied = [set((line + 1).tolist()) for line in lines]
+    occupied = [set((line + 1).tolist()) for line in support.lines]
     # Slice p along axis s lies p panels from the lower face and M_s - p from
     # the upper: it needs the kernels of the pair {d, M_s - d}, d = min(p, M_s - p).
     # The farthest of these distances, M_s minus the nearest, is the reach.
@@ -264,7 +268,6 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
     for axis in range(grid.dim):
         key = (mesh[axis], tuple((mesh[s], panels[s], all_periods[s]) for s in in_axes[axis]))
         classes.setdefault(key, []).append(axis)
-    box = _support_box(lines)
     faces = {}
     for members in classes.values():
         axis, m = members[0], panels[members[0]]  # every member has M_s = m
@@ -272,7 +275,7 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
         half = periods[:-1] + (periods[-1] // 2 + 1,)
         acc = {a: np.zeros((2,) + half, dtype=complex) for a in members}  # lower, upper face
         # rows of the leading in-face axes (one in 3D, none in 2D) that hold the density
-        rows = {a: tuple(box[s] for s in in_axes[a][:-1]) for a in members}
+        rows = {a: tuple(support.box[s] for s in in_axes[a][:-1]) for a in members}
         union = sorted(set().union(*(pairs[a] for a in members)))
         # Groups of pairs whose spectra, with the accumulators beyond one
         # axis's, hold at most _BLOCK values.

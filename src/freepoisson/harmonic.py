@@ -116,22 +116,7 @@ whole volume does:
 
 An order-6 solve thus makes no full-volume DST of its own: the free-space
 solve makes two, the spectral forward DST and the shared inverse, both in
-place in the density's node array.  Besides them, a 3D order-6 free-space
-solve makes 37 elementwise full-volume passes from the spectral
-coefficients to the restricted potential (2D: 32), all but the last 3 on
-cache-sized blocks:
-
-* the spectral coefficients, 3: the forward DST's scaling, the eigenvalue
-  table and dividing by it;
-* sweep 1, 23 (2D: 19): zeros and a transfer scatter per axis 4 (2D: 3);
-  the symbol 2 (its outer product, the added table), dividing by it and
-  adding 2; Q 4 (2D: 3) and multiplying by it 1; a depth-2 scatter and a
-  contraction per axis 6 (2D: 4); the symbol again 2, dividing by it and
-  adding 2;
-* sweep 2, 8 (2D: 7): zeros and a depth-1 scatter per axis 4 (2D: 3); the
-  symbol 2, dividing by it and adding 2;
-* the inverse DST's scaling, in place; the finiteness check; and the
-  restriction to the user grid when the grid was padded.
+place in the density's node array.
 """
 
 from __future__ import annotations
@@ -144,11 +129,7 @@ import scipy.fft as sfft
 from .errors import ShapeError
 from .grid import BoundaryValues, UniformGrid
 
-__all__ = [
-    "check_panels",
-    "harmonic_modes",
-    "transfer_boundary_to_rhs",
-]
+__all__ = ["check_panels", "harmonic_modes"]
 
 # Cubic extrapolation to depth 1 from depths 2, 3, 4, 5 along a normal.
 _EXTRAPOLATE = np.array([4.0, -6.0, 4.0, -1.0])
@@ -305,17 +286,6 @@ def _transfer_layers(g: BoundaryValues) -> dict:
             layer += (h2[a] + h2[s]) / 12.0 / h2[s] * _d2(face[tuple(sl)], j)
         layers[a, side] = layer * (-1.0 / h2[a])
     return layers
-
-
-def transfer_boundary_to_rhs(g: BoundaryValues) -> np.ndarray:
-    """Sine coefficients of minus the compact operator applied to g extended by zero.
-
-    Equal to :func:`forward_dst` of that right-hand side, but sent to the
-    coefficients from the depth-1 layer behind each face (module docstring);
-    no node array is built.
-    """
-    transfer = _layer_scatters(g.grid, _transfer_layers(g), 1)
-    return _add_scatters(np.zeros(g.grid.interior_shape), slice(None), transfer)
 
 
 def check_panels(grid: UniformGrid, order: int) -> None:

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import boundary_values_fast
-from .dirichlet import _phi_star_in_place
+from .dirichlet import _phi_star_in_place, check_support
 from .errors import AlignmentError, ShapeError, check_count
 from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
 from .harmonic import check_panels, harmonic_modes
-from .transforms import _series_in_place, _support_box, _support_lines, next_smooth_length
+from .transforms import _series_in_place, next_smooth_length
 
 __all__ = [
     "SolverConfig",
@@ -71,12 +71,14 @@ class SolverConfig:
 class SolveReport:
     """What a solve did and how long each phase took (never asserted).
 
-    boundary_rho_max: max |rho| on the padded grid's boundary nodes.
+    boundary_rho_max: max |rho| on the padded grid's boundary nodes, from
+        the density's one support check.
     t_sample_s: sampling or embedding the density, the final restriction
         and the rest of the bookkeeping.
     t_phistar_s: the spectral component's sine coefficients.
-    t_boundary_s: the scan for the density's nonzero lines, its support
-        check and the Green's-function boundary values.
+    t_boundary_s: the support check, whose one scan of the density gives
+        the record of its nonzero lines and their box that the boundary
+        and spectral phases read, and the Green's-function boundary values.
     t_harmonic_s: the harmonic extension's sine coefficients plus the one
         inverse DST shared with the spectral component.
     """
@@ -150,25 +152,24 @@ def solve_free_space(
     The solve owns one node array and carries it to the result: the
     sampled density, the padded embedding, or a copy of an unpadded
     GridFunction's values, made after the boundary phase has read them
-    (the caller's array is never written).  One scan finds the lines that
-    hold the density's nonzero values; the boundary phase reads the density
-    and those lines, and the forward DST, on their bounding box, turns the
-    array's interior, in place, into the spectral coefficients, to which
-    the harmonic extension's are added in blocked sweeps; the inverse DST
-    turns them, in place, into the potential, and the boundary values are
-    written into its boundary nodes.  A padded grid's result is then
-    restricted by copy.  Besides
-    that array only cache-sized blocks and O(face) arrays are alive.  A 3D
-    order-6 solve of a callable at M = 96 traces these peaks, in node
-    arrays: sampling and the scan 1.13 (blocks of the callable's
-    temporaries, then the scan's mask), boundary 1.26 (one group of kernel
-    spectra and one class of axes' face accumulators), forward DST 1.17,
-    harmonic 1.64 (the sweeps' blocks and the face arrays), inverse DST
-    1.13 (the finiteness check's mask; the boundary values are released
-    once written).  The ``solve`` command keeps one node array from file
-    to file: it reads the density into an array that an unpadded solve
-    takes over (a padded one releases it once embedded), and writes the
-    potential from the solve's array.
+    (the caller's array is never written).  The density's one support
+    check scans it for the lines that hold its nonzero values; the boundary
+    phase reads the density and those lines, and the forward DST, on their
+    bounding box, turns the array's interior, in place, into the spectral
+    coefficients, to which the harmonic extension's are added in blocked
+    sweeps; the inverse DST turns them, in place, into the potential, and
+    the boundary values are written into its boundary nodes.  A padded
+    grid's result is then restricted by copy.  Besides that array, what
+    is alive is one-byte masks, cache-sized blocks and O(face) arrays:
+    blocks of a callable's samples, then the scan's mask; one group of
+    kernel spectra and one class of axes' face accumulators in the
+    boundary phase; one block of the eigenvalues in the forward DST; the
+    sweeps' blocks and the face arrays in the harmonic phase; and the
+    finiteness check's mask after the inverse DST (the boundary values are
+    released once written).  The ``solve`` command
+    keeps one node array from file to file: it reads the density into an
+    array that an unpadded solve takes over (a padded one releases it once
+    embedded), and writes the potential from the solve's array.
     """
     return _solve(rho, user_grid, config, owned=False)
 
@@ -195,15 +196,14 @@ def _solve(rho, user_grid: UniformGrid | None, config: SolverConfig, owned: bool
         rho_padded = rho  # read by the boundary phase, then copied unless owned
     copy = rho_padded is rho and not owned
     del rho  # an owned density that was embedded is released here
-    boundary_rho_max = rho_padded.boundary_abs_max()
 
     t1 = time.perf_counter()
-    lines = _support_lines(rho_padded.interior())  # the one scan for nonzero values
-    g = boundary_values_fast(rho_padded, config.thread_count, lines=lines)  # checks the density first
+    support = check_support(rho_padded)  # the one check and scan of the density
+    g = boundary_values_fast(rho_padded, config.thread_count, support=support)
     t2 = time.perf_counter()
     # From here on the solve's node array turns into the potential.
     values = rho_padded.values.copy() if copy else rho_padded.values
-    modes = _phi_star_in_place(values[(slice(1, -1),) * padded.dim], padded, _support_box(lines))
+    modes = _phi_star_in_place(values[(slice(1, -1),) * padded.dim], padded, support.box)
     t3 = time.perf_counter()
     harmonic_modes(g, config.order, modes)
     g.write_into(values)
@@ -219,7 +219,7 @@ def _solve(rho, user_grid: UniformGrid | None, config: SolverConfig, owned: bool
         padded_grid=padded,
         order=config.order,
         thread_count=config.thread_count,
-        boundary_rho_max=boundary_rho_max,
+        boundary_rho_max=support.boundary_max,
         t_phistar_s=t3 - t2,
         t_boundary_s=t2 - t1,
         t_harmonic_s=t4 - t3,

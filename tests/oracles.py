@@ -1,16 +1,18 @@
 """Reference code shared by the tests.
 
 The dense references (the compact operator's stencil, the assembled linear
-system, the 6th order right-hand side) are written the slow, obvious way,
-independently of the solver's transforms, so that the solver can be checked
-against them.  The remaining helpers are conveniences the solver itself
-does not need: node coordinates by multi-index, the bump's radial density,
-and the two finite-domain solves evaluated on their own.
+system, the 6th order right-hand side, the tables per mode) are written the
+slow, obvious way, independently of the solver's transforms, so that the
+solver can be checked against them.  The remaining helpers are conveniences
+the solver itself does not need: node coordinates by multi-index, the
+bump's radial density, and the two finite-domain solves evaluated on their
+own, with whole-array ``scipy.fft.dstn`` transforms and dense tables.
 """
 
 import itertools
 
 import numpy as np
+import scipy.fft as sfft
 
 from freepoisson import (
     BoundaryValues,
@@ -20,11 +22,10 @@ from freepoisson import (
     SolverConfig,
     UniformGrid,
     boundary_values_fast,
-    inverse_dst,
     pad_domain,
     restrict_to_subgrid,
 )
-from freepoisson.dirichlet import check_support, phi_star_modes
+from freepoisson.dirichlet import check_support
 from freepoisson.grid import _broadcast_samples, _face_shape
 from freepoisson.harmonic import check_panels, harmonic_modes
 from freepoisson.solver import _embed_samples, _pad_counts
@@ -77,6 +78,27 @@ def bump_from_differentiability(dim: int, diff: int, epsilon: float, center) -> 
     return PolyBump(dim, epsilon, diff + 1, center)
 
 
+def dst_coefficients(f: GridFunction) -> np.ndarray:
+    """Sine-series coefficients of ``f``'s interior values: ``dstn`` over every line, scaled."""
+    return sfft.dstn(f.interior(), type=1) / np.prod([float(m) for m in f.grid.panels])
+
+
+def sine_series(coeff: np.ndarray, grid: UniformGrid, values=None) -> GridFunction:
+    """The sine series with coefficients ``coeff`` at every node of ``grid``.
+
+    Its boundary nodes are those of the node array ``values`` (zero if none
+    is given), which is written.
+    """
+    values = np.zeros(grid.shape) if values is None else values
+    values[(slice(1, -1),) * grid.dim] = sfft.dstn(coeff, type=1) / 2.0**grid.dim
+    return GridFunction(grid, values)
+
+
+def phi_star_coefficients(rho: GridFunction) -> np.ndarray:
+    """Sine coefficients of the zero-Dirichlet solve: the density's over the dense eigenvalues."""
+    return dst_coefficients(rho) / continuous_eigenvalues_pairs(rho.grid)
+
+
 def solve_phi_star(rho: GridFunction) -> GridFunction:
     """Solve Laplacian(phi) = rho with zero Dirichlet boundary values.
 
@@ -84,7 +106,7 @@ def solve_phi_star(rho: GridFunction) -> GridFunction:
     exactly zero boundary values.
     """
     check_support(rho)
-    return inverse_dst(phi_star_modes(rho), rho.grid).assert_finite()
+    return sine_series(phi_star_coefficients(rho), rho.grid).assert_finite()
 
 
 def boundary_array(g: BoundaryValues) -> np.ndarray:
@@ -102,23 +124,23 @@ def solve_harmonic(g: BoundaryValues, order: int) -> GridFunction:
 
     Raises ShapeError on a 2D or 3D grid too coarse for the order.
     """
-    return inverse_dst(modes_of_harmonic(g, order), g.grid, boundary_array(g)).assert_finite()
+    return sine_series(modes_of_harmonic(g, order), g.grid, boundary_array(g)).assert_finite()
 
 
 def solve_by_composition(rho: GridFunction, config: SolverConfig) -> GridFunction:
     """The free-space solve of sampled ``rho`` composed from whole-array steps.
 
-    The harmonic coefficients and the spectral ones are built apart and
-    added, then evaluated by the public ``inverse_dst`` into a zero-filled
-    node array carrying the boundary values: the sum that
-    ``solve_free_space`` accumulates in one array, in another order.
+    The harmonic coefficients and the spectral ones (whole-array ``dstn``
+    over the dense eigenvalues) are built apart and added, then evaluated by
+    ``dstn`` into a zero-filled node array carrying the boundary values: the
+    sum that ``solve_free_space`` accumulates in one array, in another order.
     """
     padded = pad_domain(rho.grid, config)
     rho_padded = _embed_samples(rho, padded, _pad_counts(rho.grid, config))
     g = boundary_values_fast(rho_padded, config.thread_count)
     modes = modes_of_harmonic(g, config.order)
-    modes += phi_star_modes(rho_padded)
-    phi = inverse_dst(modes, padded, boundary_array(g)).assert_finite()
+    modes += phi_star_coefficients(rho_padded)
+    phi = sine_series(modes, padded, boundary_array(g)).assert_finite()
     return phi if padded == rho.grid else restrict_to_subgrid(phi, rho.grid)
 
 

@@ -9,9 +9,6 @@ from freepoisson import (
     GridFunction,
     ShapeError,
     UniformGrid,
-    forward_dst,
-    inverse_dst,
-    transfer_boundary_to_rhs,
 )
 from freepoisson import harmonic
 from freepoisson.dirichlet import continuous_eigenvalues
@@ -28,9 +25,11 @@ from oracles import (
     continuous_eigenvalues_pairs,
     correction_q_pairs,
     correlate_valid,
+    dst_coefficients,
     modes_of_harmonic,
     operator_symbol_pairs,
     row_blocks_assembled,
+    sine_series,
     sixth_order_rhs,
     solve_harmonic,
     zero_function,
@@ -42,6 +41,16 @@ RNG = np.random.default_rng(2024)
 def full_symbol(g: UniformGrid, step: int = 2) -> np.ndarray:
     """The operator's symbol on every mode, assembled from blocks of ``step`` rows."""
     return row_blocks_assembled(build_operator_symbol(g), g.panels[0] - 1, step)
+
+
+def transfer_modes(g: BoundaryValues) -> np.ndarray:
+    """Sine coefficients of minus the compact operator applied to g extended by zero.
+
+    The boundary transfer's scatters, which the solver's first sweep adds
+    block by block, added to zeros in one block.
+    """
+    scatters = harmonic._layer_scatters(g.grid, harmonic._transfer_layers(g), 1)
+    return harmonic._add_scatters(np.zeros(g.grid.interior_shape), slice(None), scatters)
 
 
 def sampled_sine_mode(grid: UniformGrid, k) -> np.ndarray:
@@ -130,7 +139,7 @@ def independent_faces(g: UniformGrid) -> BoundaryValues:
 
 def test_transfer_zero_is_zero():
     g = UniformGrid([0, 0], [1, 1], [6, 7])
-    out = transfer_boundary_to_rhs(BoundaryValues(g))
+    out = transfer_modes(BoundaryValues(g))
     assert np.all(out == 0.0)
 
 
@@ -139,7 +148,7 @@ def test_transfer_supported_on_first_layer_only():
     # the width-one stencil reaches the boundary only from the first layer.
     g = UniformGrid([0, 0, 0], [1, 1, 2], [8, 9, 7])
     bv = boundary_from_callable(g, lambda x, y, z: np.sin(3 * x) + y * z)
-    field = inverse_dst(transfer_boundary_to_rhs(bv), g).values
+    field = sine_series(transfer_modes(bv), g).values
     scale = np.max(np.abs(field))
     assert np.max(np.abs(field[2:-2, 2:-2, 2:-2])) <= 1e-13 * scale
     assert np.min(np.abs(field[1, 2:-2, 2:-2])) > 1e-3 * scale
@@ -156,7 +165,7 @@ def test_transfer_matches_dense_oracle():
         for bv in (random_boundary(g), independent_faces(g)):
             _, b = assemble_dense(g, bv)
             want = scipy.fft.dstn(b.reshape(g.interior_shape), type=1) / np.prod(panels)
-            got = transfer_boundary_to_rhs(bv)
+            got = transfer_modes(bv)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), panels
 
 
@@ -339,8 +348,8 @@ def test_sixth_order_modes_match_dense_correction(panels):
     g = UniformGrid(lower, lower + RNG.uniform(0.5, 2.0, d), panels)
     for bv in (random_boundary(g), independent_faces(g)):
         modes4 = modes_of_harmonic(bv, 4)
-        u1 = inverse_dst(modes4, g, boundary_array(bv))
-        correction = forward_dst(sixth_order_rhs(u1)) / full_symbol(g)
+        u1 = sine_series(modes4, g, boundary_array(bv))
+        correction = dst_coefficients(sixth_order_rhs(u1)) / full_symbol(g)
         want = modes4 + correction
         got = modes_of_harmonic(bv, 6)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

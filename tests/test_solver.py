@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import freepoisson.boundary
+import freepoisson.dirichlet
 import freepoisson.solver
 import freepoisson.transforms
 from freepoisson import (
@@ -393,22 +394,31 @@ def test_support_violation_detected():
         solve_free_space(GridFunction(g, vals), config=SolverConfig())
 
 
+NON_FINITE = r"density contains 1 non-finite value.*node \(%d, %d\)"
+
+
 @pytest.mark.parametrize(
-    "node, value",
-    [((0, 7), math.nan), ((8, 5), math.inf)],
-    ids=["boundary-nan", "interior-inf"],
+    "node, value, inside, error, message",
+    [((0, 7), math.nan, True, ShapeError, NON_FINITE % (0, 7)),
+     ((8, 5), math.inf, True, ShapeError, NON_FINITE % (8, 5)),
+     ((16, 3), -math.inf, True, ShapeError, NON_FINITE % (16, 3)),
+     ((4, 0), -2.5, False, SupportViolationError,
+      r"boundary \(max 2\.500e\+00, max \|rho\| 2\.500e\+00\)")],
+    ids=["boundary-nan", "interior-inf", "boundary-inf", "boundary-only"],
 )
-def test_non_finite_density_rejected_at_entry(node, value):
+def test_non_finite_density_rejected_at_entry(node, value, inside, error, message):
     # A boundary NaN enters neither sum and compares False against the
     # support bound, so only an explicit finiteness check can catch it.
+    # The check takes its extremes over the support box and the boundary:
+    # a non-finite boundary value, or a density with no interior support,
+    # gives the same error, message and precedence as the whole array's.
     g = UniformGrid([-1, -1], [1, 1], [16, 16])
     bump = bump_from_differentiability(2, 6, 0.4, (0.1, 0.2))
-    rho = GridFunction.from_callable(g, bump)
+    rho = GridFunction.from_callable(g, bump) if inside else zero_function(g)
     rho.values[node] = value
-    message = r"density contains 1 non-finite value.*node \(%d, %d\)" % node
-    with pytest.raises(ShapeError, match=message):
+    with pytest.raises(error, match=message):
         check_support(rho)
-    with pytest.raises(ShapeError, match="density contains"):
+    with pytest.raises(error, match=message):
         solve_free_space(rho, config=SolverConfig())
 
 
@@ -437,6 +447,11 @@ def test_report_fields():
     assert report.t_harmonic_s >= 0.0
     assert report.boundary_rho_max == 0.0
     assert phi.grid == g
+    # A boundary maximum far below the support bound is reported as it is.
+    rho = GridFunction.from_callable(g, bump)
+    rho.values[0, 3] = -1e-20
+    _, report = solve_free_space(rho)
+    assert report.boundary_rho_max == 1e-20
 
 
 @pytest.mark.parametrize("field", ["padding_panels", "thread_count"])
@@ -466,19 +481,23 @@ def test_config_rejects_non_bool_expansion():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_density_checked_once_per_solve(monkeypatch, dim):
-    # Count the support checks at every name a module of the solve looks up.
-    calls = []
-    for module in (freepoisson.boundary, freepoisson.solver):
-        check = getattr(module, "check_support", None)
-        if check is not None:
-            def counted(*args, _check=check, **kwargs):
-                calls.append(args)
-                return _check(*args, **kwargs)
+    # Count the support checks at every name a module of the solve looks
+    # up, and the scans for nonzero lines at the name the check looks up.
+    calls = {"check_support": [], "_support_lines": []}
+    sites = [(freepoisson.boundary, "check_support"), (freepoisson.solver, "check_support"),
+             (freepoisson.dirichlet, "_support_lines")]
+    for module, name in sites:
+        original = getattr(module, name, None)
+        if original is not None:
+            def counted(*args, _original=original, _calls=calls[name], **kwargs):
+                _calls.append(args)
+                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "check_support", counted)
+            monkeypatch.setattr(module, name, counted)
     g = UniformGrid([-1.0] * dim, [1.0] * dim, [12] * dim)
     solve_free_space(PolyBump(dim, 0.4, 5, (0.1, 0.0, -0.1)[:dim]), g, SolverConfig(order=6))
-    assert len(calls) == 1
+    assert len(calls["check_support"]) == 1
+    assert len(calls["_support_lines"]) == 1
 
 
 class _NoTransforms:
