@@ -24,13 +24,7 @@ from .grid import (
     restrict_to_subgrid,
 )
 from .pgrid import read_pgrid, write_pgrid
-from .solver import (
-    SolveReport,
-    SolverConfig,
-    domain_invariance_study,
-    pad_domain,
-    solve_free_space,
-)
+from .solver import SolveReport, SolverConfig, pad_domain, solve_free_space
 
 __version__ = "0.1.0"
 
@@ -48,7 +42,6 @@ __all__ = [
     "UniformGrid",
     "boundary_values_fast",
     "boundary_values_naive",
-    "domain_invariance_study",
     "max_norm_difference",
     "pad_domain",
     "read_pgrid",

@@ -69,13 +69,12 @@ distances p and M-p, one pair {d, M-d}, and every distance belongs to
 exactly one pair.  The union of the pairs that a class's axes need is
 worked through in groups (at least one pair each) whose spectra, together
 with the accumulators of the class's axes beyond the first, hold at most
-``harmonic._BLOCK`` values: a group's spectra are built, every slice of
+``grid._BLOCK`` values: a group's spectra are built, every slice of
 every axis of the class whose pair is in the group is added, and they are
 dropped before the next group's are built.  So each kernel is evaluated
-and transformed once per solve, and besides the density only one group's
-spectra, the two face accumulators of each axis of one class, one slice's
-spectrum and the finished faces are alive.  A class of one axis has the
-groups of that axis alone.  A slice's transform is ``rfftn``'s
+and transformed once per solve; ``solver.solve_free_space`` states what
+is alive meanwhile.  A class of one axis has the groups of that axis
+alone.  A slice's transform is ``rfftn``'s
 own sequence with the zero rows left out: the r2c along the last in-face
 axis runs only on the range of rows occupied in the whole density (along
 the first in-face axis in 3D; a 2D slice is one row), the results are
@@ -95,7 +94,7 @@ import math
 import numpy as np
 import scipy.fft as sfft
 
-from . import harmonic
+from . import grid as grid_module  # _BLOCK is read from it at call time
 from .dirichlet import _Support, check_support
 from .errors import check_count
 from .grid import BoundaryValues, GridFunction, UniformGrid
@@ -185,7 +184,7 @@ def _kernel_spectra(grid: UniformGrid, axis: int, dists, periods, workers: int) 
     np.add(normal, in_face, out=kernel)
     np.sqrt(kernel, out=kernel)
     weight = float(np.prod(grid.mesh))
-    budget = harmonic._BLOCK // 8
+    budget = grid_module._BLOCK // 8
     kernels_per_block = max(1, budget // in_face.size)
     rows_per_block = max(1, budget * in_face.shape[0] // in_face.size)
     for i in range(0, len(dists), kernels_per_block):
@@ -237,9 +236,7 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
     roundoff.  The module docstring sets out the in-face periods, the
     classes of face-normal axes that share one kernel, and the groups in
     which a class's kernel spectra are built once each and dropped after
-    use.  Besides the density, one group's spectra, the face accumulators
-    of one class, one slice's spectrum and the finished faces are alive at
-    any time.  ``support``, if given, is :func:`check_support`'s record of
+    use.  ``support``, if given, is :func:`check_support`'s record of
     the density, from a caller that has checked it already; without it the
     density is checked here.  Either way it is checked once, before any
     transform, and its nonzero lines and their box come from the record.
@@ -279,7 +276,7 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
         union = sorted(set().union(*(pairs[a] for a in members)))
         # Groups of pairs whose spectra, with the accumulators beyond one
         # axis's, hold at most _BLOCK values.
-        budget = harmonic._BLOCK - (len(members) - 1) * acc[axis].nbytes // 8
+        budget = grid_module._BLOCK - (len(members) - 1) * acc[axis].nbytes // 8
         step = max(1, budget // (2 * math.prod(p // 2 + 1 for p in periods)))
         for start in range(0, len(union), step):
             dists = sorted({q for d in union[start:start + step] for q in (d, m - d)})

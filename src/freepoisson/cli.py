@@ -13,16 +13,19 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .bumps import PolyBump
-from .grid import GridFunction, UniformGrid
-from .pgrid import atomic_open, read_pgrid, write_nodes_csv, write_pgrid
-from .solver import SolverConfig, _solve, domain_invariance_study, solve_free_space
+from .errors import AlignmentError
+from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
+from .pgrid import _is_number, atomic_open, read_pgrid, write_nodes_csv, write_pgrid
+from .solver import SolverConfig, _solve, solve_free_space
 
 __all__ = [
     "StudySpec",
+    "domain_invariance_study",
     "run_convergence_study",
     "run_domain_study",
     "run_thread_benchmark",
@@ -176,14 +179,53 @@ def run_convergence_study(spec: StudySpec):
     return rows, slope
 
 
+def domain_invariance_study(
+    rho_callable,
+    base_grid: UniformGrid,
+    D_values,
+    config: SolverConfig = SolverConfig(),
+) -> list[tuple[float, float]]:
+    """Solve on [-D, D]^d for each D and compare on the base domain.
+
+    The base grid must cover [-1, 1]^d; every D must be a whole number of
+    mesh widths beyond 1 so the extended nodes align with the base nodes.
+    Returns (D, max difference on the base domain / max |base solution|)
+    rows.
+    """
+    dim = base_grid.dim
+    for s in range(dim):
+        if abs(base_grid.lower[s] + 1.0) > 1e-12 or abs(base_grid.upper[s] - 1.0) > 1e-12:
+            raise AlignmentError("domain study requires the base domain [-1, 1]^d")
+    phi_base, _ = solve_free_space(rho_callable, base_grid, config)
+    norm = float(np.max(np.abs(phi_base.values)))
+    rows = []
+    for D in D_values:
+        D = float(D)
+        panels = []
+        for s in range(dim):
+            h = base_grid.mesh[s]
+            extra = (D - 1.0) / h
+            if abs(extra - round(extra)) > 1e-9 or D < 1.0:
+                raise AlignmentError(
+                    f"domain size D={D} is not a whole number of mesh widths "
+                    f"beyond the base domain (h={h})"
+                )
+            panels.append(base_grid.panels[s] + 2 * int(round(extra)))
+        ext_grid = UniformGrid([-D] * dim, [D] * dim, panels)
+        phi_ext, _ = solve_free_space(rho_callable, ext_grid, config)
+        on_base = restrict_to_subgrid(phi_ext, base_grid)
+        diff = max_norm_difference(on_base, phi_base)
+        rows.append((D, diff / norm if norm > 0.0 else 0.0))
+    return rows
+
+
 def run_domain_study(spec: StudySpec):
     """Domain-expansion study: rows of (D, max relative difference)."""
     if not spec.d_list:
         raise ValueError("domain study needs --d-list")
-    rows = domain_invariance_study(
+    return domain_invariance_study(
         spec.bump(), spec.base_grid(), spec.d_list, spec.solver_config()
     )
-    return rows
 
 
 def run_thread_benchmark(spec: StudySpec):
@@ -286,26 +328,14 @@ def _file_note(path, start: float) -> str:
     return f"{path} ({size:.1f} MiB, {time.perf_counter() - start:.3f} s)"
 
 
-class _FloatToken:
-    """argparse's negative-number pattern, widened from ``-<digits>[.<digits>]``
-    to every token ``float`` accepts (``-1e-1``, ``-inf``)."""
-
-    @staticmethod
-    def match(token: str) -> bool:
-        try:
-            float(token)
-        except ValueError:
-            return False
-        return True
-
-
 class _Parser(argparse.ArgumentParser):
     """The class of every parser here, so flags and config lines take the
-    same numbers: a token ``float`` accepts is a value, never an option."""
+    same numbers: every token ``float`` accepts (``-1e-1``, ``-inf``), not
+    only argparse's ``-<digits>[.<digits>]``, is a value, never an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _FloatToken
+        self._negative_number_matcher = SimpleNamespace(match=_is_number)
 
 
 # The one definition of every option: (subcommands, flag, add_argument

@@ -13,8 +13,7 @@ as sine coefficients, which the free-space solver adds to the harmonic
 extension's before one shared inverse DST.
 
 :func:`check_support` is the one place that decides the density's
-support: one scan of its nonzero lines gives a record that the boundary
-phase and the forward DST read, so no phase scans the density again.
+support; ``solver.solve_free_space`` states which phases read its record.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SupportViolationError
-from .grid import GridFunction, UniformGrid
-from .harmonic import _row_blocks
+from .grid import GridFunction, UniformGrid, _row_blocks
 from .transforms import _dst_support_in_place
 
 __all__ = ["continuous_eigenvalues"]

@@ -23,6 +23,20 @@ __all__ = [
     "restrict_to_subgrid",
 ]
 
+# Elements per block of axis-0 rows, the budget of every phase's blocked
+# passes and of the boundary phase's groups of kernel spectra.
+_BLOCK = 8 * 96**2
+
+
+def _row_blocks(shape) -> list[slice]:
+    """Slices of axis 0 that cut an array of ``shape`` into blocks of about ``_BLOCK`` elements.
+
+    A block holds at most an eighth of axis 0, so that on small grids too
+    a block's temporaries stay a small part of the array.
+    """
+    step = max(1, min(_BLOCK * shape[0] // int(np.prod(shape)), shape[0] // 8))
+    return [slice(start, start + step) for start in range(0, shape[0], step)]
+
 
 @dataclass(frozen=True)
 class UniformGrid:
@@ -140,8 +154,6 @@ class GridFunction:
         called once per block of axis-0 node rows, with that block's x
         coordinates, so that no whole-grid temporary is built.
         """
-        from .harmonic import _row_blocks  # harmonic imports this module
-
         x, *rest = grid.coordinate_arrays()
         values = np.empty(grid.shape)
         for rows in _row_blocks(grid.shape):

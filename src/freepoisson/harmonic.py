@@ -2,7 +2,7 @@
 
 The 4th order scheme solves the compact width-one operator
 
-    Delta_h + sum_{r<s} (h_r^2 + h_s^2)/12 * D2_r D2_s
+    Delta_h + sum_{r<s} c_rs D2_r D2_s,    c_rs = (h_r^2 + h_s^2)/12,
 
 whose eigenvectors are the discrete sine modes, so the linear system
 diagonalizes under a DST.  Note the eigenvalues here are the *difference*
@@ -51,8 +51,8 @@ whole volume does:
 
       -(1 / h_a^2) (1 + sum_{s != a} c_as D2_s / h_s^2) of the face data,
 
-  with c_as = (h_a^2 + h_s^2)/12 and D2_s the undivided second difference
-  along the face (the 19-point stencil has no corner taps).  An edge node
+  with D2_s the undivided second difference along the face (the 19-point
+  stencil has no corner taps).  An edge node
   is counted by the face of its lowest axis, as in
   :meth:`BoundaryValues.write_into`: a face's data are zeroed on its
   edges with lower axes first.  A value on the layer at depth j behind a
@@ -63,13 +63,13 @@ whole volume does:
 * Correction in sine space.  Write u1 = V + G, V the 4th order sine series
   (coefficients u) and G the boundary data extended by zero.  The undivided
   difference D2_s is diagonal on V with the mode table mu_s, so on
-  nodes of depth >= 2 the correction sum_r D4_r (sum_{s != r} c_rs D2_s u1),
-  with D4_r = D2_r^2 and c_rs = 1/(240 h_s^2) + 1/(144 h_r^2), equals the
+  nodes of depth >= 2 the correction sum_r D4_r (sum_{s != r} w_rs D2_s u1),
+  with D4_r = D2_r^2 and w_rs = 1/(240 h_s^2) + 1/(144 h_r^2), equals the
   series W of Q u,
 
-      Q = sum_r mu_r^2 sum_{s != r} c_rs mu_s,
+      Q = sum_r mu_r^2 sum_{s != r} w_rs mu_s,
 
-  plus, on each depth-2 layer, sum_{s != r} c_rs D2_s of that face's data
+  plus, on each depth-2 layer, sum_{s != r} w_rs D2_s of that face's data
   (the only taps of the width-two stencil that reach G).  With F the
   forward DST, the right-hand side's coefficients are therefore
 
@@ -99,24 +99,19 @@ whole volume does:
 * Tables.  The operator's symbol, Q and the spectral solve's continuous
   eigenvalues are never built as full arrays.  Each is factored along
   axis 0, from contiguous tables over the trailing axes built once, and
-  evaluated per block of axis-0 rows (``_row_blocks``: about ``_BLOCK``
-  elements, at most an eighth of axis 0), which is divided into (or
-  multiplied with) the coefficients while it is in cache: the symbol as
-  lam_0 A + P, and Q as (mu_0 Y + X) mu_0 + P.
+  evaluated per block of axis-0 rows (``grid._row_blocks``), which is
+  divided into (or multiplied with) the coefficients while it is in cache:
+  the symbol as lam_0 A + P, and Q as (mu_0 Y + X) mu_0 + P.
 * Arrays.  :func:`harmonic_modes` adds into the coefficient array it is
-  given, which in the free-space solve is the interior of the density's
-  node array, holding the spectral coefficients, and allocates no other:
-  it works in two sweeps over blocks of axis-0 rows, each block built in
-  a buffer of its own.  Sweep 1: the transfer scatters, divided by the
-  symbol, give u, which is added; for order 6 the buffer then becomes
-  Q u plus the depth-2 face-term scatters, is contracted along every
-  normal, divided by the symbol and added.  Then, on O(face) arrays, the
-  shell, the extrapolation, its edges and corners.  Sweep 2 (order 6):
-  the depth-1 change scatters, divided by the symbol, are added.
-
-An order-6 solve thus makes no full-volume DST of its own: the free-space
-solve makes two, the spectral forward DST and the shared inverse, both in
-place in the density's node array.
+  given in two sweeps over blocks of axis-0 rows, each block built in a
+  buffer of its own, and makes no full-volume DST.  Sweep 1: the transfer
+  scatters, divided by the symbol, give u, which is added; for order 6 the
+  buffer then becomes Q u plus the depth-2 face-term scatters, is
+  contracted along every normal, divided by the symbol and added.  Then,
+  on O(face) arrays, the shell, the extrapolation, its edges and corners.
+  Sweep 2 (order 6): the depth-1 change scatters, divided by the symbol,
+  are added.  What is alive meanwhile is stated in
+  ``solver.solve_free_space``.
 """
 
 from __future__ import annotations
@@ -127,15 +122,12 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ShapeError
-from .grid import BoundaryValues, UniformGrid
+from .grid import BoundaryValues, UniformGrid, _row_blocks
 
 __all__ = ["check_panels", "harmonic_modes"]
 
 # Cubic extrapolation to depth 1 from depths 2, 3, 4, 5 along a normal.
 _EXTRAPOLATE = np.array([4.0, -6.0, 4.0, -1.0])
-# Elements per block of axis-0 rows in the scatters and the tables
-# (bounds their temporaries).
-_BLOCK = 8 * 96**2
 
 # Fewest panels per axis each order's stencils fit in.
 MIN_PANELS = {4: 4, 6: 7}
@@ -155,14 +147,10 @@ def discrete_eigenvalues(grid: UniformGrid) -> list[np.ndarray]:
     return [_mode_table(m) / h**2 for m, h in zip(grid.panels, grid.mesh)]
 
 
-def _row_blocks(shape) -> list[slice]:
-    """Slices of axis 0 that cut an array of ``shape`` into blocks of about ``_BLOCK`` elements.
-
-    A block holds at most an eighth of axis 0, so that on small grids too
-    a block's temporaries stay a small part of the array.
-    """
-    step = max(1, min(_BLOCK * shape[0] // int(np.prod(shape)), shape[0] // 8))
-    return [slice(start, start + step) for start in range(0, shape[0], step)]
+def _compact_weights(grid: UniformGrid) -> dict:
+    """The compact operator's weights c_rs (module docstring), per ordered axis pair."""
+    h2 = [h * h for h in grid.mesh]
+    return {(r, s): (h2[r] + h2[s]) / 12.0 for r, s in itertools.permutations(range(grid.dim), 2)}
 
 
 def build_operator_symbol(grid: UniformGrid):
@@ -175,15 +163,11 @@ def build_operator_symbol(grid: UniformGrid):
     the full table is never built.
     """
     lam = discrete_eigenvalues(grid)
-    h2 = [h * h for h in grid.mesh]
+    c = _compact_weights(grid)
     trail = np.ix_(*lam[1:])
-
-    def c(r, s):
-        return (h2[r] + h2[s]) / 12.0
-
-    slope = 1.0 + sum(c(0, s) * trail[s - 1] for s in range(1, grid.dim))
+    slope = 1.0 + sum(c[0, s] * trail[s - 1] for s in range(1, grid.dim))
     rest = sum(trail) + sum(
-        c(r, s) * trail[r - 1] * trail[s - 1]
+        c[r, s] * trail[r - 1] * trail[s - 1]
         for r, s in itertools.combinations(range(1, grid.dim), 2)
     )
 
@@ -204,6 +188,18 @@ def _d2(values: np.ndarray, axis: int) -> np.ndarray:
     out -= centre
     out -= centre
     return out
+
+
+def _add_in_face_d2(out: np.ndarray, face: np.ndarray, weights, depth: int) -> None:
+    """``out += sum_j weights[j] D2_j`` of ``face`` at in-face depth >= ``depth``.
+
+    D2_j is the undivided second difference along the face's axis j, and
+    ``out`` holds the face less ``depth`` nodes at both ends of every axis.
+    """
+    for j, w in enumerate(weights):
+        box = [slice(depth, -depth)] * face.ndim
+        box[j] = slice(depth - 1, face.shape[j] - depth + 1)
+        out += w * _d2(face[tuple(box)], j)
 
 
 def _scatter(out: np.ndarray, axis: int, table: np.ndarray, faces: np.ndarray) -> None:
@@ -276,14 +272,12 @@ def _transfer_layers(g: BoundaryValues) -> dict:
     grid = g.grid
     d = grid.dim
     h2 = [h * h for h in grid.mesh]
+    c = _compact_weights(grid)
     layers = {}
     for (a, side), face in g.faces.items():
         face = _cede_lower_edges(face.copy(), a)
         layer = face[(slice(1, -1),) * (d - 1)].copy()
-        for j, s in enumerate(x for x in range(d) if x != a):
-            sl = [slice(1, -1)] * (d - 1)
-            sl[j] = slice(None)
-            layer += (h2[a] + h2[s]) / 12.0 / h2[s] * _d2(face[tuple(sl)], j)
+        _add_in_face_d2(layer, face, [c[a, s] / h2[s] for s in range(d) if s != a], 1)
         layers[a, side] = layer * (-1.0 / h2[a])
     return layers
 
@@ -319,8 +313,8 @@ def _owner(grid: UniformGrid, layer: dict, at: dict):
     return layer[a, at[a][1]], tuple(idx)
 
 
-def _weights(grid: UniformGrid) -> dict:
-    """The correction's c_rs = 1/(240 h_s^2) + 1/(144 h_r^2), per ordered axis pair."""
+def _correction_weights(grid: UniformGrid) -> dict:
+    """The correction's w_rs = 1/(240 h_s^2) + 1/(144 h_r^2), per ordered axis pair."""
     h2 = [h * h for h in grid.mesh]
     return {
         (r, s): 1.0 / (240.0 * h2[s]) + 1.0 / (144.0 * h2[r])
@@ -329,7 +323,7 @@ def _weights(grid: UniformGrid) -> dict:
 
 
 def _q_table(grid: UniformGrid):
-    """Q = sum_r mu_r^2 sum_{s != r} c_rs mu_s, block by block like the symbol.
+    """Q = sum_r mu_r^2 sum_{s != r} w_rs mu_s, block by block like the symbol.
 
     ``q(rows)`` is built as (mu_0 Y + X) mu_0 + P on the modes ``rows`` of
     axis 0, with Y (``slope``), X (``offset``) and P (``rest``, 3D only)
@@ -337,13 +331,13 @@ def _q_table(grid: UniformGrid):
     runs along whole trailing planes.
     """
     d = grid.dim
-    c = _weights(grid)
+    w = _correction_weights(grid)
     mu = [_mode_table(m) for m in grid.panels]
     trail = np.ix_(*mu[1:])
-    slope = sum(c[0, s] * trail[s - 1] for s in range(1, d))
-    offset = sum(c[s, 0] * trail[s - 1] ** 2 for s in range(1, d))
+    slope = sum(w[0, s] * trail[s - 1] for s in range(1, d))
+    offset = sum(w[s, 0] * trail[s - 1] ** 2 for s in range(1, d))
     if d == 3:
-        rest = c[1, 2] * trail[0] ** 2 * trail[1] + c[2, 1] * trail[0] * trail[1] ** 2
+        rest = w[1, 2] * trail[0] ** 2 * trail[1] + w[2, 1] * trail[0] * trail[1] ** 2
 
     def q(rows: slice) -> np.ndarray:
         head = mu[0][rows]
@@ -358,7 +352,7 @@ def _q_table(grid: UniformGrid):
 
 
 def _face_terms(g: BoundaryValues) -> dict:
-    """sum_{s != a} c_as D2_s of each face's data on its depth >= 2 nodes.
+    """sum_{s != a} w_as D2_s of each face's data on its depth >= 2 nodes.
 
     The width-two stencil's taps that reach the boundary data, entering the
     right-hand side on the depth-2 layer behind face (a, side).  Returned on
@@ -366,15 +360,12 @@ def _face_terms(g: BoundaryValues) -> dict:
     """
     grid = g.grid
     d = grid.dim
-    c = _weights(grid)
+    w = _correction_weights(grid)
     terms = {}
     for (a, side), face in g.faces.items():
         term = np.zeros([m - 1 for s, m in enumerate(grid.panels) if s != a])
-        deep = term[(slice(1, -1),) * (d - 1)]
-        for j, s in enumerate(x for x in range(d) if x != a):
-            sl = [slice(2, -2)] * (d - 1)
-            sl[j] = slice(1, -1)
-            deep += c[a, s] * _d2(face[tuple(sl)], j)
+        _add_in_face_d2(term[(slice(1, -1),) * (d - 1)], face,
+                        [w[a, s] for s in range(d) if s != a], 2)
         terms[a, side] = term
     return terms
 

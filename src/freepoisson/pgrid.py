@@ -444,7 +444,7 @@ def _read_text(fh, values: np.ndarray) -> None:
         )
 
 
-def _is_number(token: bytes) -> bool:
+def _is_number(token: bytes | str) -> bool:
     try:
         float(token)
     except ValueError:

@@ -21,18 +21,12 @@ import numpy as np
 
 from .boundary import boundary_values_fast
 from .dirichlet import _phi_star_in_place, check_support
-from .errors import AlignmentError, ShapeError, check_count
-from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
+from .errors import ShapeError, check_count
+from .grid import GridFunction, UniformGrid, restrict_to_subgrid
 from .harmonic import check_panels, harmonic_modes
 from .transforms import _series_in_place, next_smooth_length
 
-__all__ = [
-    "SolverConfig",
-    "SolveReport",
-    "pad_domain",
-    "solve_free_space",
-    "domain_invariance_study",
-]
+__all__ = ["SolverConfig", "SolveReport", "pad_domain", "solve_free_space"]
 
 
 @dataclass(frozen=True)
@@ -76,9 +70,8 @@ class SolveReport:
     t_sample_s: sampling or embedding the density, the final restriction
         and the rest of the bookkeeping.
     t_phistar_s: the spectral component's sine coefficients.
-    t_boundary_s: the support check, whose one scan of the density gives
-        the record of its nonzero lines and their box that the boundary
-        and spectral phases read, and the Green's-function boundary values.
+    t_boundary_s: the density's one support check and the Green's-function
+        boundary values.
     t_harmonic_s: the harmonic extension's sine coefficients plus the one
         inverse DST shared with the spectral component.
     """
@@ -153,20 +146,23 @@ def solve_free_space(
     sampled density, the padded embedding, or a copy of an unpadded
     GridFunction's values, made after the boundary phase has read them
     (the caller's array is never written).  The density's one support
-    check scans it for the lines that hold its nonzero values; the boundary
-    phase reads the density and those lines, and the forward DST, on their
-    bounding box, turns the array's interior, in place, into the spectral
-    coefficients, to which the harmonic extension's are added in blocked
-    sweeps; the inverse DST turns them, in place, into the potential, and
-    the boundary values are written into its boundary nodes.  A padded
-    grid's result is then restricted by copy.  Besides that array, what
-    is alive is one-byte masks, cache-sized blocks and O(face) arrays:
-    blocks of a callable's samples, then the scan's mask; one group of
-    kernel spectra and one class of axes' face accumulators in the
-    boundary phase; one block of the eigenvalues in the forward DST; the
-    sweeps' blocks and the face arrays in the harmonic phase; and the
-    finiteness check's mask after the inverse DST (the boundary values are
-    released once written).  The ``solve`` command
+    check (``dirichlet.check_support``) scans it for the lines that hold
+    its nonzero values; its record of those lines, their bounding box and
+    the boundary maximum is all that later phases read of the support.
+    The boundary phase reads the density and those lines, and the forward
+    DST, on their box, turns the array's interior, in place, into the
+    spectral coefficients, to which the harmonic extension's are added in
+    blocked sweeps; the inverse DST turns them, in place, into the
+    potential, and the boundary values are written into its boundary
+    nodes.  A padded grid's result is then restricted by copy.  Besides
+    that array, what is alive is one-byte masks, blocks of axis-0 rows
+    (``grid._row_blocks``) and O(face) arrays: blocks of a callable's
+    samples, then the scan's mask; in the boundary phase, one group of
+    kernel spectra, the face accumulators of one class of axes, one
+    slice's spectrum and the finished faces; one block of the eigenvalues
+    in the forward DST; the sweeps' blocks and the face arrays in the
+    harmonic phase; and the finiteness check's mask after the inverse DST
+    (the boundary values are released once written).  The ``solve`` command
     keeps one node array from file to file: it reads the density into an
     array that an unpadded solve takes over (a padded one releases it once
     embedded), and writes the potential from the solve's array.
@@ -227,42 +223,3 @@ def _solve(rho, user_grid: UniformGrid | None, config: SolverConfig, owned: bool
     report.t_sample_s = (t1 - t0) + (time.perf_counter() - t4)
     return phi_padded, report
 
-
-def domain_invariance_study(
-    rho_callable,
-    base_grid: UniformGrid,
-    D_values,
-    config: SolverConfig = SolverConfig(),
-) -> list[tuple[float, float]]:
-    """Solve on [-D, D]^d for each D and compare on the base domain.
-
-    The base grid must cover [-1, 1]^d; every D must be a whole number of
-    mesh widths beyond 1 so the extended nodes align with the base nodes.
-    Returns (D, max difference on the base domain / max |base solution|)
-    rows.
-    """
-    dim = base_grid.dim
-    for s in range(dim):
-        if abs(base_grid.lower[s] + 1.0) > 1e-12 or abs(base_grid.upper[s] - 1.0) > 1e-12:
-            raise AlignmentError("domain study requires the base domain [-1, 1]^d")
-    phi_base, _ = solve_free_space(rho_callable, base_grid, config)
-    norm = float(np.max(np.abs(phi_base.values)))
-    rows = []
-    for D in D_values:
-        D = float(D)
-        panels = []
-        for s in range(dim):
-            h = base_grid.mesh[s]
-            extra = (D - 1.0) / h
-            if abs(extra - round(extra)) > 1e-9 or D < 1.0:
-                raise AlignmentError(
-                    f"domain size D={D} is not a whole number of mesh widths "
-                    f"beyond the base domain (h={h})"
-                )
-            panels.append(base_grid.panels[s] + 2 * int(round(extra)))
-        ext_grid = UniformGrid([-D] * dim, [D] * dim, panels)
-        phi_ext, _ = solve_free_space(rho_callable, ext_grid, config)
-        on_base = restrict_to_subgrid(phi_ext, base_grid)
-        diff = max_norm_difference(on_base, phi_base)
-        rows.append((D, diff / norm if norm > 0.0 else 0.0))
-    return rows

@@ -21,9 +21,8 @@ intermediate arrays too, and its transform is exactly zero; every other
 line is the same data through the same 1D transform.  So the coefficients
 are bitwise equal to ``dstn``'s, which ``tests/test_transforms.py``
 checks, and a NaN or inf, being nonzero, is never skipped.  The box comes
-from the density's support check (``dirichlet.check_support``), whose
-record the boundary phase reads too.  The inverse transform is dense and
-also runs in place.
+from the density's support record (``dirichlet.check_support``).  The
+inverse transform is dense and also runs in place.
 """
 
 from __future__ import annotations

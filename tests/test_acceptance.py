@@ -21,7 +21,7 @@ from freepoisson import (
     boundary_values_naive,
     solve_free_space,
 )
-from freepoisson.cli import fit_slope
+from freepoisson.cli import domain_invariance_study, fit_slope
 from freepoisson.dirichlet import _support_box, _support_lines
 from freepoisson.transforms import _dst_support_in_place, _series_in_place
 from oracles import (
@@ -262,8 +262,6 @@ def test_criterion_5_table1_reproduction():
 
 
 def test_criterion_6_domain_invariance():
-    from freepoisson import domain_invariance_study
-
     t0 = time.perf_counter()
     bump = bump_from_differentiability(3, 6, 0.4, CENTER)
     base = UniformGrid([-1, -1, -1], [1, 1, 1], [20, 20, 20])

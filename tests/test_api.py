@@ -1,11 +1,12 @@
-"""The package's public surface, pinned.
+"""The package's public surface and its layering, pinned.
 
 ``freepoisson.__all__`` is an explicit list, every module's ``__all__``
 resolves, and ``src/`` holds no function, class or method that only tests
 would call: each one is referenced somewhere in ``src/`` (a method only
 by an attribute read, see ``_references``) or exported by
 ``freepoisson.__all__``.  A submodule's ``__all__`` alone does not make a
-name used.
+name used.  Every import of ``src/`` is at module level, and only the
+driver, ``solver``, imports the harmonic phase.
 """
 
 import ast
@@ -29,7 +30,6 @@ PUBLIC = [
     "UniformGrid",
     "boundary_values_fast",
     "boundary_values_naive",
-    "domain_invariance_study",
     "max_norm_difference",
     "pad_domain",
     "read_pgrid",
@@ -41,8 +41,6 @@ PUBLIC = [
 UNREFERENCED_ALLOWED = {
     # nothing in src/ calls it yet; the solve report is to record its value
     "BoundaryValues.check_consistency",
-    # argparse calls it, as the parser's negative-number matcher
-    "_FloatToken.match",
 }
 
 SRC = Path(freepoisson.__file__).parent
@@ -142,3 +140,30 @@ def test_src_has_no_unreferenced_definitions():
         if not used(qualified, name)
     ]
     assert unused == []
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The dotted names an import statement may bind a module from."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    return [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+
+
+def test_src_imports_are_module_level_and_only_solver_imports_harmonic():
+    # The phases share their decisions (the block budget, the support
+    # record) through the modules below them, so no import needs to wait
+    # inside a function to break a cycle.
+    imports = (ast.Import, ast.ImportFrom)
+    nested, harmonic = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested.update(f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                              if isinstance(node, imports))
+        if path.stem != "solver":
+            harmonic.update(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                            if isinstance(node, imports)
+                            and any("harmonic" in name.split(".") for name in _imported_modules(node)))
+    assert (sorted(nested), sorted(harmonic)) == ([], [])

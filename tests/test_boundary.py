@@ -15,7 +15,8 @@ from freepoisson import (
     boundary_values_fast,
     boundary_values_naive,
 )
-from freepoisson import boundary, harmonic
+from freepoisson import boundary
+from freepoisson import grid as grid_module
 from freepoisson.boundary import _periods, _slice_spectrum
 from freepoisson.greens import green_values
 from freepoisson.transforms import next_smooth_length
@@ -402,8 +403,8 @@ def test_fast_fft_calls_pass_the_shape_as_a_positional_tuple(monkeypatch, panels
     rho = random_density(UniformGrid([-1.0] * len(panels), [1.0] * len(panels), panels),
                          np.random.default_rng(29))
     refs = {}
-    for block in (1, harmonic._BLOCK):
-        monkeypatch.setattr(harmonic, "_BLOCK", block)
+    for block in (1, grid_module._BLOCK):
+        monkeypatch.setattr(grid_module, "_BLOCK", block)
         refs[block] = boundary_values_fast(rho)
     monkeypatch.setattr(boundary, "sfft", TupleShapeOnly())
     monkeypatch.setattr(boundary, "green_values", counted_green_values)
@@ -416,7 +417,7 @@ def test_fast_fft_calls_pass_the_shape_as_a_positional_tuple(monkeypatch, panels
                                     for s, (m, p) in enumerate(zip(panels, periods)) if s != a)
         for a in range(len(panels)))
     for block, ref in refs.items():
-        monkeypatch.setattr(harmonic, "_BLOCK", block)
+        monkeypatch.setattr(grid_module, "_BLOCK", block)
         calls.clear()
         evals.clear()
         got = boundary_values_fast(rho)
@@ -457,7 +458,28 @@ def _offset_density(grid: UniformGrid, seed: int) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-@pytest.mark.parametrize("block", [1, harmonic._BLOCK])
+def test_block_budget_reaches_every_phase(monkeypatch):
+    # ``grid._BLOCK`` is read when a phase runs, so patching it in its one
+    # home reaches the blocked passes and the boundary phase's groups: at 1,
+    # every block is one row and every group of kernel spectra one pair
+    # {d, M - d} (the totals of the tests above do not see the grouping).
+    monkeypatch.setattr(grid_module, "_BLOCK", 1)
+    assert grid_module._row_blocks((9, 5, 4)) == [slice(i, i + 1) for i in range(9)]
+    groups, real = [], boundary._kernel_spectra
+
+    def recorded(grid, axis, dists, periods, workers):
+        groups.append((grid.panels[axis], list(dists)))
+        return real(grid, axis, dists, periods, workers)
+
+    monkeypatch.setattr(boundary, "_kernel_spectra", recorded)
+    rho = _offset_density(UniformGrid([-1.0] * 3, [1.0, 1.0, 1.5], [13, 13, 15]), 53)
+    boundary_values_fast(rho)
+    assert len(groups) > 3  # more than one group per class
+    for m, dists in groups:
+        assert len(dists) <= 2 and {m - q for q in dists} == set(dists), (m, dists)
+
+
+@pytest.mark.parametrize("block", [1, grid_module._BLOCK])
 @pytest.mark.parametrize("upper, panels, classes", [
     ((1.0, 1.0, 1.0), (14, 14, 14), [(0, 1, 2)]),  # cubic: one class
     ((1.0, 1.0), (17, 17), [(0, 1)]),  # square
@@ -471,7 +493,7 @@ def test_axes_with_one_kernel_share_its_spectra(monkeypatch, block, upper, panel
     distances = [_distances(rho, a) for a in range(dim)]
     union = sum(len(set().union(*(distances[a] for a in members))) for members in classes)
     assert union < sum(len(d) for d in distances)
-    monkeypatch.setattr(harmonic, "_BLOCK", block)
+    monkeypatch.setattr(grid_module, "_BLOCK", block)
     built = _counted_kernel_spectra(monkeypatch)
     ref = boundary_values_fast(rho, 1)
     assert sum(built) == union

@@ -12,7 +12,7 @@ from freepoisson import (
     boundary_values_fast,
     boundary_values_naive,
 )
-from freepoisson import harmonic
+from freepoisson import grid as grid_module
 
 
 @st.composite
@@ -93,7 +93,7 @@ def test_fast_with_one_pair_per_group(rho):
     # distances; only the order in which slices reach the accumulators
     # differs from the default groups.
     default = boundary_values_fast(rho)
-    with mock.patch.object(harmonic, "_BLOCK", 1):
+    with mock.patch.object(grid_module, "_BLOCK", 1):
         one = boundary_values_fast(rho, 1)
         two = boundary_values_fast(rho, 2)
     naive = boundary_values_naive(rho)

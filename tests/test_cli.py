@@ -6,17 +6,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freepoisson import read_pgrid
+from freepoisson import (
+    AlignmentError,
+    GridFunction,
+    SolverConfig,
+    UniformGrid,
+    read_pgrid,
+    solve_free_space,
+)
 from freepoisson.cli import (
     StudySpec,
     build_parser,
     build_spec,
+    domain_invariance_study,
     fit_slope,
     main,
     run_convergence_study,
     run_domain_study,
     run_thread_benchmark,
 )
+from oracles import bump_from_differentiability
 
 
 def test_spec_defaults():
@@ -77,6 +86,37 @@ def test_domain_study_rows():
     rows = run_domain_study(spec)
     assert rows[0] == (1.0, 0.0)
     assert rows[1][1] < 1e-3
+
+
+def test_domain_invariance_study_basics():
+    bump = bump_from_differentiability(2, 6, 0.4, (0.1, 0.0))
+    base = UniformGrid([-1, -1], [1, 1], [20, 20])
+    cfg = SolverConfig(order=6)
+    rows = domain_invariance_study(bump, base, [1.0, 1.2, 1.5], cfg)
+    assert rows[0] == (1.0, 0.0)
+    exact = GridFunction.from_callable(base, bump.potential)
+    phi, _ = solve_free_space(bump, base, cfg)
+    base_err = np.max(np.abs(phi.values - exact.values)) / np.max(np.abs(exact.values))
+    for D, diff in rows[1:]:
+        assert diff <= base_err
+
+
+def test_domain_invariance_zero_density():
+    base = UniformGrid([-1, -1], [1, 1], [10, 10])
+    rows = domain_invariance_study(
+        lambda x, y: 0.0 * x * y, base, [1.0, 1.2], SolverConfig(order=4)
+    )
+    assert all(diff == 0.0 for _, diff in rows)
+
+
+def test_domain_invariance_alignment_error():
+    bump = bump_from_differentiability(2, 4, 0.4, (0.0, 0.0))
+    base = UniformGrid([-1, -1], [1, 1], [10, 10])
+    with pytest.raises(AlignmentError):
+        domain_invariance_study(bump, base, [1.05], SolverConfig())
+    off_base = UniformGrid([-1, -2], [1, 2], [10, 20])
+    with pytest.raises(AlignmentError):
+        domain_invariance_study(bump, off_base, [1.2], SolverConfig())
 
 
 def test_thread_benchmark_rows():

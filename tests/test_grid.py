@@ -9,10 +9,10 @@ from freepoisson import (
     PolyBump,
     ShapeError,
     UniformGrid,
-    harmonic,
     max_norm_difference,
     restrict_to_subgrid,
 )
+from freepoisson import grid as grid_module
 from oracles import boundary_from_callable, zero_function
 
 
@@ -144,7 +144,7 @@ def test_from_callable_matches_coordinates():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("block", [1, 50, harmonic._BLOCK])
+@pytest.mark.parametrize("block", [1, 50, grid_module._BLOCK])
 def test_from_callable_blocks_match_whole_grid_evaluation(dim, block):
     # Sampling by blocks of axis-0 rows (one row, a few, the default) gives
     # the samples of one whole-grid call bit for bit, for a bump and for
@@ -154,7 +154,7 @@ def test_from_callable_blocks_match_whole_grid_evaluation(dim, block):
                lambda x, *rest: np.sin(3.0 * x) * np.exp(sum(rest, 0.25)),
                lambda x, *rest: np.cos(x) + 0.0 * sum(rest, 0.0)):
         want = np.broadcast_to(fn(*g.coordinate_arrays()), g.shape)
-        with mock.patch.object(harmonic, "_BLOCK", block):
+        with mock.patch.object(grid_module, "_BLOCK", block):
             got = GridFunction.from_callable(g, fn).values
         assert np.array_equal(got, want)
 

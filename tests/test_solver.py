@@ -16,7 +16,6 @@ import freepoisson.dirichlet
 import freepoisson.solver
 import freepoisson.transforms
 from freepoisson import (
-    AlignmentError,
     GridFunction,
     PolyBump,
     ShapeError,
@@ -24,7 +23,6 @@ from freepoisson import (
     SupportViolationError,
     UniformGrid,
     boundary_values_fast,
-    domain_invariance_study,
     pad_domain,
     solve_free_space,
 )
@@ -519,37 +517,6 @@ def test_bad_density_rejected_before_any_transform(monkeypatch, dim, value, node
     rho.values[(node,) + (5,) * (dim - 1)] = value
     with pytest.raises(error, match=message):
         solve_free_space(rho, config=SolverConfig())
-
-
-def test_domain_invariance_study_basics():
-    bump = bump_from_differentiability(2, 6, 0.4, (0.1, 0.0))
-    base = UniformGrid([-1, -1], [1, 1], [20, 20])
-    cfg = SolverConfig(order=6)
-    rows = domain_invariance_study(bump, base, [1.0, 1.2, 1.5], cfg)
-    assert rows[0] == (1.0, 0.0)
-    exact = GridFunction.from_callable(base, bump.potential)
-    phi, _ = solve_free_space(bump, base, cfg)
-    base_err = np.max(np.abs(phi.values - exact.values)) / np.max(np.abs(exact.values))
-    for D, diff in rows[1:]:
-        assert diff <= base_err
-
-
-def test_domain_invariance_zero_density():
-    base = UniformGrid([-1, -1], [1, 1], [10, 10])
-    rows = domain_invariance_study(
-        lambda x, y: 0.0 * x * y, base, [1.0, 1.2], SolverConfig(order=4)
-    )
-    assert all(diff == 0.0 for _, diff in rows)
-
-
-def test_domain_invariance_alignment_error():
-    bump = bump_from_differentiability(2, 4, 0.4, (0.0, 0.0))
-    base = UniformGrid([-1, -1], [1, 1], [10, 10])
-    with pytest.raises(AlignmentError):
-        domain_invariance_study(bump, base, [1.05], SolverConfig())
-    off_base = UniformGrid([-1, -2], [1, 2], [10, 20])
-    with pytest.raises(AlignmentError):
-        domain_invariance_study(bump, off_base, [1.2], SolverConfig())
 
 
 def test_config_validation():

@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freepoisson import GridFunction, SolverConfig, UniformGrid, harmonic, solve_free_space
+from freepoisson import GridFunction, SolverConfig, UniformGrid, solve_free_space
+from freepoisson import grid as grid_module
 from oracles import solve_by_composition
 
 TOL = 1e-11
@@ -83,7 +84,7 @@ def test_translation_by_whole_panels(problem, shifts):
 
 
 @settings(max_examples=24)
-@given(problems(), st.sampled_from([0, 2]), st.sampled_from([1, 64, harmonic._BLOCK]))
+@given(problems(), st.sampled_from([0, 2]), st.sampled_from([1, 64, grid_module._BLOCK]))
 def test_solve_matches_whole_array_composition(problem, padding, block):
     # The solve works in place in one node array and runs its tables and
     # sweeps block by block; against whole-array steps that changes only
@@ -91,7 +92,7 @@ def test_solve_matches_whole_array_composition(problem, padding, block):
     # axis 0.
     grid, config, (rho, _) = problem
     config = SolverConfig(order=config.order, padding_panels=padding)
-    with mock.patch.object(harmonic, "_BLOCK", block):
+    with mock.patch.object(grid_module, "_BLOCK", block):
         phi = solve_free_space(rho, config=config)[0].values
     want = solve_by_composition(rho, config).values
     assert np.max(np.abs(phi - want)) <= 1e-14 * np.max(np.abs(want))
