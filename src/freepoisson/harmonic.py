@@ -448,11 +448,10 @@ def harmonic_modes(g: BoundaryValues, order: int, modes: np.ndarray) -> np.ndarr
     it is added into in blocked sweeps of axis-0 rows (module docstring),
     and no other coefficient array is built.  Returns ``modes``.  In 1D
     both orders give the same coefficients, those of the exact, linear
-    solution.
+    solution.  The caller has checked the grid with :func:`check_panels`.
     """
     grid = g.grid
     d = grid.dim
-    check_panels(grid, order)
     symbol = build_operator_symbol(grid)
     transfer = _layer_scatters(grid, _transfer_layers(g), 1)
     if order == 6:

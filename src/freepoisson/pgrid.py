@@ -21,6 +21,10 @@ cells.  A binary body is written from the values' own buffer.
 
 The reader holds one array of values: it parses a text body a chunk of
 bytes at a time straight into that array, and reads a binary body into it.
+Each chunk is scanned as a byte array for tokens that are a lone ``0``,
+such as a density's zero collar: they are stored as +0.0 by one masked
+assignment and blanked out, so only the other tokens become Python objects
+for ``np.array`` to convert.  A chunk without one is converted whole.
 
 Each value is taken to 17 correctly rounded significant digits D and a
 decimal exponent E, |v| ~ D * 10**(E - 16).  E is first estimated as
@@ -74,7 +78,7 @@ _ORDER_LINE = "order x y z row-major"
 _DATA_TEXT = "data text"
 _DATA_BINARY = "data binary little-endian f64"
 _TEXT_CHUNK = 8192  # values per array pass: its temporaries stay in a 2 MiB L2 cache
-_READ_CHUNK = 1 << 14  # text bytes parsed at a time
+_READ_CHUNK = 1 << 15  # text bytes parsed at a time
 
 _SAFE = (1e-200, 1e200)  # |v| formatted by array operations
 _E_RANGE = (-201, 200)  # exponent estimates for |v| in _SAFE
@@ -412,28 +416,49 @@ def _read_binary(fh, values: np.ndarray) -> None:
 def _read_text(fh, values: np.ndarray) -> None:
     """Parse the rest of ``fh``, whitespace-separated tokens, into ``values``.
 
-    The text is read and parsed ``_READ_CHUNK`` bytes at a time; a token
-    cut by a chunk's end is carried into the next one.  The errors are
-    those of a parse of the whole text at once: a wrong token count first,
-    then the first token that is not a number, by its index.
+    The text is parsed ``_READ_CHUNK`` bytes at a time (module docstring);
+    a token cut by a chunk's end is carried into the next one.  The errors
+    are those of a parse of the whole text at once: a wrong token count
+    first, then the first token that is not a number, by its index.
     """
     found = 0
     bad = None  # (index, token) of the first token that is not a number
     carry = b""
     while True:
         block = fh.read(_READ_CHUNK)
-        tokens = (carry + block).split()
-        carry = tokens.pop() if tokens and block and not block[-1:].isspace() else b""
-        if bad is None and found + len(tokens) <= values.size:
+        text, carry = carry + block, b""
+        if block and not block[-1:].isspace():  # its last token may go on
+            *head, carry = text.rsplit(None, 1)
+            text = head[0] if head else b""
+        byte = np.frombuffer(text, dtype=np.uint8)
+        space = (byte == 32) | (byte - 9 < 5)  # bytes.split()'s blanks: space, \t \n \v \f \r
+        lone = byte == 48  # a '0' with a blank or an end on each side
+        lone[1:] &= space[:-1]
+        lone[:-1] &= space[1:]
+        zero = None  # which tokens are a lone '0', if any is
+        if lone.any():
+            starts = ~space  # a token starts after a blank or at the text's start
+            starts[1:] &= space[:-1]
+            zero = lone[np.flatnonzero(starts)]
+            text = (byte - np.uint8(16) * lone).tobytes()  # each lone '0' (48) a ' ' (32)
+            del starts
+        del byte, space, lone  # before the tokens are made
+        tokens = text.split()
+        count = len(tokens) if zero is None else zero.size
+        if bad is None and found + count <= values.size:
+            out = values[found:found + count]
+            rest = slice(None) if zero is None else ~zero
             try:
-                values[found:found + len(tokens)] = np.array(tokens, dtype=np.float64)
+                out[rest] = np.array(tokens, dtype=np.float64)
             except ValueError:
-                bad = next(((found + i, token) for i, token in enumerate(tokens)
-                            if not _is_number(token)), None)
+                index = np.arange(found, found + count)[rest].tolist()
+                bad = next(((i, t) for i, t in zip(index, tokens) if not _is_number(t)), None)
                 if bad is None:
                     raise
-        found += len(tokens)
-        del tokens  # before the next chunk's are made
+            if zero is not None:
+                out[zero] = 0.0
+        found += count
+        del text, tokens  # before the next chunk's are made
         if not block:
             break
     if found != values.size:

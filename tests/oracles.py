@@ -115,7 +115,12 @@ def boundary_array(g: BoundaryValues) -> np.ndarray:
 
 
 def modes_of_harmonic(g: BoundaryValues, order: int) -> np.ndarray:
-    """Sine coefficients of the 4th or 6th order harmonic extension alone."""
+    """Sine coefficients of the 4th or 6th order harmonic extension alone.
+
+    Raises ShapeError on a 2D or 3D grid too coarse for the order, as the
+    solver does before any phase.
+    """
+    check_panels(g.grid, order)
     return harmonic_modes(g, order, np.zeros(g.grid.interior_shape))
 
 

@@ -274,6 +274,77 @@ def test_bad_token_after_the_first_chunk_reports_its_global_index(tmp_path, monk
         read_pgrid(path)
 
 
+# Every separator bytes.split() knows, alone and in runs.
+_BLANKS = st.sampled_from([b" ", b"\t", b"\n", b"\x0b", b"\x0c", b"\r", b"\r\n", b" \t\x0c\n"])
+_TOKENS = st.one_of(
+    st.just("0"),
+    st.sampled_from(["-0", "00", "+0", "0.0", "0e0", "10"]),
+    st.floats(allow_nan=False).map(lambda v: "%.17g" % v),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(_TOKENS, _BLANKS), min_size=3, max_size=40),
+       st.sampled_from([b"", b"\n", b" \r\n"]), st.booleans(), st.integers(1, 40))
+def test_text_reader_reads_zero_tokens_as_a_whole_text_parse(
+        tmp_path_factory, tokens, lead, last_newline, chunk):
+    body = lead + b"".join(t.encode() + blank for t, blank in tokens)
+    if not last_newline:
+        body = body[:-len(tokens[-1][1])]
+    path = _body_file(tmp_path_factory.mktemp("z"), len(tokens), body)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(freepoisson.pgrid, "_READ_CHUNK", chunk)
+        back = read_pgrid(path).values
+    expected = np.array([float(t) for t in body.split()])
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 4, 1 << 14])
+def test_text_reader_zero_cut_by_a_chunk_end_joins_its_token(tmp_path, monkeypatch, chunk):
+    # With 3-byte chunks the first ends in "\n0": that '0' begins "05", not a zero.
+    monkeypatch.setattr(freepoisson.pgrid, "_READ_CHUNK", chunk)
+    back = read_pgrid(_body_file(tmp_path, 3, b"0\n05\n0\n")).values
+    assert np.array_equal(back.view(np.int64), np.array([0.0, 5.0, 0.0]).view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 14])
+def test_text_reader_last_zero_without_newline(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(freepoisson.pgrid, "_READ_CHUNK", chunk)
+    back = read_pgrid(_body_file(tmp_path, 3, b"-0\n2.5\n0")).values
+    assert np.array_equal(back.view(np.int64), np.array([-0.0, 2.5, 0.0]).view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 14])
+def test_text_reader_zeros_touching_rare_blanks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(freepoisson.pgrid, "_READ_CHUNK", chunk)
+    body = b"0\x0b0\x0c0\r0\r\n-0\x0b1\x0c0"
+    back = read_pgrid(_body_file(tmp_path, 7, body)).values
+    expected = np.array([float(t) for t in body.split()])
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("token", [b"\x010", b"0\x01"])
+def test_zero_beside_a_control_byte_is_not_a_zero_token(tmp_path, token):
+    # \x01 is no separator of bytes.split(), so the '0' and it are one token.
+    path = _body_file(tmp_path, 3, b"0\n" + token + b"\n0\n")
+    message = f"value 1 is not a number: {token.decode()!r}"
+    with pytest.raises(PGridFormatError, match=re.escape(message)):
+        read_pgrid(path)
+
+
+@pytest.mark.parametrize("chunk", [16, 1 << 14])
+def test_bad_token_after_thousands_of_zeros_reports_its_global_index(
+        tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(freepoisson.pgrid, "_READ_CHUNK", chunk)
+    body = b"0\n" * 5000 + b"7\n1.5q\n" + b"0\n" * 20
+    path = _body_file(tmp_path, 5022, body)
+    with pytest.raises(PGridFormatError, match=r"value 5001 is not a number: '1\.5q'"):
+        read_pgrid(path)
+    path = _body_file(tmp_path, 5023, body)
+    with pytest.raises(PGridFormatError, match="expected 5023 values, found 5022"):
+        read_pgrid(path)
+
+
 def _traced_peak(fn) -> float:
     tracemalloc.start()
     try:
