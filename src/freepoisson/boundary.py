@@ -97,7 +97,7 @@ import scipy.fft as sfft
 from . import grid as grid_module  # _BLOCK is read from it at call time
 from .dirichlet import _Support, check_support
 from .errors import check_count
-from .grid import BoundaryValues, GridFunction, UniformGrid
+from .grid import BoundaryValues, GridFunction, UniformGrid, _face_shape
 from .greens import green_values
 from .transforms import next_smooth_length
 
@@ -132,7 +132,7 @@ def _direct_sums(rho: GridFunction) -> BoundaryValues:
     faces = {}
     for axis in range(grid.dim):
         for side in (0, 1):
-            face_shape = tuple(m + 1 for s, m in enumerate(grid.panels) if s != axis)
+            face_shape = _face_shape(grid, axis)
             targets = [
                 np.broadcast_to(c, face_shape).ravel()
                 for c in grid.face_coordinate_arrays(axis, side)

@@ -84,8 +84,6 @@ class StudySpec:
         elif self.diff is not None and self.p != self.diff + 1:
             raise ValueError("give either --p or --diff, not conflicting values")
         self.diff = self.p - 1
-        if self.order not in (4, 6):
-            raise ValueError("order must be 4 or 6")
         if any(h <= 0 for h in self.h_list):
             raise ValueError("h values must be positive")
 

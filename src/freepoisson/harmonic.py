@@ -38,7 +38,8 @@ error of the 4th order solution is approximated by width-two difference
 operators applied to it and fed back as a right-hand side for the same
 compact operator.  Near the boundary, where the width-two stencils do not
 fit, the right-hand side is filled by cubic extrapolation along the inward
-normal of the nearest face (averaged over ties at edges and corners).
+normal, at edges and corners along each depth-1 axis in turn (the tensor
+product: extrapolations along different axes commute).
 
 :func:`harmonic_modes` adds the solution's sine coefficients to an array
 that holds the spectral Poisson component's, so the free-space solver
@@ -81,9 +82,10 @@ whole volume does:
   4 s_2 - 6 s_3 + 4 s_4 - s_5 (s_j = sin(j k pi / M); the far face takes
   the (-1)^(k+1) parity), then one batched in-face DST.  The depth-2 face
   terms are added to Q u first, so the extrapolation reads them like any
-  other value; the extrapolation to edges, then corners, runs on those face
-  arrays.  Each face's depth-1 change goes back like the boundary transfer,
-  a depth-1 node being counted by the face of its lowest depth-1 axis.
+  other value.  Each face array then takes the same extrapolation along
+  its in-face axes above its own, which fills its edges and corners.  Each
+  face's depth-1 change goes back like the boundary transfer, a depth-1
+  node being counted by the face of its lowest depth-1 axis.
 * Scatters and contractions.  A scatter adds a face pair's in-face DSTs,
   times the normal's row, to a block of the coefficients, as one
   ``matmul`` with an (n, 2) table: the row zeroed off odd k in one column
@@ -108,7 +110,8 @@ whole volume does:
   scatters, divided by the symbol, give u, which is added; for order 6 the
   buffer then becomes Q u plus the depth-2 face-term scatters, is
   contracted along every normal, divided by the symbol and added.  Then,
-  on O(face) arrays, the shell, the extrapolation, its edges and corners.
+  on O(face) arrays, the shell and the extrapolation, edges and corners
+  per face.
   Sweep 2 (order 6): the depth-1 change scatters, divided by the symbol,
   are added.  What is alive meanwhile is stated in
   ``solver.solve_free_space``.
@@ -293,26 +296,6 @@ def check_panels(grid: UniformGrid, order: int) -> None:
         )
 
 
-def _owner(grid: UniformGrid, layer: dict, at: dict):
-    """The face array and index holding the shell nodes ``at`` describes.
-
-    ``at`` maps axes to (depth, side), depth 1 on at least one of them;
-    every other axis takes its depth >= 2 range.  A node belongs to the
-    face of its lowest depth-1 axis.
-    """
-    a = min(s for s, (depth, _) in at.items() if depth == 1)
-    idx = []
-    for s, m in enumerate(grid.panels):
-        if s == a:
-            continue
-        if s in at:
-            depth, side = at[s]
-            idx.append(depth - 1 if side == 0 else m - 1 - depth)
-        else:
-            idx.append(slice(1, -1))
-    return layer[a, at[a][1]], tuple(idx)
-
-
 def _correction_weights(grid: UniformGrid) -> dict:
     """The correction's w_rs = 1/(240 h_s^2) + 1/(144 h_r^2), per ordered axis pair."""
     h2 = [h * h for h in grid.mesh]
@@ -404,41 +387,33 @@ def _contract(block: np.ndarray, rows: slice, normal_rows: list, sums: list) -> 
                 sums[a][p][:, rows] = np.einsum("k...,rk->r...", modes[p::2], weights[:, p::2])
 
 
+def _extrapolate_ends(x: np.ndarray, axis: int) -> None:
+    """Set ``x``'s end rows along ``axis`` by ``_EXTRAPOLATE`` from the four next to each."""
+    x = np.moveaxis(x, axis, 0)
+    for end, step in ((0, 1), (-1, -1)):
+        x[end] = sum(e * x[end + step * j] for j, e in enumerate(_EXTRAPOLATE, start=1))
+
+
 def _depth1_change(grid: UniformGrid, sums: list) -> dict:
     """The change of the correction's right-hand side on the depth-1 layer behind each face.
 
     From the contractions ``sums`` of Q u plus the depth-2 face terms: per
     face, one in-face DST gives the series at depth 1 and the extrapolation
     from depths 2..5 (the sum over parities is the near face, the
-    difference the far face); the extrapolation to edges, then corners,
-    runs on those face arrays, and the change is the extrapolation minus
-    the series, a node counted by the face of its lowest depth-1 axis.
+    difference the far face).  The face then extrapolates along its in-face
+    axes above its own, in turn, which fills its edges and corners (those
+    on lower axes are ceded); extrapolations along different axes commute.
+    The change is the extrapolation minus the series.
     """
-    d = grid.dim
-    shell, layer = {}, {}
+    layers = {}
     for a, (odd, even) in enumerate(sums):
-        values = sfft.dstn(np.stack([odd + even, odd - even]), type=1, axes=range(2, d + 1))
+        values = sfft.dstn(np.stack([odd + even, odd - even]), type=1, axes=range(2, grid.dim + 1))
         for side in (0, 1):  # ``...`` keeps a 1D face a 0-d array, not a scalar
-            shell[a, side] = values[side, 0, ...]
-            layer[a, side] = values[side, 1, ...]
-
-    # Edges, then corners: the mean of the extrapolations along their depth-1
-    # axes.  A node's value is kept in the face of its lowest depth-1 axis.
-    for t in range(2, d + 1):
-        for axes in itertools.combinations(range(d), t):
-            for sides in itertools.product((0, 1), repeat=t):
-                at = {a: (1, side) for a, side in zip(axes, sides)}
-                total = 0.0
-                for a, (_, side) in at.items():
-                    for depth, e in enumerate(_EXTRAPOLATE, start=2):
-                        face, idx = _owner(grid, layer, {**at, a: (depth, side)})
-                        total = total + e * face[idx]
-                face, idx = _owner(grid, layer, at)
-                face[idx] = total / t
-
-    for (a, side), x in layer.items():
-        _cede_lower_edges(np.subtract(x, shell[a, side], out=x), a)
-    return layer
+            shell, x = values[side, 0, ...], values[side, 1, ...]
+            for j in range(a, grid.dim - 1):  # the face's axes above a
+                _extrapolate_ends(x, j)
+            layers[a, side] = _cede_lower_edges(np.subtract(x, shell, out=x), a)
+    return layers
 
 
 def harmonic_modes(g: BoundaryValues, order: int, modes: np.ndarray) -> np.ndarray:

@@ -44,6 +44,8 @@ def test_spec_diff_p_consistency():
         StudySpec(kind="solve", diff=4, p=9)
     with pytest.raises(ValueError):
         StudySpec(kind="bogus")
+    with pytest.raises(ValueError, match="order"):
+        StudySpec(kind="solve", order=5).solver_config()
 
 
 def test_grid_for_h_validates_before_running():

@@ -1,6 +1,6 @@
-"""Property tests of the free-space solve: linearity, mirror symmetry and
-whole-panel translation, each to roundoff, and agreement with the solve
-composed from whole-array steps."""
+"""Property tests of the free-space solve: linearity, mirror symmetry, axis
+permutation and whole-panel translation, each to roundoff, and agreement
+with the solve composed from whole-array steps."""
 
 from unittest import mock
 
@@ -18,11 +18,11 @@ WEIGHTS = st.one_of(st.floats(-4.0, -0.25), st.floats(0.25, 4.0))
 
 
 @st.composite
-def problems(draw):
-    """A random 1D/2D/3D grid (8..16 panels per axis, random extents), an
-    order, and two random densities on one box of nodes that keeps a
-    collar of at least two panels."""
-    dim = draw(st.integers(1, 3))
+def problems(draw, min_dim=1):
+    """A random grid of ``min_dim``..3 dimensions (8..16 panels per axis,
+    random extents), an order, and two random densities on one box of
+    nodes that keeps a collar of at least two panels."""
+    dim = draw(st.integers(min_dim, 3))
     panels = draw(st.lists(st.integers(8, 16), min_size=dim, max_size=dim))
     lower = draw(st.lists(st.floats(-3.0, 1.0), min_size=dim, max_size=dim))
     extent = draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim))
@@ -65,6 +65,19 @@ def test_mirror_symmetry(problem, axis):
     phi = solve(grid, rho.values, config)
     mirrored = solve(grid, np.flip(rho.values, axis), config)
     assert np.max(np.abs(mirrored - np.flip(phi, axis))) <= TOL * np.max(np.abs(phi))
+
+
+@settings(max_examples=12)
+@given(problems(min_dim=2), st.permutations(range(3)))
+def test_axis_permutation(problem, axes):
+    # Relabelling the axes permutes the grid's bounds and panels and
+    # transposes the density, so the potential is the transposed potential.
+    grid, config, (rho, _) = problem
+    axes = [s for s in axes if s < grid.dim]
+    permuted = UniformGrid(*([v[s] for s in axes] for v in (grid.lower, grid.upper, grid.panels)))
+    phi = solve(grid, rho.values, config)
+    transposed = solve(permuted, rho.values.transpose(axes), config)
+    assert np.max(np.abs(transposed - phi.transpose(axes))) <= TOL * np.max(np.abs(phi))
 
 
 @settings(max_examples=12)
