@@ -80,11 +80,11 @@ axis runs only on the range of rows occupied in the whole density (along
 the first in-face axis in 3D; a 2D slice is one row), the results are
 placed in a zeroed half spectrum, and the c2c runs along the leading
 in-face axis.  A skipped row would transform to exact zeros, so the
-spectrum is bitwise ``rfftn``'s.  ``thread_count`` is passed to
-``scipy.fft`` as ``workers``; each 1D transform is computed the same way on
-any worker and the accumulation order (groups in increasing d, each
-group's slices in increasing p, axis by axis) is fixed, which makes the
-output bitwise independent of the thread count.
+spectrum is bitwise ``rfftn``'s.  ``thread_count`` is passed to the
+transforms (``transforms.sfft``) as ``workers``; each 1D transform is
+computed the same way on any worker and the accumulation order (groups in
+increasing d, each group's slices in increasing p, axis by axis) is fixed,
+which makes the output bitwise independent of the thread count.
 """
 
 from __future__ import annotations
@@ -92,14 +92,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import grid as grid_module  # _BLOCK is read from it at call time
 from .dirichlet import _Support, check_support
 from .errors import check_count
 from .grid import BoundaryValues, GridFunction, UniformGrid, _face_shape
 from .greens import green_values
-from .transforms import next_smooth_length
+from .transforms import next_smooth_length, sfft
 
 __all__ = ["boundary_values_naive", "boundary_values_fast"]
 
@@ -240,7 +239,7 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
     the density, from a caller that has checked it already; without it the
     density is checked here.  Either way it is checked once, before any
     transform, and its nonzero lines and their box come from the record.
-    ``thread_count`` is the ``workers`` count of every ``scipy.fft`` call,
+    ``thread_count`` is the ``workers`` count of every FFT call,
     and the accumulation order is fixed, so the result is bitwise identical
     for any value.
     """

@@ -122,10 +122,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ShapeError
 from .grid import BoundaryValues, UniformGrid, _row_blocks
+from .transforms import sfft
 
 __all__ = ["check_panels", "harmonic_modes"]
 

@@ -40,8 +40,8 @@ class SolverConfig:
         in whole panels, so the mesh is preserved exactly.
     fft_friendly_expansion: round padded panel counts up to 7-smooth integers,
         splitting the extra panels as evenly as possible between the sides.
-    thread_count: ``workers`` count of the boundary phase's ``scipy.fft``
-        calls; the result is bitwise identical for any value.
+    thread_count: ``workers`` count of the boundary phase's FFT calls
+        (``transforms.sfft``); the result is bitwise identical for any value.
     """
 
     order: int = 6

@@ -9,11 +9,16 @@ bump's radial density, and the two finite-domain solves evaluated on their
 own, with whole-array ``scipy.fft.dstn`` transforms and dense tables.
 """
 
+import importlib
 import itertools
+import os
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import scipy.fft as sfft
 
+import freepoisson
 from freepoisson import (
     BoundaryValues,
     GridFunction,
@@ -32,6 +37,26 @@ from freepoisson.solver import _embed_samples, _pad_counts
 
 _D2 = np.array([1.0, -2.0, 1.0])
 _DELTA3 = np.array([0.0, 1.0, 0.0])
+
+
+def fft_users() -> list:
+    """Every ``freepoisson`` module that holds the FFT namespace as ``sfft``.
+
+    Found by walking the package, so a module that starts transforming is
+    included without a change here.
+    """
+    names = (info.name for info in pkgutil.iter_modules(freepoisson.__path__))
+    modules = (importlib.import_module(f"freepoisson.{name}") for name in names
+               if not name.startswith("_"))  # __main__ would run the CLI
+    return [m for m in modules if "sfft" in vars(m)]
+
+
+def src_env(**extra) -> dict:
+    """This process's environment with the package's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(freepoisson.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def node_coordinate(grid: UniformGrid, index) -> tuple[float, ...]:

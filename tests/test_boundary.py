@@ -143,7 +143,7 @@ def test_thread_count_bitwise_invariance():
 
 
 def test_fast_rejects_non_integer_thread_count():
-    # Fails here, naming the argument, not inside scipy's transforms.
+    # Fails here, naming the argument, not inside the transforms.
     rho = random_density(UniformGrid([-1, -1], [1, 1], [16, 16]), np.random.default_rng(3))
     with pytest.raises(ValueError, match="thread_count must be an integer, got 1.5"):
         boundary_values_fast(rho, 1.5)
@@ -154,7 +154,7 @@ def test_fast_rejects_non_integer_thread_count():
 
 @pytest.mark.parametrize("panels", [(200, 300), (40, 48, 56)])
 def test_thread_count_bitwise_invariance_on_larger_grids(panels):
-    # The 3D faces are large enough for scipy.fft to split each transform's
+    # The 3D faces are large enough for pocketfft to split each transform's
     # rows over the workers; a 2D face is a single 1D transform.
     rng = np.random.default_rng(13)
     dim = len(panels)

@@ -1,10 +1,8 @@
-import os
 import platform
 import re
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from freepoisson import (
     read_pgrid,
     write_pgrid,
 )
-from oracles import zero_function
+from oracles import src_env, zero_function
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -420,8 +418,6 @@ def test_text_writer_page_faults_do_not_depend_on_allocator_history(tmp_path, st
     # chunk (60-80k minor faults for this grid).  An earlier allocate-and-free
     # of 30 MiB raises its mmap and trim thresholds (32 MiB and more do not).
     # The write must fault about as little in both states.
-    src = str(Path(freepoisson.pgrid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _WRITE_FAULTS_PROBE, str(tmp_path / "f.pgrid"), state],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=src_env(), capture_output=True, text=True, check=True)
     assert int(run.stdout) <= 5000

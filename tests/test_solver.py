@@ -1,20 +1,18 @@
 import contextlib
 import math
-import os
 import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import freepoisson.boundary
 import freepoisson.dirichlet
 import freepoisson.solver
-import freepoisson.transforms
 from freepoisson import (
     GridFunction,
     PolyBump,
@@ -30,9 +28,11 @@ from freepoisson.dirichlet import check_support
 from oracles import (
     boundary_array,
     bump_from_differentiability,
+    fft_users,
     node_coordinate,
     solve_harmonic,
     solve_phi_star,
+    src_env,
     zero_function,
 )
 
@@ -356,11 +356,9 @@ def _blas_probe_outputs(probe: str) -> list[str]:
     The caps must be set before numpy loads, hence a fresh interpreter per
     count.
     """
-    src = str(Path(freepoisson.solver.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         run = subprocess.run(
             [sys.executable, "-c", probe],
             env=env, capture_output=True, text=True, check=True,
@@ -500,7 +498,7 @@ def test_density_checked_once_per_solve(monkeypatch, dim):
 
 class _NoTransforms:
     def __getattr__(self, name):
-        raise AssertionError(f"scipy.fft.{name} ran before the density was checked")
+        raise AssertionError(f"sfft.{name} ran before the density was checked")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -510,13 +508,26 @@ class _NoTransforms:
     ids=["non-finite", "on-boundary"],
 )
 def test_bad_density_rejected_before_any_transform(monkeypatch, dim, value, node, error, message):
-    monkeypatch.setattr(freepoisson.boundary, "sfft", _NoTransforms())
-    monkeypatch.setattr(freepoisson.transforms, "sfft", _NoTransforms())
+    for module in fft_users():
+        monkeypatch.setattr(module, "sfft", _NoTransforms())
     g = UniformGrid([-1.0] * dim, [1.0] * dim, [12] * dim)
     rho = GridFunction.from_callable(g, PolyBump(dim, 0.4, 5, (0.1, 0.0, -0.1)[:dim]))
     rho.values[(node,) + (5,) * (dim - 1)] = value
     with pytest.raises(error, match=message):
         solve_free_space(rho, config=SolverConfig())
+
+
+@pytest.mark.parametrize("dim, panels", [(2, [40, 36]), (3, [14, 16, 12])])
+@pytest.mark.parametrize("order", [4, 6])
+def test_solves_bitwise_equal_under_the_scipy_fft_fallback(monkeypatch, dim, panels, order):
+    g = UniformGrid([-1.0] * dim, [1.0, 1.2, 0.9][:dim], panels)
+    bump = PolyBump(dim, 0.4, 7, (0.1, -0.2, 0.05)[:dim])
+    config = SolverConfig(order=order, padding_panels=2, thread_count=2)
+    bound, _ = solve_free_space(bump, g, config)
+    for module in fft_users():
+        monkeypatch.setattr(module, "sfft", scipy.fft)
+    fallback, _ = solve_free_space(bump, g, config)
+    assert np.array_equal(bound.values, fallback.values)
 
 
 def test_config_validation():

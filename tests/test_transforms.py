@@ -1,13 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freepoisson import GridFunction, ShapeError, UniformGrid
+from freepoisson import GridFunction, ShapeError, UniformGrid, transforms
 from freepoisson.dirichlet import _support_box, _support_lines, check_support
 from freepoisson.transforms import _dst_support_in_place, _series_in_place, next_smooth_length
-from oracles import zero_function
+from oracles import fft_users, src_env, zero_function
 
 
 def forward(f: GridFunction) -> np.ndarray:
@@ -218,3 +222,85 @@ def test_forward_never_skips_a_non_finite_line(panels, bad):
     _dst_support_in_place(got, _support_box(_support_lines(got)))
     np.testing.assert_array_equal(got, sfft.dstn(f.interior(), type=1))
     assert not np.all(np.isfinite(got))
+
+
+def _same(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
+
+
+def test_every_fft_user_holds_the_pocketfft_binding():
+    # The extension is found and passes its round trips, so no solve pays
+    # for importing scipy.fft; a forced fallback fails here, and only here.
+    assert {m.__name__.rpartition(".")[2] for m in fft_users()} >= {"boundary", "harmonic", "transforms"}
+    assert all(m.sfft is transforms.sfft for m in fft_users())
+    assert transforms.sfft is not sfft
+    assert Path(transforms._pocketfft_path()).name.startswith("pypocketfft")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("m", [31, 32, 95, 96, 127])  # odd, even and 7-smooth sizes
+def test_call_forms_are_bitwise_scipy_fft(m, workers):
+    ours = transforms.sfft
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((3, m, m + 1))
+    period = 2 * next_smooth_length(m)
+    # The boundary phase: a padded r2c of slice rows, c2c along a leading
+    # axis in place, the inverse c2r of a face, and the kernels' DCT-I.
+    for s, axes in (((period,), (-1,)), ((m - 4,), (2,)), ((period, period), (1, 2))):
+        _same(ours.rfftn(x, s, axes=axes, workers=workers), sfft.rfftn(x, s, axes=axes, workers=workers))
+    spectrum = sfft.rfftn(x, (period,), axes=(-1,))
+    for s, axes in (((period,), (1,)), ((period,), (-2,)), ((2, m), (0, 1))):
+        got = ours.fftn(spectrum.copy(), s, axes=axes, workers=workers, overwrite_x=True)
+        _same(got, sfft.fftn(spectrum.copy(), s, axes=axes, workers=workers, overwrite_x=True))
+    for s in ((period, period), (m + 3, 2 * m), (period,)):
+        _same(ours.irfftn(spectrum, s, workers=workers), sfft.irfftn(spectrum, s, workers=workers))
+    got = ours.dctn(x.copy(), type=1, axes=(1, 2), workers=workers, overwrite_x=True)
+    _same(got, sfft.dctn(x.copy(), type=1, axes=(1, 2), workers=workers, overwrite_x=True))
+    # The harmonic phase: DST-I over the in-face axes, as ``range`` objects,
+    # of which the 1D faces' is empty.
+    for axes in (range(1, 3), range(2, 3), (-1, -2), range(1, 1)):
+        _same(ours.dstn(x, type=1, axes=axes), sfft.dstn(x, type=1, axes=axes))
+    assert ours.dstn(x, type=1, axes=range(1, 1)) is x
+    # The volume DSTs: in place on strided views, the input's buffer returned.
+    got, want = x.copy(), x.copy()
+    for axis, view in ((1, (slice(None), slice(None, None, 2), slice(1, None))), (-1, (1, slice(1, -1)))):
+        out = ours.dst(got[view], type=1, axis=axis, workers=workers, overwrite_x=True)
+        assert out.ctypes.data == got[view].ctypes.data
+        sfft.dst(want[view], type=1, axis=axis, workers=workers, overwrite_x=True)
+        _same(got, want)
+
+
+@pytest.mark.parametrize("name, content", [("missing", None), ("not-an-extension", b"\x7fELF junk")])
+def test_binder_refuses_an_extension_it_cannot_load(tmp_path, name, content):
+    path = tmp_path / name / "pypocketfft.so"
+    if content is not None:
+        path.parent.mkdir()
+        path.write_bytes(content)
+    with pytest.raises(ImportError):
+        transforms._bind(str(path))
+
+
+_SOLVES = """
+from freepoisson import PolyBump, SolverConfig, UniformGrid, solve_free_space
+for dim in (1, 2, 3):
+    g = UniformGrid([-1.0] * dim, [1.0] * dim, [12] * dim)
+    solve_free_space(PolyBump(dim, 0.4, 5, (0.1, 0.0, -0.1)[:dim]), g, SolverConfig(order=6))
+"""
+
+
+def test_cli_import_and_solves_load_no_scipy_module():
+    probe = "import sys\nimport freepoisson.cli\n" + _SOLVES + (
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_missing_extension_falls_back_to_scipy_fft():
+    # No extension suffix matches, as when scipy ships without the file.
+    probe = ("import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']\n"
+             "import scipy.fft\nfrom freepoisson import transforms\n"
+             "assert transforms.sfft is scipy.fft\n" + _SOLVES)
+    run = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
