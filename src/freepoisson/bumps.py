@@ -7,9 +7,13 @@ convergence studies: the smoothness knob is a single integer.
 
 The free-space potential of the bump is radial and piecewise polynomial, so
 it serves as an independent oracle.  Outside the support it equals the
-Green's function of a unit point mass exactly; inside, the radial integrals
-have polynomial integrands that are expanded in exact rational arithmetic at
-construction time and evaluated by Horner's rule.
+Green's function of a unit point mass exactly.  Inside, it is a polynomial
+in u = (r/eps)^2 whose coefficients, in every dimension d, come from one
+exact rational series a_m = (-1)^m C(p, m) / (2m + d): its sum gives the
+mass, a_m / (2m + 2) the coefficient of u^(m+1), and the constant term is
+chosen so that the value at r = eps is the Green's function's there.  The
+series is summed in exact rational arithmetic at construction time and the
+polynomial evaluated by Horner's rule.
 """
 
 from __future__ import annotations
@@ -25,54 +29,8 @@ from .greens import green_values
 __all__ = ["PolyBump"]
 
 
-def _unit_integral_rational(dim: int, p: int) -> Fraction:
-    """Integral of (1 - |x/eps|^2)^p over R^d, divided by eps^d and pi^(floor(d/2))
-    ... expressed so that 1/gamma = value * eps^d * (pi factor below)."""
-    if dim == 1:
-        return sum(
-            Fraction((-1) ** m * math.comb(p, m) * 2, 2 * m + 1) for m in range(p + 1)
-        )
-    if dim == 2:
-        return Fraction(1, p + 1)
-    return sum(
-        Fraction((-1) ** m * math.comb(p, m) * 4, 2 * m + 3) for m in range(p + 1)
-    )
-
-
-def _pi_power(dim: int) -> float:
-    return 1.0 if dim == 1 else math.pi
-
-
-def _interior_coefficients(dim: int, p: int, eps: float, gamma: float) -> np.ndarray:
-    """Float coefficients of the interior potential as a polynomial in u = (r/eps)^2."""
-    if dim == 1:
-        terms = [
-            Fraction((-1) ** m * math.comb(p, m), (2 * m + 1) * (2 * m + 2))
-            for m in range(p + 1)
-        ]
-        coeffs = np.zeros(p + 2)
-        coeffs[0] = 0.5 * eps - gamma * eps * eps * float(sum(terms))
-        for m, t in enumerate(terms):
-            coeffs[m + 1] = gamma * eps * eps * float(t)
-        return coeffs
-    if dim == 2:
-        terms = [
-            Fraction((-1) ** (m + 1) * math.comb(p + 1, m), 2 * m)
-            for m in range(1, p + 2)
-        ]
-        coeffs = np.zeros(p + 2)
-        coeffs[0] = (math.log(eps) - float(sum(terms))) / (2.0 * math.pi)
-        for m, t in enumerate(terms, start=1):
-            coeffs[m] = float(t) / (2.0 * math.pi)
-        return coeffs
-    # dim == 3: -(gamma eps^2) [ sum_m (-1)^m C(p,m) u^(m+1)/(2m+3)
-    #                            + (1-u)^(p+1) / (2(p+1)) ]
-    rat = [Fraction(0)] * (p + 2)
-    for n in range(p + 2):
-        rat[n] += Fraction((-1) ** n * math.comb(p + 1, n), 2 * (p + 1))
-    for m in range(p + 1):
-        rat[m + 1] += Fraction((-1) ** m * math.comb(p, m), 2 * m + 3)
-    return np.array([-gamma * eps * eps * float(c) for c in rat])
+# Surface area of the unit sphere in R^d, d = 1, 2, 3.
+_SPHERE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 @dataclass
@@ -97,14 +55,20 @@ class PolyBump:
         self.center = tuple(float(c) for c in np.atleast_1d(self.center))
         if len(self.center) != self.dim:
             raise ValueError(f"center must have {self.dim} coordinates")
-        volume = (
-            float(_unit_integral_rational(self.dim, self.p))
-            * _pi_power(self.dim)
-            * self.epsilon**self.dim
-        )
-        self.gamma = 1.0 / volume
-        self._potential_coeffs = _interior_coefficients(
-            self.dim, self.p, self.epsilon, self.gamma
+        # a_m = (-1)^m C(p, m) / (2m + d): sum a_m is the integral of
+        # (1 - s^2)^p s^(d-1) ds over [0, 1], so the mass is gamma S_d eps^d sum a_m
+        series = [Fraction((-1) ** m * math.comb(self.p, m), 2 * m + self.dim)
+                  for m in range(self.p + 1)]
+        eps = self.epsilon
+        self.gamma = 1.0 / (float(sum(series)) * _SPHERE[self.dim] * eps**self.dim)
+        # Laplace's operator maps u^(m+1) / ((2m+2)(2m+d)) to u^m / eps^2: the
+        # interior potential of the term gamma (-1)^m C(p, m) u^m of the density.
+        terms = [a / (2 * m + 2) for m, a in enumerate(series)]
+        scale = self.gamma * eps * eps
+        self._potential_coeffs = np.array(
+            # the constant makes the value at u = 1 the Green's function's
+            [float(green_values(self.dim, eps)) - scale * float(sum(terms))]
+            + [scale * float(t) for t in terms]
         )
 
     def _square_distance(self, coords) -> np.ndarray:

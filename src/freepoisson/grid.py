@@ -112,16 +112,10 @@ class UniformGrid:
         return tuple(coords)
 
 
-def _broadcast_samples(values, shape: tuple[int, ...], where: str, out=None) -> np.ndarray:
-    """A callable's samples broadcast to ``shape``, as a new array.
-
-    With ``out``, a part of an array of ``shape``, they are broadcast to
-    ``out`` instead and written into it.
-    """
+def _broadcast_samples(values, shape: tuple[int, ...], where: str, out: np.ndarray) -> np.ndarray:
+    """Write a callable's samples into ``out``, a part of an array of ``shape``; return ``out``."""
     values = np.asarray(values, dtype=np.float64)
     try:
-        if out is None:
-            return np.broadcast_to(values, shape).copy()
         out[...] = np.broadcast_to(values, out.shape)
         return out
     except ValueError:

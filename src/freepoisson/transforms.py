@@ -25,15 +25,16 @@ from the density's support record (``dirichlet.check_support``).  The
 inverse transform is dense and also runs in place.
 
 ``sfft`` is the one namespace through which the package transforms:
-``rfftn``, ``fftn``, ``irfftn``, ``dctn``, ``dstn`` and ``dst``, with
+``rfftn``, ``fftn``, ``irfftn``, ``dctn`` and ``dstn``, with
 ``scipy.fft``'s argument names and results.  It binds scipy's compiled
 pocketfft extension (``scipy/fft/_pocketfft/pypocketfft*.so``) by file
 path, without importing scipy: ``import scipy.fft`` also imports
 ``scipy.special`` and scipy's array-API layer, which costs a fresh process
 about 0.2 s.  The wrappers do what scipy's own ``_pocketfft`` wrappers do
 for the float64 and complex128 arrays the solver passes (crop or zero-pad,
-axes as a tuple, the same ``inorm``, ``out`` and ``nthreads``), so the
-results are bitwise ``scipy.fft``'s.  If the extension is missing, or fails
+the same ``inorm``, ``out`` and ``nthreads``; pocketfft takes negative
+axes and ``range`` objects itself), so the results are bitwise
+``scipy.fft``'s.  If the extension is missing, or fails
 to load or to pass a round trip of every form, ``sfft`` is ``scipy.fft``
 itself.
 """
@@ -64,13 +65,6 @@ def _pocketfft_path() -> str:
     raise ImportError(f"no pypocketfft extension in {folder}")
 
 
-def _axes(ndim: int, axes, count: int) -> tuple[int, ...]:
-    """``axes`` as a tuple of non-negative ints; ``None`` means the last ``count``."""
-    if axes is None:
-        axes = range(ndim - count, ndim)
-    return tuple([a + ndim if a < 0 else a for a in axes])
-
-
 def _fix_shape(x: np.ndarray, shape, axes) -> tuple[np.ndarray, bool]:
     """``x`` cropped or zero-padded to ``shape`` along ``axes``, and whether it was copied.
 
@@ -98,38 +92,31 @@ def _pocketfft_namespace(pocketfft) -> SimpleNamespace:
     rejects them).
     """
 
-    def rfftn(x, s, *, axes=None, workers=1):
-        axes = _axes(x.ndim, axes, len(s))
+    def rfftn(x, s, *, axes, workers=1):
         x, _ = _fix_shape(x, s, axes)
         return pocketfft.r2c(x, axes=axes, forward=True, inorm=0, out=None, nthreads=workers)
 
-    def fftn(x, s, *, axes=None, workers=1, overwrite_x=False):
-        axes = _axes(x.ndim, axes, len(s))
+    def fftn(x, s, *, axes, workers=1, overwrite_x=False):
         x, copied = _fix_shape(x, s, axes)
         out = x if overwrite_x or copied else None
         return pocketfft.c2c(x, axes=axes, forward=True, inorm=0, out=out, nthreads=workers)
 
     def irfftn(x, s, *, axes=None, workers=1):
-        axes = _axes(x.ndim, axes, len(s))
+        axes = range(x.ndim - len(s), x.ndim) if axes is None else axes
         x, _ = _fix_shape(x, tuple(s[:-1]) + (s[-1] // 2 + 1,), axes)
         return pocketfft.c2r(x, axes=axes, lastsize=s[-1], forward=False, inorm=2,
                              out=None, nthreads=workers)
 
     def r2rn(transform):
-        def nd(x, type, *, axes=None, workers=1, overwrite_x=False):
-            axes = _axes(x.ndim, axes, x.ndim)
+        def nd(x, type, *, axes, workers=1, overwrite_x=False):
             if not axes:
                 return x
             return transform(x, type=type, axes=axes, inorm=0, out=x if overwrite_x else None,
                              nthreads=workers, ortho=None)
         return nd
 
-    dctn, dstn = r2rn(pocketfft.dct), r2rn(pocketfft.dst)
-
-    def dst(x, type, *, axis=-1, workers=1, overwrite_x=False):
-        return dstn(x, type, axes=(axis,), workers=workers, overwrite_x=overwrite_x)
-
-    return SimpleNamespace(rfftn=rfftn, fftn=fftn, irfftn=irfftn, dctn=dctn, dstn=dstn, dst=dst)
+    return SimpleNamespace(rfftn=rfftn, fftn=fftn, irfftn=irfftn,
+                           dctn=r2rn(pocketfft.dct), dstn=r2rn(pocketfft.dst))
 
 
 def _round_trips(fft) -> bool:
@@ -137,9 +124,9 @@ def _round_trips(fft) -> bool:
     x = np.arange(1.0, 7.0).reshape(2, 3)
     spectrum = fft.fftn(fft.rfftn(x, (4,), axes=(-1,)), (2,), axes=(0,), overwrite_x=True)
     y = x.copy()
-    in_place = fft.dst(y, 1, axis=0, overwrite_x=True) is y
+    in_place = fft.dstn(y, 1, axes=(0,), overwrite_x=True) is y
     return (in_place and np.allclose(fft.irfftn(spectrum, (2, 4))[:, :3], x)
-            and np.allclose(fft.dstn(fft.dstn(x, 1), 1), 48.0 * x)
+            and np.allclose(fft.dstn(fft.dstn(x, 1, axes=(0, 1)), 1, axes=(0, 1)), 48.0 * x)
             and np.allclose(fft.dctn(fft.dctn(x, 1, axes=(0, 1)), 1, axes=(0, 1)), 8.0 * x))
 
 
@@ -171,7 +158,7 @@ def _dst_in_place(x: np.ndarray, axis: int) -> None:
     pocketfft transforms aligned float64 data in place when it is handed
     the input as ``out``; the check makes sure ``x`` really holds the result.
     """
-    if sfft.dst(x, type=1, axis=axis, overwrite_x=True).ctypes.data != x.ctypes.data:
+    if sfft.dstn(x, type=1, axes=(axis,), overwrite_x=True).ctypes.data != x.ctypes.data:
         raise RuntimeError("the DST-I did not transform its input in place")
 
 

@@ -83,6 +83,7 @@ def boundary_from_callable(grid: UniformGrid, fn) -> BoundaryValues:
             fn(*grid.face_coordinate_arrays(axis, side)),
             _face_shape(grid, axis),
             f"face {(axis, side)} nodes",
+            np.empty(_face_shape(grid, axis)),
         )
         for axis in range(grid.dim)
         for side in (0, 1)

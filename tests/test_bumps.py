@@ -19,10 +19,13 @@ def analytic_potential(bump: PolyBump, x):
     return bump.potential(*np.moveaxis(np.atleast_1d(np.asarray(x, dtype=float)), -1, 0))
 
 
+# Surface area of the unit sphere in R^d.
+SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+
+
 def radial_mass(bump: PolyBump) -> float:
-    surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[bump.dim]
     return quad(
-        lambda r: surface * r ** (bump.dim - 1) * float(density_radial(bump, r)),
+        lambda r: SURFACE[bump.dim] * r ** (bump.dim - 1) * float(density_radial(bump, r)),
         0.0,
         bump.epsilon,
         epsabs=1e-14,
@@ -121,6 +124,36 @@ def test_potential_and_derivative_continuous_at_support_edge():
             - float(bump.potential_radial(eps + 1e-6))
         ) / 1e-6
         assert d_in == pytest.approx(d_out, abs=1e-4)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", range(1, 13))
+@pytest.mark.parametrize("eps", [0.1, 0.4, 1.7])
+def test_interior_polynomial_meets_the_greens_function_at_the_edge(dim, p, eps):
+    # Value and slope at u = (r/eps)^2 = 1 from the coefficients themselves,
+    # to roundoff: a wrong constant term or a wrong mass fails here.
+    c = PolyBump(dim, eps, p, [0.0] * dim)._potential_coeffs
+    value = sum(c[::-1].tolist())  # Horner's rule at u = 1
+    assert abs(value - float(green_values(dim, eps))) <= 2e-15 * np.max(np.abs(c))
+    mc = np.arange(c.size) * c * (2.0 / eps)  # d/dr of c_m u^m at u = 1
+    slope = 1.0 / (SURFACE[dim] * eps ** (dim - 1))  # the Green's function's
+    assert abs(np.sum(mc) - slope) <= 2e-15 * np.max(np.abs(mc))
+
+
+# gamma.hex() as the per-dimension derivations gave it; the benchmark's bumps
+# first.  Densities, and so every solve, depend on these bits.
+@pytest.mark.parametrize("dim,eps,p,bits", [
+    (3, 0.4, 7, "0x1.09aac2ffe1b70p+6"),
+    (3, 0.3, 5, "0x1.9ee166108c1acp+6"),
+    (2, 0.1, 7, "0x1.fd4bbab8b494cp+7"),
+    (1, 0.4, 2, "0x1.2c00000000000p+1"),
+    (1, 1.7, 12, "0x1.2f65ec0000000p+0"),
+    (2, 0.4, 9, "0x1.3e4f54b370dcfp+4"),
+    (2, 0.6, 7, "0x1.c4b517c0a0844p+2"),
+    (3, 0.1, 1, "0x1.2a6a5f6839cf2p+9"),
+])
+def test_gamma_bits_are_pinned(dim, eps, p, bits):
+    assert PolyBump(dim, eps, p, [0.0] * dim).gamma.hex() == bits
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

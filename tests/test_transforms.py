@@ -262,12 +262,13 @@ def test_call_forms_are_bitwise_scipy_fft(m, workers):
     for axes in (range(1, 3), range(2, 3), (-1, -2), range(1, 1)):
         _same(ours.dstn(x, type=1, axes=axes), sfft.dstn(x, type=1, axes=axes))
     assert ours.dstn(x, type=1, axes=range(1, 1)) is x
-    # The volume DSTs: in place on strided views, the input's buffer returned.
+    # The volume DSTs: one axis in place on strided views, the input's buffer
+    # returned, by the binding and by scipy.fft (the fallback) alike.
     got, want = x.copy(), x.copy()
     for axis, view in ((1, (slice(None), slice(None, None, 2), slice(1, None))), (-1, (1, slice(1, -1)))):
-        out = ours.dst(got[view], type=1, axis=axis, workers=workers, overwrite_x=True)
-        assert out.ctypes.data == got[view].ctypes.data
-        sfft.dst(want[view], type=1, axis=axis, workers=workers, overwrite_x=True)
+        for fft, y in ((ours, got), (sfft, want)):
+            out = fft.dstn(y[view], type=1, axes=(axis,), workers=workers, overwrite_x=True)
+            assert out.ctypes.data == y[view].ctypes.data
         _same(got, want)
 
 
