@@ -10,10 +10,12 @@ it serves as an independent oracle.  Outside the support it equals the
 Green's function of a unit point mass exactly.  Inside, it is a polynomial
 in u = (r/eps)^2 whose coefficients, in every dimension d, come from one
 exact rational series a_m = (-1)^m C(p, m) / (2m + d): its sum gives the
-mass, a_m / (2m + 2) the coefficient of u^(m+1), and the constant term is
-chosen so that the value at r = eps is the Green's function's there.  The
-series is summed in exact rational arithmetic at construction time and the
-polynomial evaluated by Horner's rule.
+mass, and a_m / (2m + 2) the coefficient of u^(m+1).  Summed in exact
+rational arithmetic at construction time, the polynomial is re-expanded,
+still exactly, in powers of v = 1 - u, the density's own basis, where its
+constant term is the Green's function's value at r = eps and Horner's rule
+evaluates it.  In u, the alternating coefficients reach 132 times the
+potential (3D, p = 12) and cost about two digits.
 """
 
 from __future__ import annotations
@@ -64,11 +66,15 @@ class PolyBump:
         # Laplace's operator maps u^(m+1) / ((2m+2)(2m+d)) to u^m / eps^2: the
         # interior potential of the term gamma (-1)^m C(p, m) u^m of the density.
         terms = [a / (2 * m + 2) for m, a in enumerate(series)]
+        # With the value at u = 1 the Green's function's, the potential is
+        # G(eps) + gamma eps^2 sum_m terms[m] (u^(m+1) - 1); in v = 1 - u,
+        # u^j - 1 = sum_{k=1..j} C(j, k) (-v)^k.
         scale = self.gamma * eps * eps
         self._potential_coeffs = np.array(
-            # the constant makes the value at u = 1 the Green's function's
-            [float(green_values(self.dim, eps)) - scale * float(sum(terms))]
-            + [scale * float(t) for t in terms]
+            [float(green_values(self.dim, eps))]
+            + [scale * float((-1) ** k * sum(math.comb(j, k) * terms[j - 1]
+                                             for j in range(k, self.p + 2)))
+               for k in range(1, self.p + 2)]
         )
 
     def _square_distance(self, coords) -> np.ndarray:
@@ -89,14 +95,14 @@ class PolyBump:
         """Free-space potential as a function of distance from the center.
 
         Equals the point-mass Green's function for r >= eps (closed form, no
-        quadrature error); inside, a polynomial in (r/eps)^2.
+        quadrature error); inside, a polynomial in 1 - (r/eps)^2.
         """
         r = np.asarray(r, dtype=np.float64)
         inside = r < self.epsilon
-        u = (np.minimum(r, self.epsilon) / self.epsilon) ** 2
-        interior = np.zeros_like(u)
+        v = 1.0 - (np.minimum(r, self.epsilon) / self.epsilon) ** 2
+        interior = np.zeros_like(v)
         for c in self._potential_coeffs[::-1]:
-            interior = interior * u + c
+            interior = interior * v + c
         far = green_values(self.dim, np.maximum(r, self.epsilon))
         return np.where(inside, interior, far)
 

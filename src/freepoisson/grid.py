@@ -169,7 +169,8 @@ class GridFunction:
         return float(np.max(face_maxima))
 
     def assert_finite(self) -> "GridFunction":
-        if not np.all(np.isfinite(self.values)):
+        """Raise ShapeError unless every value is finite; checked block by block."""
+        if not all(np.isfinite(self.values[rows]).all() for rows in _row_blocks(self.grid.shape)):
             raise ShapeError("grid function contains non-finite values")
         return self
 

@@ -104,17 +104,21 @@ whole volume does:
   evaluated per block of axis-0 rows (``grid._row_blocks``), which is
   divided into (or multiplied with) the coefficients while it is in cache:
   the symbol as lam_0 A + P, and Q as (mu_0 Y + X) mu_0 + P.
-* Arrays.  :func:`harmonic_modes` adds into the coefficient array it is
-  given in two sweeps over blocks of axis-0 rows, each block built in a
-  buffer of its own, and makes no full-volume DST.  Sweep 1: the transfer
-  scatters, divided by the symbol, give u, which is added; for order 6 the
-  buffer then becomes Q u plus the depth-2 face-term scatters, is
-  contracted along every normal, divided by the symbol and added.  Then,
-  on O(face) arrays, the shell and the extrapolation, edges and corners
-  per face.
-  Sweep 2 (order 6): the depth-1 change scatters, divided by the symbol,
-  are added.  What is alive meanwhile is stated in
-  ``solver.solve_free_space``.
+* Arrays.  :func:`harmonic_modes` takes two steps, which the solver
+  calls apart so that the boundary values are released in between.  The
+  first, :func:`_harmonic_scatters`, reads g (and never writes it) into
+  the transfer scatters and, for order 6, the depth-2 face-term scatters,
+  all O(face).  The second, :func:`_harmonic_sweeps`, adds into the
+  coefficient array it is given in two sweeps over blocks of axis-0 rows,
+  each block built in a buffer of its own and released before the next,
+  and makes no full-volume DST.  Sweep 1: the transfer scatters, divided
+  by the symbol, give u, which is added; for order 6 the buffer then
+  becomes Q u plus the depth-2 face-term scatters, is contracted along
+  every normal, divided by the symbol and added.  Then the scatters are
+  released and, on O(face) arrays, come the shell and the extrapolation,
+  edges and corners per face.  Sweep 2 (order 6): the depth-1 change
+  scatters, divided by the symbol, are added.  What is alive meanwhile is
+  stated in ``solver.solve_free_space``.
 """
 
 from __future__ import annotations
@@ -416,6 +420,56 @@ def _depth1_change(grid: UniformGrid, sums: list) -> dict:
     return layers
 
 
+def _harmonic_scatters(g: BoundaryValues, order: int) -> list:
+    """The first step of :func:`harmonic_modes`: the scatters of g's layers.
+
+    The boundary transfer's and, for order 6, the depth-2 face terms'
+    (``None`` at order 4): O(face) arrays, and all that the sweeps read of
+    g, which is not written.
+    """
+    transfer = _layer_scatters(g.grid, _transfer_layers(g), 1)
+    if order == 4:
+        return [transfer, None]
+    return [transfer, _layer_scatters(g.grid, _face_terms(g), 2)]
+
+
+def _harmonic_sweeps(grid: UniformGrid, scatters: list, modes: np.ndarray) -> np.ndarray:
+    """The second step of :func:`harmonic_modes`: add the ``scatters``' solution to ``modes``.
+
+    Sweep 1 adds the 4th order coefficients and, with face-term scatters,
+    the correction less its depth-1 change, which sweep 2 adds (module
+    docstring).  Each block is released before the next is built, and the
+    scatters before the face step: the list is emptied.
+    """
+    d = grid.dim
+    transfer, face_terms = scatters
+    scatters.clear()
+    symbol = build_operator_symbol(grid)
+    if face_terms is not None:
+        q = _q_table(grid)
+        normal_rows = _normal_rows(grid)
+        sums = [np.zeros((2, 2) + tuple(n for s, n in enumerate(modes.shape) if s != a))
+                for a in range(d)]
+    for rows in _row_blocks(modes.shape):
+        u = _add_solved(modes, rows, transfer, symbol)  # the 4th order coefficients
+        if face_terms is not None:  # the correction, less its depth-1 change
+            u *= q(rows)
+            _add_scatters(u, rows, face_terms)
+            _contract(u, rows, normal_rows, sums)
+            u /= symbol(rows)
+            modes[rows] += u
+        del u
+    if face_terms is not None:  # sweep 2 adds the depth-1 change alone
+        del transfer, face_terms
+        layers = _depth1_change(grid, sums)
+        del sums
+        change = _layer_scatters(grid, layers, 1)
+        del layers
+        for rows in _row_blocks(modes.shape):
+            _add_solved(modes, rows, change, symbol)
+    return modes
+
+
 def harmonic_modes(g: BoundaryValues, order: int, modes: np.ndarray) -> np.ndarray:
     """Add the sine coefficients of g's 4th or 6th order harmonic extension to ``modes``.
 
@@ -424,31 +478,8 @@ def harmonic_modes(g: BoundaryValues, order: int, modes: np.ndarray) -> np.ndarr
     and no other coefficient array is built.  Returns ``modes``.  In 1D
     both orders give the same coefficients, those of the exact, linear
     solution.  The caller has checked the grid with :func:`check_panels`.
+    The two steps, :func:`_harmonic_scatters` and
+    :func:`_harmonic_sweeps`, may also be called in turn, g being released
+    in between.
     """
-    grid = g.grid
-    d = grid.dim
-    symbol = build_operator_symbol(grid)
-    transfer = _layer_scatters(grid, _transfer_layers(g), 1)
-    if order == 6:
-        q = _q_table(grid)
-        face_terms = _layer_scatters(grid, _face_terms(g), 2)
-        normal_rows = _normal_rows(grid)
-        sums = [np.zeros((2, 2) + tuple(n for s, n in enumerate(modes.shape) if s != a))
-                for a in range(d)]
-    for rows in _row_blocks(modes.shape):
-        u = _add_solved(modes, rows, transfer, symbol)  # the 4th order coefficients
-        if order == 6:  # the correction, less its depth-1 change
-            u *= q(rows)
-            _add_scatters(u, rows, face_terms)
-            _contract(u, rows, normal_rows, sums)
-            u /= symbol(rows)
-            modes[rows] += u
-    if order == 6:  # sweep 2 adds the depth-1 change alone
-        del transfer, face_terms, u
-        layers = _depth1_change(grid, sums)
-        del sums
-        change = _layer_scatters(grid, layers, 1)
-        del layers
-        for rows in _row_blocks(modes.shape):
-            _add_solved(modes, rows, change, symbol)
-    return modes
+    return _harmonic_sweeps(g.grid, _harmonic_scatters(g, order), modes)

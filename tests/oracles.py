@@ -33,7 +33,7 @@ from freepoisson import (
 from freepoisson.dirichlet import check_support
 from freepoisson.grid import _broadcast_samples, _face_shape
 from freepoisson.harmonic import check_panels, harmonic_modes
-from freepoisson.solver import _embed_samples, _pad_counts
+from freepoisson.solver import _embed_samples, _user_box
 
 _D2 = np.array([1.0, -2.0, 1.0])
 _DELTA3 = np.array([0.0, 1.0, 0.0])
@@ -167,7 +167,7 @@ def solve_by_composition(rho: GridFunction, config: SolverConfig) -> GridFunctio
     sum that ``solve_free_space`` accumulates in one array, in another order.
     """
     padded = pad_domain(rho.grid, config)
-    rho_padded = _embed_samples(rho, padded, _pad_counts(rho.grid, config))
+    rho_padded = _embed_samples(rho, padded, _user_box(rho.grid, config))
     g = boundary_values_fast(rho_padded, config.thread_count)
     modes = modes_of_harmonic(g, config.order)
     modes += phi_star_coefficients(rho_padded)

@@ -137,6 +137,18 @@ def independent_faces(g: UniformGrid) -> BoundaryValues:
     })
 
 
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("panels", [(9,), (8, 11), (8, 9, 11)])
+def test_harmonic_modes_leaves_the_faces_bitwise_unchanged(order, panels):
+    # The solver releases g once its scatters exist and keeps only the
+    # values it wrote into the node array: no step may write into a face.
+    g = UniformGrid([-1.0] * len(panels), [1.0] * len(panels), panels)
+    bv = independent_faces(g)
+    before = {key: face.tobytes() for key, face in bv.faces.items()}
+    modes_of_harmonic(bv, order)
+    assert {key: face.tobytes() for key, face in bv.faces.items()} == before
+
+
 def test_transfer_zero_is_zero():
     g = UniformGrid([0, 0], [1, 1], [6, 7])
     out = transfer_modes(BoundaryValues(g))

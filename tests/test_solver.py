@@ -116,7 +116,8 @@ def test_solve_leaves_caller_arrays_unchanged():
 PHASE_CALLS = (
     ("boundary", "boundary_values_fast"),
     ("forward DST", "_phi_star_in_place"),
-    ("harmonic", "harmonic_modes"),
+    ("scatters", "_harmonic_scatters"),
+    ("harmonic", "_harmonic_sweeps"),
     ("inverse", "_series_in_place"),
 )
 
@@ -126,9 +127,11 @@ def _peak_node_arrays(solve, grid: UniformGrid) -> tuple[float, dict[str, float]
 
     Also returns each phase's peak, by phase name: a phase runs
     from the solver's call that begins it until the next one, so sampling
-    ends where the boundary phase begins, and the inverse DST includes the
-    finiteness check and any restriction.  A first, untraced call keeps
-    lazy imports and caches out of the peak.
+    ends where the boundary phase begins, the scatters phase includes
+    writing the boundary values into the node array, and the inverse DST
+    includes the finiteness check and any compaction of a padded grid's
+    user nodes.  A first, untraced call keeps lazy imports and caches out
+    of the peak.
     """
     solve()
     node_array = 8.0 * math.prod(grid.shape)
@@ -162,9 +165,10 @@ def _peak_node_arrays(solve, grid: UniformGrid) -> tuple[float, dict[str, float]
 
 def test_peak_memory_3d_order6_callable():
     # One node array per solve, plus blocks of at most an eighth of axis 0
-    # and O(face) arrays: about 2.15 node arrays at M = 48, in the harmonic
-    # phase (boundary 1.91: one group of kernel spectra and the three axes'
-    # face accumulators), where a face is still a large part of the volume.
+    # and O(face) arrays: about 1.91 node arrays at M = 48, in the boundary
+    # phase (one group of kernel spectra and the three axes' face
+    # accumulators; harmonic 1.87), where a face is still a large part of
+    # the volume.
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
     bump = PolyBump(3, 0.4, 7, CENTER_3D)
     peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
@@ -172,20 +176,34 @@ def test_peak_memory_3d_order6_callable():
 
 
 def test_peak_memory_3d_order6_callable_at_m96():
-    # The headline size: about 1.59 node arrays, in the harmonic phase
-    # (boundary 1.26, sampling 1.13).  Sweep 2 runs without sweep 1's
-    # scatters, last block and contractions, which took it to 1.64.
+    # The headline size: about 1.45 node arrays, in sweep 1 of the harmonic
+    # phase (scatters 1.27, boundary 1.26, sampling 1.13).  The sweeps run
+    # without the boundary values, each block is released before the next
+    # is built, and sweep 2 runs without sweep 1's scatters and
+    # contractions; with the faces and the last block alive it was 1.59.
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [96] * 3)
     bump = PolyBump(3, 0.4, 7, CENTER_3D)
     peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, SolverConfig(order=6)), g)
-    assert peak <= 1.8, phases
-    assert phases["harmonic"] <= 1.62, phases
+    assert peak <= 1.5, phases
+    assert phases["harmonic"] <= 1.47, phases
+
+
+def test_peak_memory_3d_order6_callable_padded():
+    # 88^3 padded by 4 panels a side to 96^3: about 1.45 node arrays of the
+    # padded grid, in the harmonic phase, as unpadded.  The user nodes are
+    # compacted to the front of the padded array in place (1.78 when the
+    # restriction copied them out).
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [88] * 3)
+    config = SolverConfig(order=6, padding_panels=4)
+    bump = PolyBump(3, 0.4, 7, CENTER_3D)
+    peak, phases = _peak_node_arrays(lambda: solve_free_space(bump, g, config), pad_domain(g, config))
+    assert peak <= 1.5, phases
 
 
 def test_peak_memory_3d_order6_wide_support():
     # A wide support needs kernel spectra at many normal distances; built in
     # groups of pairs {d, M - d}, they keep the boundary phase at about 1.56
-    # node arrays, below the harmonic phase's 1.95.  The three axes of the
+    # node arrays, below the harmonic phase's 1.67.  The three axes of the
     # cube share their kernel spectra, and the groups shrink to make room
     # for all six face accumulators; the boundary phase has its own bound,
     # since the harmonic phase's higher peak would hide it.
@@ -198,20 +216,23 @@ def test_peak_memory_3d_order6_wide_support():
 
 def test_peak_memory_3d_order4_padded_samples():
     # Time stepping's shape: samples on the user grid, embedded in a padded
-    # 7-smooth grid.  About 1.71 node arrays of the padded grid, in the
-    # inverse DST once the boundary values are released (boundary 1.70).
+    # 7-smooth grid.  About 1.70 node arrays of the padded grid, in the
+    # boundary phase.  The inverse DST, finiteness check and in-place
+    # compaction of the user nodes take about 1.07 (1.71 when the
+    # restriction copied them out).
     g = UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3)
     config = SolverConfig(order=4, padding_panels=2, fft_friendly_expansion=True)
     rho = GridFunction.from_callable(g, PolyBump(3, 0.6, 5, CENTER_3D))
     peak, phases = _peak_node_arrays(lambda: solve_free_space(rho, config=config),
                                      pad_domain(g, config))
     assert peak <= 2.0, phases
+    assert phases["inverse"] <= 1.1, phases
 
 
 def test_peak_memory_2d_unpadded_samples():
     # The caller's samples (allocated before the trace starts) are read by
     # the boundary phase and then copied once into the node array the
-    # solve owns: about 1.5 node arrays, in the harmonic phase.
+    # solve owns: about 1.39 node arrays, in the harmonic phase.
     g = UniformGrid([-1.0, -3.0], [1.0, 3.0], [512, 512])
     coords = g.coordinate_arrays()
     rho = GridFunction(g, sum(
@@ -448,6 +469,20 @@ def test_report_fields():
     rho.values[0, 3] = -1e-20
     _, report = solve_free_space(rho)
     assert report.boundary_rho_max == 1e-20
+
+
+def test_report_face_mismatch():
+    # The boundary values' worst relative disagreement where faces meet:
+    # none where no faces meet (1D) or every value is zero, roundoff for a
+    # bump (about 4.9e-16 at M = 32, padded or not).
+    _, report = solve_free_space(zero_function(UniformGrid([-1.0] * 3, [1.0] * 3, [8] * 3)))
+    assert report.face_mismatch == 0.0
+    _, report = solve_free_space(PolyBump(1, 0.4, 5, (0.1,)), UniformGrid([-1.0], [1.0], [32]))
+    assert report.face_mismatch == 0.0
+    g = UniformGrid([-1.0] * 3, [1.0] * 3, [32] * 3)
+    for config in (SolverConfig(), SolverConfig(padding_panels=2)):
+        _, report = solve_free_space(PolyBump(3, 0.4, 7, CENTER_3D), g, config)
+        assert 0.0 < report.face_mismatch <= 1e-13
 
 
 @pytest.mark.parametrize("field", ["padding_panels", "thread_count"])
