@@ -16,13 +16,7 @@ from .errors import (
     SingularityError,
     SupportViolationError,
 )
-from .grid import (
-    BoundaryValues,
-    GridFunction,
-    UniformGrid,
-    max_norm_difference,
-    restrict_to_subgrid,
-)
+from .grid import BoundaryValues, GridFunction, UniformGrid, max_norm_difference
 from .pgrid import read_pgrid, write_pgrid
 from .solver import SolveReport, SolverConfig, pad_domain, solve_free_space
 
@@ -45,7 +39,6 @@ __all__ = [
     "max_norm_difference",
     "pad_domain",
     "read_pgrid",
-    "restrict_to_subgrid",
     "solve_free_space",
     "write_pgrid",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bumps import PolyBump
 from .errors import AlignmentError
-from .grid import GridFunction, UniformGrid, max_norm_difference, restrict_to_subgrid
+from .grid import GridFunction, UniformGrid, max_norm_difference
 from .pgrid import _is_number, atomic_open, read_pgrid, write_nodes_csv, write_pgrid
 from .solver import SolverConfig, _solve, solve_free_space
 
@@ -187,32 +187,34 @@ def domain_invariance_study(
 
     The base grid must cover [-1, 1]^d; every D must be a whole number of
     mesh widths beyond 1 so the extended nodes align with the base nodes.
-    Returns (D, max difference on the base domain / max |base solution|)
-    rows.
+    Every D is checked before the first solve.  Returns (D, max difference
+    on the base domain / max |base solution|) rows.
     """
     dim = base_grid.dim
     for s in range(dim):
         if abs(base_grid.lower[s] + 1.0) > 1e-12 or abs(base_grid.upper[s] - 1.0) > 1e-12:
             raise AlignmentError("domain study requires the base domain [-1, 1]^d")
-    phi_base, _ = solve_free_space(rho_callable, base_grid, config)
-    norm = float(np.max(np.abs(phi_base.values)))
-    rows = []
-    for D in D_values:
-        D = float(D)
-        panels = []
-        for s in range(dim):
-            h = base_grid.mesh[s]
+    collars = []  # (D, whole panels beyond the base domain per axis), all checked up front
+    for D in map(float, D_values):
+        collar = []
+        for h in base_grid.mesh:
             extra = (D - 1.0) / h
             if abs(extra - round(extra)) > 1e-9 or D < 1.0:
                 raise AlignmentError(
                     f"domain size D={D} is not a whole number of mesh widths "
                     f"beyond the base domain (h={h})"
                 )
-            panels.append(base_grid.panels[s] + 2 * int(round(extra)))
+            collar.append(int(round(extra)))
+        collars.append((D, collar))
+    phi_base, _ = solve_free_space(rho_callable, base_grid, config)
+    norm = float(np.max(np.abs(phi_base.values)))
+    rows = []
+    for D, collar in collars:
+        panels = [m + 2 * e for m, e in zip(base_grid.panels, collar)]
         ext_grid = UniformGrid([-D] * dim, [D] * dim, panels)
         phi_ext, _ = solve_free_space(rho_callable, ext_grid, config)
-        on_base = restrict_to_subgrid(phi_ext, base_grid)
-        diff = max_norm_difference(on_base, phi_base)
+        box = tuple(slice(e, e + m + 1) for e, m in zip(collar, base_grid.panels))
+        diff = max_norm_difference(GridFunction(base_grid, phi_ext.values[box]), phi_base)
         rows.append((D, diff / norm if norm > 0.0 else 0.0))
     return rows
 
@@ -231,12 +233,13 @@ def run_thread_benchmark(spec: StudySpec):
     if not spec.thread_list:
         raise ValueError("thread benchmark needs --thread-list")
     grid = spec.base_grid()
+    configs = [spec.solver_config(t) for t in spec.thread_list]  # validate all up front
     bump = spec.bump()
     rows = []
     reference = None
     base_time = None
-    for threads in spec.thread_list:
-        phi, report = solve_free_space(bump, grid, spec.solver_config(threads))
+    for threads, config in zip(spec.thread_list, configs):
+        phi, report = solve_free_space(bump, grid, config)
         if reference is None:
             reference = phi
             base_time = report.t_total_s
@@ -366,7 +369,8 @@ def load_config_file(path) -> dict:
     """Parse a plain key=value file ('#' starts a comment) with the options' parser.
 
     Keys are long option names of any subcommand (``-`` or ``_``); list
-    values are split at commas or spaces; ``fft_friendly`` takes true/false.
+    values are split at commas or spaces; ``fft_friendly`` takes true/false,
+    1/0, yes/no or on/off.
     """
     values = {}
     with open(path) as fh:
@@ -389,7 +393,11 @@ def load_config_file(path) -> dict:
             tokens = val.replace(",", " ").split()
             argv += [flag] + tokens if tokens else []  # an empty list is the default
         elif "const" in kw:
-            argv += [flag] if val.lower() in ("1", "true", "yes", "on") else []
+            given = val.lower() in ("1", "true", "yes", "on")
+            if not given and val.lower() not in ("0", "false", "no", "off"):
+                raise ValueError(f"config file {path}: {flag[2:]} must be true or false, "
+                                 f"not {val!r}")
+            argv += [flag] if given else []
         else:
             argv.append(f"{flag}={val}")
     if values:

@@ -8,7 +8,7 @@ class ShapeError(ValueError):
 
 
 class AlignmentError(ValueError):
-    """Raised when a subgrid's nodes do not coincide with parent-grid nodes."""
+    """Raised when a domain study's base is not [-1, 1]^d or a D lies off its mesh's nodes."""
 
 
 class SingularityError(ValueError):

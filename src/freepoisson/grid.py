@@ -13,15 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, ShapeError
+from .errors import ShapeError
 
-__all__ = [
-    "UniformGrid",
-    "GridFunction",
-    "BoundaryValues",
-    "max_norm_difference",
-    "restrict_to_subgrid",
-]
+__all__ = ["UniformGrid", "GridFunction", "BoundaryValues", "max_norm_difference"]
 
 # Elements per block of axis-0 rows, the budget of every phase's blocked
 # passes and of the boundary phase's groups of kernel spectra.
@@ -255,50 +249,3 @@ def max_norm_difference(f: GridFunction, g: GridFunction) -> float:
         raise ShapeError("grid functions live on different grids")
     return float(np.max(np.abs(f.values - g.values)))
 
-
-def restrict_to_subgrid(f: GridFunction, sub: UniformGrid) -> GridFunction:
-    """Sample f at the nodes of ``sub`` without interpolation.
-
-    Every node of ``sub`` must coincide with a node of f's grid to within
-    1e-12 of a mesh width; the sub mesh may be any whole multiple of the
-    parent mesh.  Misalignment raises AlignmentError rather than silently
-    interpolating.
-    """
-    parent = f.grid
-    if sub.dim != parent.dim:
-        raise AlignmentError("subgrid dimension differs from parent grid")
-    starts, strides = [], []
-    for s in range(parent.dim):
-        h = parent.mesh[s]
-        tol = 1e-12 * h
-        ratio = sub.mesh[s] / h
-        stride = int(round(ratio))
-        if stride < 1 or abs(sub.mesh[s] - stride * h) > tol:
-            raise AlignmentError(
-                f"sub mesh {sub.mesh[s]} on axis {s} is not a whole multiple "
-                f"of parent mesh {h}"
-            )
-        offset = (sub.lower[s] - parent.lower[s]) / h
-        start = int(round(offset))
-        if abs(sub.lower[s] - (parent.lower[s] + start * h)) > tol:
-            raise AlignmentError(
-                f"sub lower bound {sub.lower[s]} on axis {s} does not land on "
-                f"a parent node"
-            )
-        stop = start + stride * sub.panels[s]
-        if start < 0 or stop > parent.panels[s]:
-            raise AlignmentError(
-                f"subgrid exceeds parent extent on axis {s}"
-            )
-        if abs(sub.upper[s] - (parent.lower[s] + stop * h)) > tol:
-            raise AlignmentError(
-                f"sub upper bound {sub.upper[s]} on axis {s} does not land on "
-                f"a parent node"
-            )
-        starts.append(start)
-        strides.append(stride)
-    sl = tuple(
-        slice(start, start + stride * m + 1, stride)
-        for start, stride, m in zip(starts, strides, sub.panels)
-    )
-    return GridFunction(sub, f.values[sl].copy())

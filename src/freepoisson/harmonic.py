@@ -41,10 +41,9 @@ fit, the right-hand side is filled by cubic extrapolation along the inward
 normal, at edges and corners along each depth-1 axis in turn (the tensor
 product: extrapolations along different axes commute).
 
-:func:`harmonic_modes` adds the solution's sine coefficients to an array
-that holds the spectral Poisson component's, so the free-space solver
-evaluates both with one shared inverse DST.  Only what must touch the
-whole volume does:
+The phase adds the solution's sine coefficients to an array that holds
+the spectral Poisson component's, so the free-space solver evaluates both
+with one shared inverse DST.  Only what must touch the whole volume does:
 
 * Boundary transfer.  The compact operator's taps reach the boundary data
   extended by zero only from the depth-1 layer behind each face, so minus
@@ -104,8 +103,8 @@ whole volume does:
   evaluated per block of axis-0 rows (``grid._row_blocks``), which is
   divided into (or multiplied with) the coefficients while it is in cache:
   the symbol as lam_0 A + P, and Q as (mu_0 Y + X) mu_0 + P.
-* Arrays.  :func:`harmonic_modes` takes two steps, which the solver
-  calls apart so that the boundary values are released in between.  The
+* Arrays.  The phase takes two steps, which the solver calls apart so
+  that the boundary values are released in between.  The
   first, :func:`_harmonic_scatters`, reads g (and never writes it) into
   the transfer scatters and, for order 6, the depth-2 face-term scatters,
   all O(face).  The second, :func:`_harmonic_sweeps`, adds into the
@@ -131,7 +130,7 @@ from .errors import ShapeError
 from .grid import BoundaryValues, UniformGrid, _row_blocks
 from .transforms import sfft
 
-__all__ = ["check_panels", "harmonic_modes"]
+__all__ = ["check_panels"]
 
 # Cubic extrapolation to depth 1 from depths 2, 3, 4, 5 along a normal.
 _EXTRAPOLATE = np.array([4.0, -6.0, 4.0, -1.0])
@@ -421,11 +420,12 @@ def _depth1_change(grid: UniformGrid, sums: list) -> dict:
 
 
 def _harmonic_scatters(g: BoundaryValues, order: int) -> list:
-    """The first step of :func:`harmonic_modes`: the scatters of g's layers.
+    """The harmonic phase's first step: the scatters of g's layers.
 
     The boundary transfer's and, for order 6, the depth-2 face terms'
     (``None`` at order 4): O(face) arrays, and all that the sweeps read of
-    g, which is not written.
+    g, which is not written.  The caller has checked the grid with
+    :func:`check_panels`.
     """
     transfer = _layer_scatters(g.grid, _transfer_layers(g), 1)
     if order == 4:
@@ -434,12 +434,14 @@ def _harmonic_scatters(g: BoundaryValues, order: int) -> list:
 
 
 def _harmonic_sweeps(grid: UniformGrid, scatters: list, modes: np.ndarray) -> np.ndarray:
-    """The second step of :func:`harmonic_modes`: add the ``scatters``' solution to ``modes``.
+    """The harmonic phase's second step: add the ``scatters``' solution to ``modes``.
 
+    ``modes`` may be a strided view, such as the interior of a node array.
     Sweep 1 adds the 4th order coefficients and, with face-term scatters,
     the correction less its depth-1 change, which sweep 2 adds (module
     docstring).  Each block is released before the next is built, and the
-    scatters before the face step: the list is emptied.
+    scatters before the face step: the list is emptied.  In 1D both orders
+    add the coefficients of the exact, linear solution.
     """
     d = grid.dim
     transfer, face_terms = scatters
@@ -469,17 +471,3 @@ def _harmonic_sweeps(grid: UniformGrid, scatters: list, modes: np.ndarray) -> np
             _add_solved(modes, rows, change, symbol)
     return modes
 
-
-def harmonic_modes(g: BoundaryValues, order: int, modes: np.ndarray) -> np.ndarray:
-    """Add the sine coefficients of g's 4th or 6th order harmonic extension to ``modes``.
-
-    ``modes`` may be a strided view, such as the interior of a node array;
-    it is added into in blocked sweeps of axis-0 rows (module docstring),
-    and no other coefficient array is built.  Returns ``modes``.  In 1D
-    both orders give the same coefficients, those of the exact, linear
-    solution.  The caller has checked the grid with :func:`check_panels`.
-    The two steps, :func:`_harmonic_scatters` and
-    :func:`_harmonic_sweeps`, may also be called in turn, g being released
-    in between.
-    """
-    return _harmonic_sweeps(g.grid, _harmonic_scatters(g, order), modes)

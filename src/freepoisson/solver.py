@@ -97,35 +97,26 @@ class SolveReport:
         return self.t_sample_s + self.t_phistar_s + self.t_boundary_s + self.t_harmonic_s
 
 
-def _pad_counts(grid: UniformGrid, config: SolverConfig) -> list[tuple[int, int]]:
-    counts = []
-    for m in grid.panels:
+def _padded(grid: UniformGrid, config: SolverConfig) -> tuple[UniformGrid, tuple]:
+    """The grid extended by the configured zero collar, same mesh, and the
+    slices of its nodes that are ``grid``'s nodes."""
+    lower, upper, panels, box = [], [], [], []
+    for a, b, m, h in zip(grid.lower, grid.upper, grid.panels, grid.mesh):
         low = high = config.padding_panels
         if config.fft_friendly_expansion:
-            target = next_smooth_length(m + low + high)
-            extra = target - (m + low + high)
+            extra = next_smooth_length(m + low + high) - (m + low + high)
             low += extra // 2
             high += extra - extra // 2
-        counts.append((low, high))
-    return counts
+        lower.append(a - low * h)
+        upper.append(b + high * h)
+        panels.append(m + low + high)
+        box.append(slice(low, low + m + 1))
+    return UniformGrid(lower, upper, panels), tuple(box)
 
 
 def pad_domain(grid: UniformGrid, config: SolverConfig) -> UniformGrid:
     """Extend the grid outward by the configured zero collar, same mesh."""
-    counts = _pad_counts(grid, config)
-    lower, upper, panels = [], [], []
-    for s, (low, high) in enumerate(counts):
-        h = grid.mesh[s]
-        lower.append(grid.lower[s] - low * h)
-        upper.append(grid.upper[s] + high * h)
-        panels.append(grid.panels[s] + low + high)
-    return UniformGrid(lower, upper, panels)
-
-
-def _user_box(grid: UniformGrid, config: SolverConfig) -> tuple:
-    """The slices of the padded grid's nodes that are ``grid``'s nodes."""
-    counts = _pad_counts(grid, config)
-    return tuple(slice(low, low + m + 1) for (low, _), m in zip(counts, grid.panels))
+    return _padded(grid, config)[0]
 
 
 def _embed_samples(rho: GridFunction, padded: UniformGrid, box: tuple) -> GridFunction:
@@ -138,17 +129,14 @@ def _compact_in_place(values: np.ndarray, box: tuple) -> np.ndarray:
     """Move ``values[box]`` to the front of the C-ordered ``values``' buffer; returns that front.
 
     The result is a contiguous array of the box's shape that views the
-    buffer.  The nodes move one axis-0 plane at a time, in order: a
-    destination plane ends before the next source plane begins, and numpy
-    buffers a plane that overlaps its own source.
+    buffer.  The nodes move one axis-0 plane at a time, in order (in 1D a
+    plane is one node): a destination plane ends before the next source
+    plane begins, and numpy buffers a plane that overlaps its own source.
     """
     shape = tuple(s.stop - s.start for s in box)
     front = values.reshape(-1)[:math.prod(shape)].reshape(shape)
-    if values.ndim == 1:
-        front[...] = values[box]
-    else:
-        for i, plane in enumerate(range(box[0].start, box[0].stop)):
-            front[i] = values[(plane,) + box[1:]]
+    for i, plane in enumerate(range(box[0].start, box[0].stop)):
+        front[i] = values[(plane,) + box[1:]]
     return front
 
 
@@ -211,9 +199,8 @@ def _solve(rho, user_grid: UniformGrid | None, config: SolverConfig, owned: bool
     elif user_grid is None:
         raise ShapeError("a user grid is required when rho is a callable")
 
-    padded = pad_domain(user_grid, config)
+    padded, box = _padded(user_grid, config)
     check_panels(padded, config.order)
-    box = _user_box(user_grid, config)
     if not isinstance(rho, GridFunction):
         rho_padded = GridFunction.from_callable(padded, rho)
     elif padded != user_grid:

@@ -27,13 +27,11 @@ from freepoisson import (
     SolverConfig,
     UniformGrid,
     boundary_values_fast,
-    pad_domain,
-    restrict_to_subgrid,
 )
 from freepoisson.dirichlet import check_support
 from freepoisson.grid import _broadcast_samples, _face_shape
-from freepoisson.harmonic import check_panels, harmonic_modes
-from freepoisson.solver import _embed_samples, _user_box
+from freepoisson.harmonic import _harmonic_scatters, _harmonic_sweeps, check_panels
+from freepoisson.solver import _embed_samples, _padded
 
 _D2 = np.array([1.0, -2.0, 1.0])
 _DELTA3 = np.array([0.0, 1.0, 0.0])
@@ -147,7 +145,7 @@ def modes_of_harmonic(g: BoundaryValues, order: int) -> np.ndarray:
     solver does before any phase.
     """
     check_panels(g.grid, order)
-    return harmonic_modes(g, order, np.zeros(g.grid.interior_shape))
+    return _harmonic_sweeps(g.grid, _harmonic_scatters(g, order), np.zeros(g.grid.interior_shape))
 
 
 def solve_harmonic(g: BoundaryValues, order: int) -> GridFunction:
@@ -166,13 +164,13 @@ def solve_by_composition(rho: GridFunction, config: SolverConfig) -> GridFunctio
     ``dstn`` into a zero-filled node array carrying the boundary values: the
     sum that ``solve_free_space`` accumulates in one array, in another order.
     """
-    padded = pad_domain(rho.grid, config)
-    rho_padded = _embed_samples(rho, padded, _user_box(rho.grid, config))
+    padded, box = _padded(rho.grid, config)
+    rho_padded = _embed_samples(rho, padded, box)
     g = boundary_values_fast(rho_padded, config.thread_count)
     modes = modes_of_harmonic(g, config.order)
     modes += phi_star_coefficients(rho_padded)
     phi = sine_series(modes, padded, boundary_array(g)).assert_finite()
-    return phi if padded == rho.grid else restrict_to_subgrid(phi, rho.grid)
+    return GridFunction(rho.grid, phi.values[box].copy())
 
 
 def row_blocks_assembled(table, n_rows: int, step: int) -> np.ndarray:

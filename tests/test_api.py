@@ -33,16 +33,9 @@ PUBLIC = [
     "max_norm_difference",
     "pad_domain",
     "read_pgrid",
-    "restrict_to_subgrid",
     "solve_free_space",
     "write_pgrid",
 ]
-
-UNREFERENCED_ALLOWED = {
-    # the composition of the two steps that the solver calls apart, so as
-    # to release the boundary values in between
-    "harmonic_modes",
-}
 
 SRC = Path(freepoisson.__file__).parent
 MODULES = [m.name for m in pkgutil.iter_modules([str(SRC)]) if m.name != "__main__"]
@@ -128,7 +121,7 @@ def test_src_has_no_unreferenced_definitions():
         members |= reads
 
     def used(qualified: str, name: str) -> bool:
-        if name in exported or qualified in UNREFERENCED_ALLOWED:
+        if name in exported:
             return True
         if qualified != name:  # a method: a local of its name (pgrid's ``zeros``) is no use
             return name in attributes or qualified in members

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from freepoisson import (
     read_pgrid,
     solve_free_space,
 )
+from freepoisson import cli
 from freepoisson.cli import (
     StudySpec,
     build_parser,
     build_spec,
     domain_invariance_study,
     fit_slope,
+    load_config_file,
     main,
     run_convergence_study,
     run_domain_study,
@@ -119,6 +122,55 @@ def test_domain_invariance_alignment_error():
     off_base = UniformGrid([-1, -2], [1, 2], [10, 20])
     with pytest.raises(AlignmentError):
         domain_invariance_study(bump, off_base, [1.2], SolverConfig())
+
+
+def _on_base_by_coordinates(phi_ext: GridFunction, base: UniformGrid) -> np.ndarray:
+    """``phi_ext``'s values at the nodes of ``base``, each matched by its coordinates."""
+    index = []
+    for s in range(base.dim):
+        hits = np.isclose(phi_ext.grid.axis_coordinates(s)[:, None], base.axis_coordinates(s),
+                          rtol=0.0, atol=1e-9 * base.mesh[s])
+        assert np.all(hits.sum(axis=0) == 1)
+        index.append(np.argmax(hits, axis=0))
+    return phi_ext.values[np.ix_(*index)]
+
+
+@pytest.mark.parametrize("panels, d_values", [
+    ((20, 40), (1.0, 1.2, 1.5)),
+    ((10,), (1.0, 1.2, 2.0)),
+])
+def test_domain_study_rows_match_a_restriction_by_coordinates(panels, d_values):
+    dim = len(panels)
+    bump = bump_from_differentiability(dim, 4, 0.4, (0.1, 0.0)[:dim])
+    base = UniformGrid([-1.0] * dim, [1.0] * dim, panels)
+    cfg = SolverConfig(order=6)
+    rows = domain_invariance_study(bump, base, d_values, cfg)
+    phi_base, _ = solve_free_space(bump, base, cfg)
+    norm = np.max(np.abs(phi_base.values))
+    expected = []
+    for D in d_values:
+        ext = UniformGrid([-D] * dim, [D] * dim, [round(m * D) for m in panels])
+        on_base = _on_base_by_coordinates(solve_free_space(bump, ext, cfg)[0], base)
+        expected.append((D, float(np.max(np.abs(on_base - phi_base.values)) / norm)))
+    assert rows == expected
+    assert rows[0] == (1.0, 0.0) and all(0.0 < diff < 1e-3 for _, diff in rows[1:])
+
+
+@pytest.mark.parametrize("d_list", [(1.0, 1.25, 1.05), (1.25, 0.5)])
+def test_domain_study_checks_every_d_before_the_first_solve(d_list):
+    spec = StudySpec(kind="domain", dim=2, panels=(16,), d_list=d_list, order=4)
+    with mock.patch.object(cli, "solve_free_space", wraps=cli.solve_free_space) as solve:
+        with pytest.raises(AlignmentError, match=f"D={d_list[-1]}"):
+            run_domain_study(spec)
+    assert solve.call_count == 0
+
+
+def test_thread_study_checks_every_count_before_the_first_solve():
+    spec = StudySpec(kind="threads", dim=2, panels=(16,), thread_list=(1, 0), order=4)
+    with mock.patch.object(cli, "solve_free_space", wraps=cli.solve_free_space) as solve:
+        with pytest.raises(ValueError, match="thread_count must be at least 1"):
+            run_thread_benchmark(spec)
+    assert solve.call_count == 0
 
 
 def test_thread_benchmark_rows():
@@ -317,15 +369,34 @@ def test_csv_write_is_atomic(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["order = 5", "order = x", "wibble = 3", "thread = 2", "center = 0 -x"],
-    ids=["bad-choice", "bad-int", "unknown-key", "abbreviated-key", "bad-list-value"],
+    "line",
+    ["order = 5", "order = x", "wibble = 3", "thread = 2", "center = 0 -x", "fft_friendly = banana"],
+    ids=["bad-choice", "bad-int", "unknown-key", "abbreviated-key", "bad-list-value", "bad-flag"],
 )
 def test_bad_config_file_is_reported(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     rc = main(["convergence", "--config", str(cfg), "--h-list", "0.5"])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "config" in err  # the file's error, not a later solve's
+
+
+@pytest.mark.parametrize("value, given", [
+    ("true", True), ("Yes", True), ("ON", True), ("1", True),
+    ("false", False), ("No", False), ("off", False), ("0", False),
+])
+def test_config_flag_takes_true_or_false(tmp_path, value, given):
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text(f"fft_friendly = {value}\n")
+    assert load_config_file(cfg).get("fft_friendly", False) is given
+
+
+def test_config_flag_error_names_the_key(tmp_path):
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text("fft_friendly = banana\n")
+    with pytest.raises(ValueError, match="fft-friendly.*'banana'"):
+        load_config_file(cfg)
 
 
 def test_config_file_shared_by_every_study(tmp_path):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from freepoisson import (
-    AlignmentError,
     GridFunction,
     PolyBump,
     ShapeError,
     UniformGrid,
     max_norm_difference,
-    restrict_to_subgrid,
 )
 from freepoisson import grid as grid_module
 from oracles import boundary_from_callable, zero_function
@@ -75,50 +73,6 @@ def test_max_norm_difference_rejects_mismatched_grids():
     g = zero_function(UniformGrid([0], [1], [5]))
     with pytest.raises(ShapeError):
         max_norm_difference(f, g)
-
-
-def test_restrict_identity():
-    g = UniformGrid([-1, -1], [1, 1], [8, 8])
-    f = GridFunction(g, np.random.default_rng(0).standard_normal(g.shape))
-    r = restrict_to_subgrid(f, g)
-    assert np.array_equal(r.values, f.values)
-
-
-def test_restrict_central_window():
-    g = UniformGrid([-2.0], [2.0], [40])
-    f = GridFunction(g, np.arange(41, dtype=float))
-    sub = UniformGrid([-1.0], [1.0], [20])
-    r = restrict_to_subgrid(f, sub)
-    assert np.array_equal(r.values, np.arange(10, 31, dtype=float))
-
-
-def test_restrict_strided_mesh():
-    # sub mesh twice the parent mesh: nodes coincide every 2nd point
-    g = UniformGrid([-2.0], [2.0], [40])
-    f = GridFunction(g, np.sin(np.arange(41.0)))
-    sub = UniformGrid([-1.0], [1.0], [10])
-    r = restrict_to_subgrid(f, sub)
-    assert np.array_equal(r.values, f.values[10:31:2])
-
-
-def test_restrict_misaligned_raises():
-    g = UniformGrid([-1.0], [1.0], [10])
-    f = zero_function(g)
-    with pytest.raises(AlignmentError):
-        restrict_to_subgrid(f, UniformGrid([-0.95], [0.85], [9]))
-    with pytest.raises(AlignmentError):
-        restrict_to_subgrid(f, UniformGrid([-1.0], [1.0], [7]))
-
-
-def test_restrict_after_embed_is_identity():
-    rng = np.random.default_rng(11)
-    sub = UniformGrid([-1.0, 0.0], [1.0, 1.0], [10, 5])
-    parent = UniformGrid([-1.4, -0.4], [1.4, 1.4], [14, 9])
-    embedded = zero_function(parent)
-    inner = rng.standard_normal(sub.shape)
-    embedded.values[2:13, 2:8] = inner
-    r = restrict_to_subgrid(embedded, sub)
-    assert np.array_equal(r.values, inner)
 
 
 def test_gridfunction_shape_check():

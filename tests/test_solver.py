@@ -77,6 +77,35 @@ def test_original_nodes_subset_of_padded_nodes():
             assert abs(a - b) < 1e-13
 
 
+@pytest.mark.parametrize("padding", [0, 3])
+def test_one_padding_per_solve(padding):
+    g = UniformGrid([-1.0, -1.0], [1.0, 1.0], [12, 14])
+    bump = PolyBump(2, 0.4, 5, (0.1, 0.0))
+    with mock.patch.object(freepoisson.solver, "_padded", wraps=freepoisson.solver._padded) as pad:
+        solve_free_space(bump, g, SolverConfig(order=4, padding_panels=padding,
+                                               fft_friendly_expansion=True))
+    assert pad.call_count == 1
+
+
+@pytest.mark.parametrize("shape, box", [
+    ((9,), (slice(0, 5),)),  # at offset 0: nothing moves
+    ((12,), (slice(3, 10),)),
+    ((7, 8), (slice(0, 4), slice(2, 7))),
+    # plane i goes to flat nodes 9i..9i+8 from 10i+1..10i+9: they overlap
+    ((8, 10), (slice(0, 8), slice(1, 10))),
+    ((9, 10), (slice(2, 8), slice(1, 9))),
+    ((4, 5, 6), (slice(0, 4), slice(0, 5), slice(1, 6))),  # overlapping planes
+    ((6, 7, 8), (slice(1, 5), slice(2, 6), slice(1, 7))),
+])
+def test_compact_in_place_moves_the_box_to_the_front(shape, box):
+    values = np.random.default_rng(len(shape)).standard_normal(shape)
+    expected = values[box].copy()
+    front = freepoisson.solver._compact_in_place(values, box)
+    assert np.array_equal(front, expected)
+    assert front.flags.c_contiguous
+    assert np.shares_memory(front, values)
+
+
 def test_zero_density_gives_zero_solution():
     for dim in (1, 2, 3):
         g = UniformGrid([-1.0] * dim, [1.0] * dim, [8] * dim)
