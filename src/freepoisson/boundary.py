@@ -67,14 +67,19 @@ spectra of both opposite faces is added to one accumulator per face, and
 each face needs a single inverse FFT.  Slice p needs the kernels at
 distances p and M-p, one pair {d, M-d}, and every distance belongs to
 exactly one pair.  The union of the pairs that a class's axes need is
-worked through in groups (at least one pair each) whose spectra, together
-with the accumulators of the class's axes beyond the first, hold at most
-``grid._BLOCK`` values: a group's spectra are built, every slice of
-every axis of the class whose pair is in the group is added, and they are
-dropped before the next group's are built.  So each kernel is evaluated
-and transformed once per solve; ``solver.solve_free_space`` states what
-is alive meanwhile.  A class of one axis has the groups of that axis
-alone.  A slice's transform is ``rfftn``'s
+worked through in groups (at least one pair each) whose spectra hold at
+most a twelfth of the grid's node count and, together with the
+accumulators of the class's axes beyond the first, at most
+``grid._BLOCK`` values; so on small grids too they stay a small part of
+the node array.  A group's spectra are built from the class's table of
+squared in-face distances, made once per class; every slice of every
+axis of the class whose pair is in the group is added, and they are
+dropped before the next group's are built.  Each slice's spectrum is
+dropped once its two products are added, before the next slice's is
+built.  So each kernel is evaluated and transformed once per solve;
+``solver.solve_free_space`` states what is alive meanwhile.  A class of
+one axis has the groups of that axis alone.  A slice's transform is
+``rfftn``'s
 own sequence with the zero rows left out: the r2c along the last in-face
 axis runs only on the range of rows occupied in the whole density (along
 the first in-face axis in 3D; a 2D slice is one row), the results are
@@ -160,22 +165,21 @@ def _periods(panels, reach) -> list[int]:
     return [2 * next_smooth_length(max(r, (m + 2) // 2)) for m, r in zip(panels, reach)]
 
 
-def _kernel_spectra(grid: UniformGrid, axis: int, dists, periods, workers: int) -> np.ndarray:
+def _kernel_spectra(grid: UniformGrid, axis: int, dists, periods, in_face,
+                    workers: int) -> np.ndarray:
     """Real DFTs of the kernels at whole-panel normal distances ``dists``.
 
-    ``periods`` holds the period P_s of every in-face axis s != axis.  Row i
-    holds kernel i's spectrum at the non-negative frequencies 0..P_s/2 of
-    every in-face axis: one batched DCT-I of the kernel's values at offsets
-    0..min(M_s-1, P_s/2), zero-filled to P_s/2+1 per axis.  The Trapezoidal
+    ``periods`` holds the period P_s of every in-face axis s != axis, and
+    ``in_face`` the squared in-face distances at offsets 0..min(M_s-1,
+    P_s/2), which every group of a class shares.  Row i holds kernel i's
+    spectrum at the non-negative frequencies 0..P_s/2 of every in-face
+    axis: one batched DCT-I of the kernel's values at those offsets,
+    zero-filled to P_s/2+1 per axis.  The Trapezoidal
     weights are folded in, so each spectrum serves both faces of the axis.
     The kernel values are evaluated in sub-blocks of at most an eighth of
     ``_BLOCK`` values (whole kernels, or rows of one kernel's leading
     in-face axis), so the Green's function's temporaries stay small.
     """
-    in_axes = [s for s in range(grid.dim) if s != axis]
-    # squared in-face distances at offsets 0..min(M_s-1, P_s/2)
-    in_face = sum(np.ix_(*((np.arange(min(grid.panels[s], p // 2 + 1)) * grid.mesh[s]) ** 2
-                           for s, p in zip(in_axes, periods, strict=True))))
     normal = ((np.asarray(dists) * grid.mesh[axis]) ** 2).reshape(
         (-1,) + (1,) * in_face.ndim)
     buf = np.zeros((len(dists),) + tuple(p // 2 + 1 for p in periods))
@@ -273,14 +277,18 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
         # rows of the leading in-face axes (one in 3D, none in 2D) that hold the density
         rows = {a: tuple(support.box[s] for s in in_axes[a][:-1]) for a in members}
         union = sorted(set().union(*(pairs[a] for a in members)))
-        # Groups of pairs whose spectra, with the accumulators beyond one
-        # axis's, hold at most _BLOCK values.
-        budget = grid_module._BLOCK - (len(members) - 1) * acc[axis].nbytes // 8
+        # Groups of pairs whose spectra hold at most a twelfth of the node
+        # array and, with the accumulators beyond one axis's, _BLOCK values.
+        budget = min(grid_module._BLOCK - (len(members) - 1) * acc[axis].nbytes // 8,
+                     rho.values.size // 12)
         step = max(1, budget // (2 * math.prod(p // 2 + 1 for p in periods)))
+        # squared in-face distances at offsets 0..min(M_s-1, P_s/2), for every group
+        in_face = sum(np.ix_(*((np.arange(min(panels[s], p // 2 + 1)) * mesh[s]) ** 2
+                               for s, p in zip(in_axes[axis], periods))))
         for start in range(0, len(union), step):
             dists = sorted({q for d in union[start:start + step] for q in (d, m - d)})
             row = {q: i for i, q in enumerate(dists)}
-            kernels = _kernel_spectra(grid, axis, dists, periods, thread_count)
+            kernels = _kernel_spectra(grid, axis, dists, periods, in_face, thread_count)
             for a in members:
                 for p in dists:  # the group's slices, in a fixed order: deterministic
                     if p not in occupied[a]:
@@ -289,7 +297,8 @@ def boundary_values_fast(rho: GridFunction, thread_count: int = 1, *,
                     spectrum = _slice_spectrum(x, rows[a], periods, thread_count)
                     _add_product(acc[a][0], spectrum, kernels[row[p]])
                     _add_product(acc[a][1], spectrum, kernels[row[m - p]])
-            del kernels, spectrum  # before the next group's spectra are built
+                    del spectrum  # before the next slice's is built
+            del kernels  # before the next group's spectra are built
         # Face nodes 0..M_s are the circular indices -1..M_s-1.
         window = np.ix_(*(range(-1, panels[s]) for s in in_axes[axis]))
         for a in members:

@@ -210,6 +210,9 @@ def domain_invariance_study(
     norm = float(np.max(np.abs(phi_base.values)))
     rows = []
     for D, collar in collars:
+        if not any(collar):  # D = 1: the base grid itself
+            rows.append((D, 0.0))
+            continue
         panels = [m + 2 * e for m, e in zip(base_grid.panels, collar)]
         ext_grid = UniformGrid([-D] * dim, [D] * dim, panels)
         phi_ext, _ = solve_free_space(rho_callable, ext_grid, config)

@@ -129,12 +129,16 @@ def _compact_in_place(values: np.ndarray, box: tuple) -> np.ndarray:
     """Move ``values[box]`` to the front of the C-ordered ``values``' buffer; returns that front.
 
     The result is a contiguous array of the box's shape that views the
-    buffer.  The nodes move one axis-0 plane at a time, in order (in 1D a
-    plane is one node): a destination plane ends before the next source
-    plane begins, and numpy buffers a plane that overlaps its own source.
+    buffer.  In 2D and 3D the nodes move one axis-0 plane at a time, in
+    order: a destination plane ends before the next source plane begins,
+    and numpy buffers a plane that overlaps its own source.  A 1D box moves
+    in one assignment, which numpy buffers likewise.
     """
     shape = tuple(s.stop - s.start for s in box)
     front = values.reshape(-1)[:math.prod(shape)].reshape(shape)
+    if values.ndim == 1:
+        front[:] = values[box]
+        return front
     for i, plane in enumerate(range(box[0].start, box[0].stop)):
         front[i] = values[(plane,) + box[1:]]
     return front
@@ -167,19 +171,21 @@ def solve_free_space(
     boundary nodes and released, and adds the harmonic extension's
     coefficients in blocked sweeps; the inverse DST turns them, in place,
     into the potential.  A padded grid's user nodes are then moved, one
-    axis-0 plane at a time, to the front of the array, and the result
-    views that front: it keeps the padded buffer alive, 1.41 times the
-    user array at 55^3 padded nodes for 49^3 user nodes and 1.21 times at
-    129^3 for 121^3.  Besides that array, what is alive is one-byte masks,
-    blocks of axis-0 rows (``grid._row_blocks``) and O(face) arrays:
-    blocks of a callable's samples, then the scan's mask; in the boundary
-    phase, one group of kernel spectra, the face accumulators of one class
-    of axes, one slice's spectrum and the finished faces; one block of the
-    eigenvalues in the forward DST; the faces and their scatters, then in
-    the sweeps one block at a time with the scatters and the
-    contractions, then the depth-1 change's face arrays and scatters; the
-    finiteness check's mask, one block at a time, after the inverse DST;
-    and one plane of the compaction.  The ``solve`` command keeps one node
+    axis-0 plane at a time (a 1D box in one move), to the front of the
+    array, and the result views that front: it keeps the padded buffer
+    alive, 1.41 times the user array at 55^3 padded nodes for 49^3 user
+    nodes and 1.21 times at 129^3 for 121^3.  Besides that array, what is
+    alive is one-byte masks, blocks of axis-0 rows (``grid._row_blocks``)
+    and O(face) arrays: blocks of a callable's samples, then the scan's
+    mask; in the boundary phase, one group of kernel spectra (at most a
+    twelfth of the node array, or one pair of distances), the face
+    accumulators of one class of axes, one slice's spectrum and the
+    finished faces; one block of the eigenvalues in the forward DST; the
+    faces and their scatters, then in the sweeps one block at a time with
+    the scatters and the contractions, then the depth-1 change's face
+    arrays and scatters; the finiteness check's mask, one block at a time,
+    after the inverse DST; and one plane of the compaction (in 1D, a copy
+    of the user nodes).  The ``solve`` command keeps one node
     array from file to file: it reads the density into an array that an
     unpadded solve takes over (a padded one releases it once embedded, so
     the embedding holds two), and writes the potential from the solve's

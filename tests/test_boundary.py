@@ -10,10 +10,12 @@ from freepoisson import (
     BoundaryValues,
     GridFunction,
     PolyBump,
+    SolverConfig,
     SupportViolationError,
     UniformGrid,
     boundary_values_fast,
     boundary_values_naive,
+    pad_domain,
 )
 from freepoisson import boundary
 from freepoisson import grid as grid_module
@@ -433,9 +435,9 @@ def _counted_kernel_spectra(monkeypatch) -> list:
     """Patch ``boundary._kernel_spectra`` to record how many spectra each call builds."""
     built, real = [], boundary._kernel_spectra
 
-    def counted(grid, axis, dists, periods, workers):
+    def counted(grid, axis, dists, *args):
         built.append(len(dists))
-        return real(grid, axis, dists, periods, workers)
+        return real(grid, axis, dists, *args)
 
     monkeypatch.setattr(boundary, "_kernel_spectra", counted)
     return built
@@ -467,9 +469,9 @@ def test_block_budget_reaches_every_phase(monkeypatch):
     assert grid_module._row_blocks((9, 5, 4)) == [slice(i, i + 1) for i in range(9)]
     groups, real = [], boundary._kernel_spectra
 
-    def recorded(grid, axis, dists, periods, workers):
+    def recorded(grid, axis, dists, *args):
         groups.append((grid.panels[axis], list(dists)))
-        return real(grid, axis, dists, periods, workers)
+        return real(grid, axis, dists, *args)
 
     monkeypatch.setattr(boundary, "_kernel_spectra", recorded)
     rho = _offset_density(UniformGrid([-1.0] * 3, [1.0, 1.0, 1.5], [13, 13, 15]), 53)
@@ -542,3 +544,56 @@ def test_axes_one_ulp_apart_do_not_share(monkeypatch):
     grid = UniformGrid([0.0, 0.0], [2.0, 16 * float(np.nextafter(0.125, 1.0))], [16, 16])
     assert grid.mesh[1] == np.nextafter(grid.mesh[0], 1.0)
     _assert_built_per_axis(monkeypatch, grid)
+
+
+def _recorded_groups(monkeypatch) -> list:
+    """Patch ``boundary._kernel_spectra`` to record (normal axis, pairs, spectra shape) per group."""
+    groups, real = [], boundary._kernel_spectra
+
+    def recorded(grid, axis, dists, *args):
+        spectra = real(grid, axis, dists, *args)
+        m = grid.panels[axis]
+        groups.append((axis, sorted({min(q, m - q) for q in dists}), spectra.shape))
+        return spectra
+
+    monkeypatch.setattr(boundary, "_kernel_spectra", recorded)
+    return groups
+
+
+_STEPS3D_GRID = pad_domain(UniformGrid([-1.0] * 3, [1.0] * 3, [48] * 3),
+                           SolverConfig(order=4, padding_panels=2, fft_friendly_expansion=True))
+
+
+@pytest.mark.parametrize("rho", [
+    GridFunction.from_callable(_STEPS3D_GRID, PolyBump(3, 0.6, 5, (0.1, 0.2, -0.1))),
+    _offset_density(UniformGrid([-1.0, -1.0], [1.0, 1.5], [120, 100]), 59),
+], ids=["steps3d-shape", "2d"])
+def test_kernel_groups_are_capped_by_the_node_count(monkeypatch, rho):
+    # A group of kernel spectra holds at most a twelfth of the node array
+    # (one pair {d, M - d} where a pair alone is larger), so that on small
+    # grids too it stays a small part of the array; _BLOCK would allow more.
+    groups = _recorded_groups(monkeypatch)
+    boundary_values_fast(rho)
+    cap = rho.values.size // 12
+    assert max(len(pairs) for _, pairs, _ in groups) > 1
+    assert len(groups) > rho.grid.dim  # the cap splits every class's pairs
+    for axis, pairs, shape in groups:
+        assert math.prod(shape) <= cap or len(pairs) == 1, (axis, pairs, shape, cap)
+
+
+def test_kernel_groups_at_m96_are_bounded_by_the_block(monkeypatch):
+    # On the headline 97^3 node array a twelfth of it exceeds _BLOCK, so the
+    # groups are those of _BLOCK alone: every group but each axis's last
+    # holds _BLOCK // (values per pair) pairs.  The extents differ, so each
+    # axis is a class of its own, with no other axis's accumulators to fit.
+    grid = UniformGrid([-1.0, -1.005, -0.995], [1.0, 1.01, 0.99], [96] * 3)
+    rho = GridFunction.from_callable(grid, PolyBump(3, 0.4, 7, (0.18, 0.2, 0.1)))
+    assert rho.values.size // 12 > grid_module._BLOCK
+    groups = _recorded_groups(monkeypatch)
+    boundary_values_fast(rho)
+    for axis in range(3):
+        counts = [len(pairs) for a, pairs, _ in groups if a == axis]
+        spectrum = math.prod(next(shape[1:] for a, _, shape in groups if a == axis))
+        step = grid_module._BLOCK // (2 * spectrum)
+        assert step > 1 and len(counts) > 1
+        assert all(n == step for n in counts[:-1]) and counts[-1] <= step, counts

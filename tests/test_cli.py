@@ -165,6 +165,20 @@ def test_domain_study_checks_every_d_before_the_first_solve(d_list):
     assert solve.call_count == 0
 
 
+def test_domain_study_reuses_the_base_solve_for_d_1(tmp_path):
+    # D = 1 adds no collar: its row compares the base solve with itself.
+    out = tmp_path / "domain.csv"
+    argv = ["domain", "--dim", "2", "--panels", "16", "--d-list", "1.0", "1.25", "1.5",
+            "--order", "4", "--out", str(out)]
+    with mock.patch.object(cli, "solve_free_space", wraps=cli.solve_free_space) as solve:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert solve.call_count == 3  # the base grid, D = 1.25 and D = 1.5
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["D,max_rel_diff", "1.0000000000000000e+00,0.0000000000000000e+00"]
+    assert len(lines) == 4
+
+
 def test_thread_study_checks_every_count_before_the_first_solve():
     spec = StudySpec(kind="threads", dim=2, panels=(16,), thread_list=(1, 0), order=4)
     with mock.patch.object(cli, "solve_free_space", wraps=cli.solve_free_space) as solve:
