@@ -9,8 +9,8 @@ Using the continuous eigenvalues (not the difference-stencil ones, which
 belong to the harmonic solver) is what makes this component spectrally
 accurate: the result solves Poisson's equation exactly for the sine
 interpolant of the density.  :func:`_phi_star_in_place` returns the result
-as sine coefficients, which the free-space solver adds to the harmonic
-extension's before one shared inverse DST.
+as sine coefficients in the units of ``transforms``, which the free-space
+solver adds to the harmonic extension's before one shared inverse DST.
 
 :func:`check_support` is the one place that decides the density's
 support; ``solver.solve_free_space`` states which phases read its record.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SupportViolationError
-from .grid import GridFunction, UniformGrid, _row_blocks
+from .grid import GridFunction, UniformGrid, _row_blocks, _row_polynomial
 from .transforms import _dst_support_in_place
 
 __all__ = ["continuous_eigenvalues"]
@@ -35,17 +35,12 @@ SUPPORT_RTOL = 1e-14
 def continuous_eigenvalues(grid: UniformGrid):
     """Continuous Laplacian eigenvalue per interior sine mode (all negative), block by block.
 
-    Returns ``table(rows)``, the eigenvalues on the modes ``rows`` of axis
-    0: one outer difference of axis 0's table and the trailing axes' sum,
-    built once, so each block is one pass along whole trailing planes and
-    the full table is never built.
+    ``table(rows)`` (``grid._row_polynomial``) is lam_0 plus the trailing
+    axes' sum, one pass per block.
     """
-    squares = [
-        (np.arange(1, m) * math.pi / (grid.upper[s] - grid.lower[s])) ** 2
-        for s, m in enumerate(grid.panels)
-    ]
-    trail = sum(np.ix_(*squares[1:]), 0.0)
-    return lambda rows: np.subtract.outer(-squares[0][rows], trail)
+    lam = [-(np.arange(1, m) * math.pi / (grid.upper[s] - grid.lower[s])) ** 2
+           for s, m in enumerate(grid.panels)]
+    return _row_polynomial(lam[0], [1.0, sum(np.ix_(*lam[1:]), 0.0)])
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ def _phi_star_in_place(x: np.ndarray, grid: UniformGrid, box: tuple[slice, ...])
     full-volume array is built.  Returns ``x``.
     """
     _dst_support_in_place(x, box)
-    scale = 1.0 / np.prod([float(m) for m in grid.panels])
+    scale = 1.0 / np.prod([2.0 * m for m in grid.panels])
     eigenvalues = continuous_eigenvalues(grid)
     for rows in _row_blocks(x.shape):
         block = x[rows]

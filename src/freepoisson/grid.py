@@ -32,6 +32,30 @@ def _row_blocks(shape) -> list[slice]:
     return [slice(start, start + step) for start in range(0, shape[0], step)]
 
 
+def _row_polynomial(head: np.ndarray, coefficients: list):
+    """A mode table factored along axis 0, built one block of axis-0 rows at a time.
+
+    Returns ``table(rows)``, the polynomial in axis 0's table ``head`` with
+    ``coefficients`` (highest degree first) on the modes ``rows``, by
+    Horner's rule.  A coefficient is a number, a table over the trailing
+    axes built once (``np.ix_``) or None for zero.  Each table term is one
+    pass over whole trailing planes (a number on top is a pass along axis 0
+    only), each power of ``head`` one more, and the full table is never built.
+    """
+    top, *lower = coefficients
+
+    def table(rows: slice) -> np.ndarray:
+        block = np.multiply.outer(head[rows], top)
+        for i, c in enumerate(lower):
+            if i:
+                block *= head[rows].reshape((-1,) + (1,) * (block.ndim - 1))
+            if c is not None:  # after a number on top, one pass makes the block
+                block = np.add.outer(block, c) if block.ndim == 1 else np.add(block, c, out=block)
+        return block
+
+    return table
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Rectangular domain with a uniform mesh along each axis.
@@ -51,7 +75,7 @@ class UniformGrid:
     def __init__(self, lower, upper, panels):
         lower = tuple(float(v) for v in np.atleast_1d(lower))
         upper = tuple(float(v) for v in np.atleast_1d(upper))
-        panels = tuple(int(m) for m in np.atleast_1d(panels))
+        panels = tuple(np.atleast_1d(panels).tolist())  # numpy integers become int
         if not (len(lower) == len(upper) == len(panels)):
             raise ShapeError("lower, upper and panels must have equal length")
         if len(lower) not in (1, 2, 3):
@@ -60,6 +84,8 @@ class UniformGrid:
             if not b > a:
                 raise ShapeError(f"upper bound {b} must exceed lower bound {a}")
         for m in panels:
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise ShapeError(f"panel counts must be integers, got {m!r}")
             if m < 2:
                 raise ShapeError(f"need at least 2 panels per axis, got {m}")
         object.__setattr__(self, "lower", lower)

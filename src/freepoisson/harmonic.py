@@ -56,10 +56,10 @@ with one shared inverse DST.  Only what must touch the whole volume does:
   is counted by the face of its lowest axis, as in
   :meth:`BoundaryValues.write_into`: a face's data are zeroed on its
   edges with lower axes first.  A value on the layer at depth j behind a
-  face reaches the coefficients through one in-face DST times
-  2 sin(j k pi / M) along the normal (the far face with the (-1)^(k+1)
-  parity), so the work is O(face) plus one pass over the coefficients per
-  axis.
+  face reaches the coefficients (``transforms``' units) through one
+  in-face DST times 2 sin(j k pi / M) along the normal (the far face with
+  the (-1)^(k+1) parity), over prod_s 2 M_s, so the work is O(face) plus
+  one pass over the coefficients per axis.
 * Correction in sine space.  Write u1 = V + G, V the 4th order sine series
   (coefficients u) and G the boundary data extended by zero.  The undivided
   difference D2_s is diagonal on V with the mode table mu_s, so on
@@ -77,14 +77,15 @@ with one shared inverse DST.  Only what must touch the whole volume does:
           + F(extrapolated depth-1 layer).
 
   Per face, W at depth 1 and W extrapolated from depths 2..5 come from
-  contracting Q u along the normal with the rows sin(k pi / M) and
-  4 s_2 - 6 s_3 + 4 s_4 - s_5 (s_j = sin(j k pi / M); the far face takes
-  the (-1)^(k+1) parity), then one batched in-face DST.  The depth-2 face
-  terms are added to Q u first, so the extrapolation reads them like any
-  other value.  Each face array then takes the same extrapolation along
-  its in-face axes above its own, which fills its edges and corners.  Each
-  face's depth-1 change goes back like the boundary transfer, a depth-1
-  node being counted by the face of its lowest depth-1 axis.
+  contracting Q u along the normal with the rows 2 sin(k pi / M) and
+  2 (4 s_2 - 6 s_3 + 4 s_4 - s_5) (s_j = sin(j k pi / M); the far face
+  takes the (-1)^(k+1) parity), then one batched in-face DST.  The
+  depth-2 face terms are added to Q u first, so the extrapolation reads
+  them like any other value.  Each face array then takes the same
+  extrapolation along its in-face axes above its own, which fills its
+  edges and corners.  Each face's depth-1 change goes back like the
+  boundary transfer, a depth-1 node being counted by the face of its
+  lowest depth-1 axis.
 * Scatters and contractions.  A scatter adds a face pair's in-face DSTs,
   times the normal's row, to a block of the coefficients, as one
   ``matmul`` with an (n, 2) table: the row zeroed off odd k in one column
@@ -98,11 +99,12 @@ with one shared inverse DST.  Only what must touch the whole volume does:
   scatters, and the contractions along the normals stay elementwise
   (``np.einsum``, no BLAS); along axis 0 they are summed block by block.
 * Tables.  The operator's symbol, Q and the spectral solve's continuous
-  eigenvalues are never built as full arrays.  Each is factored along
-  axis 0, from contiguous tables over the trailing axes built once, and
-  evaluated per block of axis-0 rows (``grid._row_blocks``), which is
-  divided into (or multiplied with) the coefficients while it is in cache:
-  the symbol as lam_0 A + P, and Q as (mu_0 Y + X) mu_0 + P.
+  eigenvalues are never built as full arrays.  Each is a polynomial in
+  axis 0's table whose coefficients are contiguous tables over the
+  trailing axes, built once, and ``grid._row_polynomial`` evaluates it per
+  block of axis-0 rows (``grid._row_blocks``), which is divided into (or
+  multiplied with) the coefficients while it is in cache: the symbol as
+  lam_0 A + P, and Q as (mu_0 Y + X) mu_0 + P.
 * Arrays.  The phase takes two steps, which the solver calls apart so
   that the boundary values are released in between.  The
   first, :func:`_harmonic_scatters`, reads g (and never writes it) into
@@ -127,7 +129,7 @@ import itertools
 import numpy as np
 
 from .errors import ShapeError
-from .grid import BoundaryValues, UniformGrid, _row_blocks
+from .grid import BoundaryValues, UniformGrid, _row_blocks, _row_polynomial
 from .transforms import sfft
 
 __all__ = ["check_panels"]
@@ -148,11 +150,6 @@ def _mode_table(m: int) -> np.ndarray:
     return -4.0 * np.sin(np.arange(1, m) * (np.pi / (2 * m))) ** 2
 
 
-def discrete_eigenvalues(grid: UniformGrid) -> list[np.ndarray]:
-    """Per-axis eigenvalues mu_s / h_s^2 of D2 on the discrete sine modes (all negative)."""
-    return [_mode_table(m) / h**2 for m, h in zip(grid.panels, grid.mesh)]
-
-
 def _compact_weights(grid: UniformGrid) -> dict:
     """The compact operator's weights c_rs (module docstring), per ordered axis pair."""
     h2 = [h * h for h in grid.mesh]
@@ -162,13 +159,11 @@ def _compact_weights(grid: UniformGrid) -> dict:
 def build_operator_symbol(grid: UniformGrid):
     """The operator's eigenvalue per discrete sine mode, block by block.
 
-    Returns ``symbol(rows)``, the table on the modes ``rows`` of axis 0.
-    It is factored along axis 0 as lam_0 A + P, with A = 1 + sum_{s>0}
-    c_0s lam_s and P the rest, two contiguous tables over the trailing axes
-    built once: each block is two passes over whole trailing planes, and
-    the full table is never built.
+    ``symbol(rows)`` is lam_0 A + P on the modes ``rows`` of axis 0, with
+    lam_s = mu_s / h_s^2 the eigenvalues of D2, A = 1 + sum_{s>0} c_0s lam_s
+    and P the rest: two passes per block (``grid._row_polynomial``).
     """
-    lam = discrete_eigenvalues(grid)
+    lam = [_mode_table(m) / h**2 for m, h in zip(grid.panels, grid.mesh)]
     c = _compact_weights(grid)
     trail = np.ix_(*lam[1:])
     slope = 1.0 + sum(c[0, s] * trail[s - 1] for s in range(1, grid.dim))
@@ -176,13 +171,7 @@ def build_operator_symbol(grid: UniformGrid):
         c[r, s] * trail[r - 1] * trail[s - 1]
         for r, s in itertools.combinations(range(1, grid.dim), 2)
     )
-
-    def symbol(rows: slice) -> np.ndarray:
-        block = np.multiply.outer(lam[0][rows], slope)
-        block += rest
-        return block
-
-    return symbol
+    return _row_polynomial(lam[0], [slope, rest])
 
 
 def _d2(values: np.ndarray, axis: int) -> np.ndarray:
@@ -235,7 +224,7 @@ def _layer_scatters(grid: UniformGrid, layers: dict, depth: int) -> dict:
     axis, the row zeroed off each parity as an (n, 2) table and the two
     in-face DSTs, for :func:`_add_scatters`.
     """
-    scale = 2.0 / np.prod([float(m) for m in grid.panels])
+    scale = 2.0 / np.prod([2.0 * m for m in grid.panels])
     scatters = {}
     for a, m in enumerate(grid.panels):
         near, far = layers[a, 0], layers[a, 1]
@@ -311,30 +300,18 @@ def _correction_weights(grid: UniformGrid) -> dict:
 def _q_table(grid: UniformGrid):
     """Q = sum_r mu_r^2 sum_{s != r} w_rs mu_s, block by block like the symbol.
 
-    ``q(rows)`` is built as (mu_0 Y + X) mu_0 + P on the modes ``rows`` of
-    axis 0, with Y (``slope``), X (``offset``) and P (``rest``, 3D only)
-    contiguous tables over the trailing axes built once, so that each pass
-    runs along whole trailing planes.
+    ``q(rows)`` is (mu_0 Y + X) mu_0 + P on the modes ``rows`` of axis 0,
+    with P in 3D only: three passes per block, four in 3D.
     """
-    d = grid.dim
     w = _correction_weights(grid)
     mu = [_mode_table(m) for m in grid.panels]
     trail = np.ix_(*mu[1:])
-    slope = sum(w[0, s] * trail[s - 1] for s in range(1, d))
-    offset = sum(w[s, 0] * trail[s - 1] ** 2 for s in range(1, d))
-    if d == 3:
+    slope = sum(w[0, s] * trail[s - 1] for s in range(1, grid.dim))
+    offset = sum(w[s, 0] * trail[s - 1] ** 2 for s in range(1, grid.dim))
+    rest = None
+    if grid.dim == 3:
         rest = w[1, 2] * trail[0] ** 2 * trail[1] + w[2, 1] * trail[0] * trail[1] ** 2
-
-    def q(rows: slice) -> np.ndarray:
-        head = mu[0][rows]
-        block = np.multiply.outer(head, slope)
-        block += offset
-        block *= head.reshape((-1,) + (1,) * (d - 1))
-        if d == 3:
-            block += rest
-        return block
-
-    return q
+    return _row_polynomial(mu[0], [slope, offset, rest])
 
 
 def _face_terms(g: BoundaryValues) -> dict:
@@ -361,13 +338,13 @@ def _normal_rows(grid: UniformGrid) -> list[np.ndarray]:
 
     Row 0 gives the series at depth 1, row 1 the cubic extrapolation
     4 s_2 - 6 s_3 + 4 s_4 - s_5 from depths 2..5 (s_j = sin(j k pi / M)),
-    both divided by the in-face DST-I's factor 2 per in-face axis.
+    both times the DST-I's factor 2: the in-face DST-I then evaluates them.
     """
     rows = []
     for m in grid.panels:
         kpi = np.arange(1, m) * np.pi / m
         extrapolated = sum(e * np.sin(j * kpi) for j, e in enumerate(_EXTRAPOLATE, start=2))
-        rows.append(np.stack([np.sin(kpi), extrapolated]) / 2.0 ** (grid.dim - 1))
+        rows.append(2.0 * np.stack([np.sin(kpi), extrapolated]))
     return rows
 
 

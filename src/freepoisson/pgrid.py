@@ -78,7 +78,7 @@ _ORDER_LINE = "order x y z row-major"
 _DATA_TEXT = "data text"
 _DATA_BINARY = "data binary little-endian f64"
 _TEXT_CHUNK = 8192  # values per array pass: its temporaries stay in a 2 MiB L2 cache
-_READ_CHUNK = 1 << 15  # text bytes parsed at a time
+_READ_CHUNK = 1 << 14  # text bytes parsed at a time
 
 _SAFE = (1e-200, 1e200)  # |v| formatted by array operations
 _E_RANGE = (-201, 200)  # exponent estimates for |v| in _SAFE

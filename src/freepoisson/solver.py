@@ -25,7 +25,7 @@ from .dirichlet import _phi_star_in_place, check_support
 from .errors import ShapeError, check_count
 from .grid import GridFunction, UniformGrid
 from .harmonic import _harmonic_scatters, _harmonic_sweeps, check_panels
-from .transforms import _series_in_place, next_smooth_length
+from .transforms import _dst_support_in_place, next_smooth_length
 
 __all__ = ["SolverConfig", "SolveReport", "pad_domain", "solve_free_space"]
 
@@ -169,7 +169,8 @@ def solve_free_space(
     spectral coefficients.  The harmonic phase builds its face scatters
     from the boundary values, which are then written into the array's
     boundary nodes and released, and adds the harmonic extension's
-    coefficients in blocked sweeps; the inverse DST turns them, in place,
+    coefficients in blocked sweeps; the inverse DST, the forward one's
+    DST-I on the whole interior (``transforms``), turns them, in place,
     into the potential.  A padded grid's user nodes are then moved, one
     axis-0 plane at a time (a 1D box in one move), to the front of the
     array, and the result views that front: it keeps the padded buffer
@@ -229,7 +230,8 @@ def _solve(rho, user_grid: UniformGrid | None, config: SolverConfig, owned: bool
     g.write_into(values)  # the boundary nodes, which ``modes`` does not overlap
     del g  # the node array holds the boundary values now
     _harmonic_sweeps(padded, scatters, modes)  # empties ``scatters``
-    phi = _series_in_place(values, padded).assert_finite()
+    _dst_support_in_place(modes, (slice(None),) * padded.dim)  # the inverse DST
+    phi = GridFunction(padded, values).assert_finite()
     t4 = time.perf_counter()
 
     if padded != user_grid:

@@ -1,28 +1,28 @@
 """Discrete sine transforms over interior nodes, and the solver's one FFT binding.
 
-Sine-series coefficients are normalized so that
+The solve's sine-series coefficients are normalized so that
 
-    coeff[k-1] = (2 / L_s) * h_s * sum_i f_i sin(k pi i / M_s)
+    coeff[k-1] = prod_s (1 / M_s) sum_i f_i sin(k_s pi i_s / M_s),
+    f_i = sum_k coeff[k-1] prod_s 2 sin(k_s pi i_s / M_s):
 
-per axis, which makes the inverse a plain series summation at the nodes.  Both
-directions are realized with pocketfft's DST-I; the contract is the
-mathematical definition above, not the backend.  The forward transform is
-the unscaled DST-I, whose factor 1 / prod_s M_s the spectral solve applies
-per block (``dirichlet._phi_star_in_place``).
+pocketfft's unscaled DST-I along every axis is the inverse, and the forward
+transform up to the factor 1 / prod_s (2 M_s), which the spectral solve
+applies per block (``dirichlet._phi_star_in_place``).  The contract is the
+mathematical definition above, not the backend.  Both directions run
+:func:`_dst_support_in_place`, in place in one array: the forward
+transform on the density's support box, the inverse on the whole interior.
 
-The forward transform skips the lines that hold only zeros, and works in
-place in one array.  ``dstn`` transforms axis 0, then 1, ..., d-1, one 1D
-DST-I per line; :func:`_dst_support_in_place` keeps that order.  Before
-axis a is transformed, every later axis is restricted to the support box
-(the bounding box of the nonzero values), while the earlier axes, already
-transformed, stay full; along axis a itself the lines hold zeros outside
-the box.  A line that leaves the box holds only zeros in ``dstn``'s
-intermediate arrays too, and its transform is exactly zero; every other
-line is the same data through the same 1D transform.  So the coefficients
-are bitwise equal to ``dstn``'s, which ``tests/test_transforms.py``
+That function skips the lines that hold only zeros.  ``dstn`` transforms
+axis 0, then 1, ..., d-1, one 1D DST-I per line, and the function keeps
+that order.  Before axis a is transformed, every later axis is restricted
+to the support box (the bounding box of the nonzero values), while the
+earlier axes, already transformed, stay full; along axis a itself the
+lines hold zeros outside the box.  A line that leaves the box holds only
+zeros in ``dstn``'s intermediate arrays too, and its transform is exactly
+zero; every other line is the same data through the same 1D transform.
+So the result is bitwise ``dstn``'s, which ``tests/test_transforms.py``
 checks, and a NaN or inf, being nonzero, is never skipped.  The box comes
-from the density's support record (``dirichlet.check_support``).  The
-inverse transform is dense and also runs in place.
+from the density's support record (``dirichlet.check_support``).
 
 ``sfft`` is the one namespace through which the package transforms:
 ``rfftn``, ``fftn``, ``irfftn``, ``dctn`` and ``dstn``, with
@@ -48,8 +48,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-
-from .grid import GridFunction, UniformGrid
 
 __all__ = ["next_smooth_length"]
 
@@ -165,29 +163,16 @@ def _dst_in_place(x: np.ndarray, axis: int) -> None:
 def _dst_support_in_place(x: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
     """Unscaled DST-I of ``x`` along every axis, in place, on the support box's lines.
 
-    The forward transform of the module docstring: bitwise ``dstn(x,
-    type=1)``, without another array of ``x``'s size.  ``box`` is the
-    bounding box of ``x``'s nonzero values (``dirichlet._support_box``).
-    Returns ``x``.
+    The transform of the module docstring in both directions: bitwise
+    ``dstn(x, type=1)``, without another array of ``x``'s size.  ``box``
+    is the bounding box of ``x``'s nonzero values (``dirichlet._support_box``),
+    or the full box.  Returns ``x``.
     """
     if not x[box].size:
         return x  # all zeros, as is their transform
     for a in range(x.ndim):  # dstn's axis order; the rest of axis a holds zeros
         _dst_in_place(x[(slice(None),) * (a + 1) + box[a + 1:]], a)
     return x
-
-
-def _series_in_place(values: np.ndarray, grid: UniformGrid) -> GridFunction:
-    """Evaluate the sine series whose coefficients the node array's interior holds, in place.
-
-    The interior of ``values`` becomes the series at the interior nodes;
-    its boundary nodes are not touched, so they may carry Dirichlet data.
-    """
-    interior = values[(slice(1, -1),) * grid.dim]
-    for a in range(grid.dim):
-        _dst_in_place(interior, a)
-    interior /= 2.0**grid.dim
-    return GridFunction(grid, values)
 
 
 @lru_cache(maxsize=None)

@@ -103,8 +103,8 @@ def bump_from_differentiability(dim: int, diff: int, epsilon: float, center) -> 
 
 
 def dst_coefficients(f: GridFunction) -> np.ndarray:
-    """Sine-series coefficients of ``f``'s interior values: ``dstn`` over every line, scaled."""
-    return sfft.dstn(f.interior(), type=1) / np.prod([float(m) for m in f.grid.panels])
+    """Sine-series coefficients of ``f``'s interior values (``transforms``' units): ``dstn``, scaled."""
+    return sfft.dstn(f.interior(), type=1) / np.prod([2.0 * m for m in f.grid.panels])
 
 
 def sine_series(coeff: np.ndarray, grid: UniformGrid, values=None) -> GridFunction:
@@ -114,7 +114,7 @@ def sine_series(coeff: np.ndarray, grid: UniformGrid, values=None) -> GridFuncti
     is given), which is written.
     """
     values = np.zeros(grid.shape) if values is None else values
-    values[(slice(1, -1),) * grid.dim] = sfft.dstn(coeff, type=1) / 2.0**grid.dim
+    values[(slice(1, -1),) * grid.dim] = sfft.dstn(coeff, type=1)
     return GridFunction(grid, values)
 
 

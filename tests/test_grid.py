@@ -11,7 +11,7 @@ from freepoisson import (
     max_norm_difference,
 )
 from freepoisson import grid as grid_module
-from oracles import boundary_from_callable, zero_function
+from oracles import boundary_from_callable, row_blocks_assembled, zero_function
 
 
 def test_node_coordinate_endpoints():
@@ -47,6 +47,18 @@ def test_grid_validation():
         UniformGrid([0.0], [1.0], [1])
     with pytest.raises(ShapeError):
         UniformGrid([0.0] * 4, [1.0] * 4, [4] * 4)
+
+
+@pytest.mark.parametrize("panels", [[10.7], [8.9, 8], np.array([8.9, 8]), [8.0], [True], [True, True]])
+def test_non_integral_panel_counts_rejected(panels):
+    # int() would truncate 10.7 to 10 panels, and a bool is a flag, not a count.
+    with pytest.raises(ShapeError, match="must be integers"):
+        UniformGrid([0.0] * len(panels), [1.0] * len(panels), panels)
+
+
+def test_numpy_integer_panel_counts_accepted():
+    g = UniformGrid([0.0, 0.0], [1.0, 1.0], np.array([8, 9], dtype=np.int32))
+    assert g.panels == (8, 9) and all(type(m) is int for m in g.panels)
 
 
 def test_max_norm_difference_identity_and_constants():
@@ -155,3 +167,32 @@ def test_mismatched_edge_rejected(panels):
             assert bv.check_consistency(rtol=1.0) == pytest.approx(1e-6 / bv.abs_max())
             with pytest.raises(ShapeError, match="disagree"):
                 bv.check_consistency()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_polynomial_is_bitwise_whole_array_horner(dim):
+    # Degrees 1 to 3, a number or a table on top, None (zero) coefficients:
+    # assembled from blocks of 1 to 8 rows, the table is Horner's rule on
+    # the whole array in the same order, bit for bit.
+    rng = np.random.default_rng(dim)
+    shape = (9, 6, 5)[:dim]
+    head = rng.standard_normal(shape[0])
+    column = head.reshape((-1,) + (1,) * (dim - 1))
+
+    def t():  # a table over the trailing axes; a number in 1D
+        return rng.standard_normal(shape[1:]) if dim > 1 else rng.standard_normal()
+
+    for coefficients in ([t(), t()], [1.5, t()], [t(), t(), None], [t(), None, t()],
+                         [-0.5, None, t()], [t(), t(), t()], [t(), None, t(), t()],
+                         [2.0, t(), None, t()]):
+        want = column * coefficients[0]
+        for i, c in enumerate(coefficients[1:]):
+            if i:
+                want = want * column
+            if c is not None:
+                want = want + c
+        want = np.ascontiguousarray(np.broadcast_to(want, shape))
+        table = grid_module._row_polynomial(head, coefficients)
+        for step in range(1, 9):
+            got = row_blocks_assembled(table, shape[0], step)
+            assert got.shape == shape and got.tobytes() == want.tobytes(), (coefficients, step)

@@ -366,13 +366,21 @@ def _mostly_zero_values():
                for c in ((0.5, 1.0), (-0.4, -1.5), (0.1, 0.2)))
 
 
-@pytest.mark.parametrize("values", [_dense_values, _mostly_zero_values])
+def _two_digit_integers():
+    """Written as ``10`` to ``99``, not by ``write_pgrid``: the most tokens per chunk."""
+    return np.random.default_rng(7).integers(10, 100, _GRID_512.shape).astype(float)
+
+
+@pytest.mark.parametrize("values", [_dense_values, _mostly_zero_values, _two_digit_integers])
 def test_text_read_holds_one_node_array(tmp_path, values):
     # The values are parsed a chunk at a time straight into the returned
     # array, so no token list of the whole file is built.
     f = GridFunction(_GRID_512, values())
     path = tmp_path / "f.pgrid"
     write_pgrid(path, f)
+    if values is _two_digit_integers:  # the header, then one short token a line
+        header = path.read_bytes().split(b"\n", 6)[:6]
+        path.write_bytes(b"\n".join(header + [b"%d" % v for v in f.values.ravel()]) + b"\n")
     read_pgrid(path)  # lazy imports and caches
     peak = _traced_peak(lambda: read_pgrid(path)) / f.values.nbytes
     assert peak <= 1.2

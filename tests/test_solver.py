@@ -161,7 +161,7 @@ PHASE_CALLS = (
     ("forward DST", "_phi_star_in_place"),
     ("scatters", "_harmonic_scatters"),
     ("harmonic", "_harmonic_sweeps"),
-    ("inverse", "_series_in_place"),
+    ("inverse", "_dst_support_in_place"),
 )
 
 

@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` counts FFTs by wrapping ``freepoisson.boundary``'s
 ``sfft`` and kernel values by wrapping its ``green_values``; a change to
-either binding that the tracer no longer sees would read as zero work.
+either binding that the tracer no longer sees would read as zero work.  It
+times spans at the functions its ``SPAN_SITES`` name; a site that no longer
+resolves reads -1.
 """
 
 import importlib.util
@@ -41,3 +43,19 @@ def test_traced_solves_count_ffts_and_kernel_values(tracing):
         counters = tracer.counters[request]
         assert counters.get("fft_calls", 0) > 0
         assert counters.get("kernel_evals", 0) > 0
+
+
+# The span sites that resolve; the tracer's other sites await its repair.
+RESOLVING_SITES = {
+    "solver.boundary_values_fast", "solver.check_support", "dirichlet.check_support",
+    "boundary.check_support", "harmonic.build_operator_symbol", "cli.read_pgrid",
+    "cli.write_pgrid",
+}
+
+
+def test_span_sites_that_resolve_keep_resolving(tracing):
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    sites = {f"{mod}.{attr}" for mod, attr in tracing.SPAN_SITES}
+    assert RESOLVING_SITES <= sites - tracer.unpatched

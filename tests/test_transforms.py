@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from freepoisson import GridFunction, ShapeError, UniformGrid, transforms
 from freepoisson.dirichlet import _support_box, _support_lines, check_support
-from freepoisson.transforms import _dst_support_in_place, _series_in_place, next_smooth_length
+from freepoisson.transforms import _dst_support_in_place, next_smooth_length
 from oracles import fft_users, src_env, zero_function
 
 
@@ -21,19 +21,22 @@ def forward(f: GridFunction) -> np.ndarray:
     """
     coeff = np.array(f.interior())
     _dst_support_in_place(coeff, _support_box(_support_lines(coeff)))
-    coeff *= 1.0 / np.prod([float(m) for m in f.grid.panels])
+    coeff *= 1.0 / np.prod([2.0 * m for m in f.grid.panels])
     return coeff
 
 
 def inverse(coeff: np.ndarray, grid: UniformGrid) -> GridFunction:
-    """The solver's inverse transform, in place in a node array with zero boundary nodes."""
+    """The solver's inverse transform, the same DST-I on the whole interior,
+    in place in a node array with zero boundary nodes."""
     values = np.zeros(grid.shape)
     values[(slice(1, -1),) * grid.dim] = coeff
-    return _series_in_place(values, grid)
+    _dst_support_in_place(values[(slice(1, -1),) * grid.dim], (slice(None),) * grid.dim)
+    return GridFunction(grid, values)
 
 
 def dst_forward_oracle(f: GridFunction) -> np.ndarray:
-    """Direct double/triple sum of the sine-series coefficient definition."""
+    """Direct double/triple sum of the sine-series coefficient definition
+    (``transforms``' module docstring)."""
     grid = f.grid
     out = np.zeros(grid.interior_shape)
     lengths = [grid.upper[s] - grid.lower[s] for s in range(grid.dim)]
@@ -46,20 +49,20 @@ def dst_forward_oracle(f: GridFunction) -> np.ndarray:
             total += term
         scale = 1.0
         for s in range(grid.dim):
-            scale *= (2.0 / lengths[s]) * grid.mesh[s]
+            scale *= grid.mesh[s] / lengths[s]
         out[k] = total * scale
     return out
 
 
 def dst_inverse_oracle(grid: UniformGrid, c: np.ndarray) -> np.ndarray:
-    """Direct series summation at the interior nodes."""
+    """Direct series summation at the interior nodes, 2 sin per axis."""
     out = np.zeros(grid.interior_shape)
     for i in np.ndindex(out.shape):
         total = 0.0
         for k in np.ndindex(out.shape):
             term = c[k]
             for s in range(grid.dim):
-                term *= np.sin((k[s] + 1) * np.pi * (i[s] + 1) / grid.panels[s])
+                term *= 2.0 * np.sin((k[s] + 1) * np.pi * (i[s] + 1) / grid.panels[s])
             total += term
         out[i] = total
     return out
@@ -73,7 +76,7 @@ def test_single_mode_has_unit_coefficient():
         * np.sin(np.pi * (y - g.lower[1]) / 3.0),
     )
     beta = forward(f)
-    assert beta[0, 0] == pytest.approx(1.0, abs=1e-13)
+    assert beta[0, 0] * 2**g.dim == pytest.approx(1.0, abs=1e-13)  # one, in units of 2^-d
     rest = beta.copy()
     rest[0, 0] = 0.0
     assert np.max(np.abs(rest)) < 1e-13
@@ -116,7 +119,7 @@ def test_inverse_matches_direct_series():
 def test_single_unit_coefficient_gives_sampled_mode():
     g = UniformGrid([0.0, 0.0], [1.0, 1.0], [6, 5])
     c = np.zeros(g.interior_shape)
-    c[0, 0] = 1.0
+    c[0, 0] = 2.0**-g.dim  # one, in units of 2^-d
     got = inverse(c, g)
     want = GridFunction.from_callable(
         g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
