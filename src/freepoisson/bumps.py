@@ -49,14 +49,17 @@ class PolyBump:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.epsilon <= 0:
-            raise ValueError("support radius must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(
+                f"support radius epsilon must be positive and finite, got {self.epsilon}")
         if self.p < 1 or self.p != int(self.p):
             raise ValueError("smoothness exponent p must be a positive integer")
         self.p = int(self.p)
         self.center = tuple(float(c) for c in np.atleast_1d(self.center))
         if len(self.center) != self.dim:
             raise ValueError(f"center must have {self.dim} coordinates")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center coordinates must be finite, got {self.center}")
         # a_m = (-1)^m C(p, m) / (2m + d): sum a_m is the integral of
         # (1 - s^2)^p s^(d-1) ds over [0, 1], so the mass is gamma S_d eps^d sum a_m
         series = [Fraction((-1) ** m * math.comb(self.p, m), 2 * m + self.dim)

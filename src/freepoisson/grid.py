@@ -80,6 +80,8 @@ class UniformGrid:
             raise ShapeError("lower, upper and panels must have equal length")
         if len(lower) not in (1, 2, 3):
             raise ShapeError(f"grid dimension must be 1, 2 or 3, got {len(lower)}")
+        if not np.isfinite(lower + upper).all():
+            raise ShapeError(f"grid bounds must be finite, got lower {lower} and upper {upper}")
         for a, b in zip(lower, upper):
             if not b > a:
                 raise ShapeError(f"upper bound {b} must exceed lower bound {a}")
@@ -91,6 +93,9 @@ class UniformGrid:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "panels", panels)
+        if not np.isfinite(self.mesh).all():
+            raise ShapeError(f"mesh widths (upper - lower) / panels must be finite, "
+                             f"got {self.mesh}")
 
     @property
     def dim(self) -> int:

@@ -15,9 +15,9 @@ by raw 8-byte values.  Unknown or repeated header keys are rejected.
 
 Text values are written exactly as ``"%.17g\\n" % v`` prints them, so they
 read back bit for bit.  The writer makes those bytes with array operations,
-one chunk of values at a time, in cell buffers allocated once per call; the
-solve command's CSV node table uses the same engine for its ``"%.16e"``
-cells.  A binary body is written from the values' own buffer.
+one chunk of values at a time, in one buffer of cell words allocated once
+per call; the solve command's CSV node table uses the same engine for its
+``"%.16e"`` cells.  A binary body is written from the values' own buffer.
 
 The reader holds one array of values: it parses a text body a chunk of
 bytes at a time straight into that array, and reads a binary body into it.
@@ -53,7 +53,8 @@ bits to subnormals.
 Each fallback value is formatted on its own.  All other cells are built as
 four 8-byte words per value: the digits, shifted around the decimal point
 or the leading zeros, and the sign, point and exponent, all looked up per
-layout of the ``%g`` rules.  A byte mask then drops the unused bytes.
+layout of the ``%g`` rules.  Every byte a cell does not use is NUL, so
+deleting the NULs from a chunk's words leaves its text.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ import functools
 import itertools
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -88,9 +88,12 @@ _BODY = 24  # cell bytes before the tail (exponent and terminator), 8 more after
 
 @contextlib.contextmanager
 def atomic_open(path, prefix: str):
-    """Binary handle on a temp file beside ``path``, renamed to it only on success."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=prefix, dir=directory)
+    """Binary handle on a temp file beside ``path``, renamed to it only on success.
+
+    The temp file gets mode 0o666 less the umask, as ``open`` gives a new file.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), prefix + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -175,8 +178,8 @@ def _layouts():
     (scientific), and '0.' with -E - 1 zeros before all digits (fixed,
     E < 0).  Returns the shifts in bits that place the digits before and
     after the filler, the 3-word masks of the digits before it, the sign and
-    filler as 3 words, and the body length at index kind * 18 + number of
-    significant digits.
+    filler as 3 words, and the body's 3-word masks, 0xFF for a kept byte and
+    0x00 for a dropped one, at index kind * 18 + number of significant digits.
     """
     shifts = np.zeros((2, 46), dtype=np.uint64)
     heads = np.zeros((46, _BODY), dtype=np.uint8)
@@ -193,34 +196,25 @@ def _layouts():
         fills[k, :neg] = ord("-")
         fills[k, neg + cut:neg + cut + len(filler)] = np.frombuffer(filler, dtype=np.uint8)
         body[k, 1:] = [neg + (len(filler) + n if n > cut else cut) for n in range(1, 18)]
-    return (*shifts, heads.view("<u8").T.copy(), fills.view("<u8").T.copy(), body.ravel())
+    keeps = (np.arange(_BODY) < body.reshape(-1, 1)) * np.uint8(0xFF)
+    return (*shifts, *(t.view("<u8").T.copy() for t in (heads, fills, keeps)))
 
 
 @functools.cache
 def _tails(end: bytes):
-    """Cell tails as words and their lengths: ``end`` alone at index 0, then
-    'e', sign, exponent digits and ``end`` for E = _E_RANGE[0] ... _E_RANGE[1] + 1."""
+    """Cell tails as NUL-padded words: ``end`` alone at index 0, then 'e',
+    sign, exponent digits and ``end`` for E = _E_RANGE[0] ... _E_RANGE[1] + 1."""
     text = [end] + [f"e{e:+03d}".encode("ascii") + end
                     for e in range(_E_RANGE[0], _E_RANGE[1] + 2)]
-    return (np.array([int.from_bytes(t, "little") for t in text], dtype=np.uint64),
-            np.array([len(t) for t in text]))
+    return np.array([int.from_bytes(t, "little") for t in text], dtype=np.uint64)
 
 
-@functools.cache
-def _keeps():
-    """Byte masks of a cell row as words: the body's 3 words by body length,
-    and the tail word by tail length."""
-    body = np.arange(_BODY) < np.arange(_BODY + 1)[:, None]
-    tail = np.arange(8) < np.arange(8)[:, None]
-    return body.view("<u8").T.copy(), tail.view("<u8").ravel()
-
-
-def _cells(values: np.ndarray, scientific: bool, end: bytes, cells, keep) -> None:
+def _cells(values: np.ndarray, scientific: bool, end: bytes, cells) -> None:
     """Cells ``"%.17g" % v + end`` (``"%.16e"`` if scientific) of float64 values.
 
     Writes each value's cell into its row of ``cells``, (n, 4) words in
-    text order, and into ``keep`` the byte mask that keeps it: the body
-    from byte 0 and the tail (exponent, ``end``) from byte 24.
+    text order: the body from byte 0 and the tail (exponent, ``end``) from
+    byte 24, with every other byte NUL.
     """
     digits, e, fallback = _decimal(values)
     quad, zeros = _quads()
@@ -242,21 +236,19 @@ def _cells(values: np.ndarray, scientific: bool, end: bytes, cells, keep) -> Non
         del z
     del q
     kind = np.signbit(values) * 23 + form
-    before, after, heads, fills, body = _layouts()
+    before, after, heads, fills, keeps = _layouts()
     before, after = before[kind], after[kind]
-    tails, tail_sizes = _tails(end)
-    tail = (form > 20) * (e - _E_RANGE[0] + 1)
-    body_words, tail_words = _keeps()
+    layout = kind * 18 + significant
 
     carry = 0
     for k, word in enumerate(digit_words):
         head = word & heads[k][kind]
         rest = word ^ head
-        cells[:, k] = (head << before) | (rest << after) | carry | fills[k][kind]
+        placed = (head << before) | (rest << after) | carry | fills[k][kind]
+        cells[:, k] = placed & keeps[k][layout]
         carry = (head >> (64 - before)) | (rest >> (64 - after))  # numpy: >> 64 gives 0
-    cells[:, -1] = tails[tail]
-    size = body[kind * 18 + significant]
-    tail_size = tail_sizes[tail]
+    tails = _tails(end)
+    cells[:, -1] = tails[(form > 20) * (e - _E_RANGE[0] + 1)]
 
     rows = np.flatnonzero(fallback)
     if rows.size:
@@ -266,35 +258,30 @@ def _cells(values: np.ndarray, scientific: bool, end: bytes, cells, keep) -> Non
         cells.view(np.uint8)[rows, :_BODY] = (
             np.array(text, dtype=f"S{_BODY}").view(np.uint8).reshape(-1, _BODY)[inverse])
         cells[rows, -1] = tails[0]
-        size[rows] = np.array([len(t) for t in text])[inverse]
-        tail_size[rows] = len(end)
-    for k in range(_BODY // 8):
-        keep[:, k] = body_words[k][size]
-    keep[:, -1] = tail_words[tail_size]
 
 
 def _write_rows(fh, chunks, width: int) -> None:
     """Write rows of ``width`` text cells, one chunk of rows at a time.
 
     ``chunks`` yields each chunk's columns as ``(values, scientific, end)``
-    of ``_cells``.  The cell words, their masks and the chunk's bytes live
-    in buffers allocated once per call.  ``np.compress`` gathers the kept
-    bytes through an index array, 8 bytes per byte kept; freeing the first
-    one raises glibc's dynamic mmap and trim thresholds above a chunk's
-    temporaries, so later chunks reuse heap pages instead of trimming and
-    refaulting them (a test counts the page faults).
+    of ``_cells``.  The cell words live in one buffer allocated once per
+    call.  Every byte a cell does not use is NUL and no byte it uses is, so
+    one ``bytes.translate`` that deletes the NULs compacts a chunk into its
+    text.
+
+    A 1 MiB block is allocated and freed first.  Freeing it raises glibc's
+    dynamic mmap and trim thresholds above a chunk's temporaries, so later
+    chunks reuse heap pages instead of trimming and refaulting them; in a
+    fresh process the write would otherwise fault about 44k pages (a test
+    counts them).
     """
+    np.empty(1 << 17)  # the 1 MiB block: it only has to be freed
     cells = np.empty((_TEXT_CHUNK, 4 * width), dtype="<u8")
-    keep = np.empty_like(cells)
-    text = np.empty(cells.nbytes, dtype=np.uint8)
     for columns in chunks:
         n = columns[0][0].size
         for c, column in enumerate(columns):
-            _cells(*column, cells[:n, 4 * c:4 * c + 4], keep[:n, 4 * c:4 * c + 4])
-        mask = keep[:n].view(bool).ravel()
-        size = np.count_nonzero(mask)
-        np.compress(mask, cells[:n].view(np.uint8).ravel(), out=text[:size])
-        fh.write(text[:size])
+            _cells(*column, cells[:n, 4 * c:4 * c + 4])
+        fh.write(cells[:n].tobytes().translate(None, b"\0"))
 
 
 def write_pgrid(path, f: GridFunction, binary: bool = False) -> None:

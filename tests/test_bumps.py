@@ -213,6 +213,19 @@ def test_invalid_parameters_rejected():
         PolyBump(2, 0.4, 3, [0.0])
 
 
+@pytest.mark.parametrize("epsilon, center, name", [
+    (math.inf, (0.0, 0.0), "epsilon"),
+    (math.nan, (0.0, 0.0), "epsilon"),
+    (0.4, (0.0, math.inf), "center"),
+    (0.4, (math.nan, 0.0), "center"),
+])
+def test_non_finite_parameters_rejected(epsilon, center, name):
+    # An infinite radius gives gamma = 0, an all-zero density that solves
+    # without complaint; nan fails only later, as a non-finite density.
+    with pytest.raises(ValueError, match=name):
+        PolyBump(2, epsilon, 3, center)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("p", [1, 4, 7])
 def test_density_matches_density_radial(dim, p):

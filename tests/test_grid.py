@@ -49,6 +49,17 @@ def test_grid_validation():
         UniformGrid([0.0] * 4, [1.0] * 4, [4] * 4)
 
 
+@pytest.mark.parametrize("lower, upper, panels, name", [
+    ([0.0], [np.inf], [4], "bounds"),
+    ([-np.inf, 0.0], [0.0, 1.0], [4, 4], "bounds"),
+    ([0.0, np.nan], [1.0, 1.0], [4, 4], "bounds"),
+    ([-1e308], [1e308], [4], "mesh widths"),  # the extent overflows
+])
+def test_non_finite_bounds_and_mesh_widths_rejected(lower, upper, panels, name):
+    with pytest.raises(ShapeError, match=name):
+        UniformGrid(lower, upper, panels)
+
+
 @pytest.mark.parametrize("panels", [[10.7], [8.9, 8], np.array([8.9, 8]), [8.0], [True], [True, True]])
 def test_non_integral_panel_counts_rejected(panels):
     # int() would truncate 10.7 to 10 panels, and a bool is a flag, not a count.

@@ -1,5 +1,7 @@
+import os
 import platform
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +20,7 @@ from freepoisson import (
     read_pgrid,
     write_pgrid,
 )
+from freepoisson.cli import write_csv
 from oracles import src_env, zero_function
 
 
@@ -69,6 +72,26 @@ def test_no_partial_file_on_error(tmp_path):
         write_pgrid(target, zero_function(g))
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("writer", [
+    lambda path: write_pgrid(path, zero_function(UniformGrid([0], [1], [2]))),
+    lambda path: freepoisson.pgrid.write_nodes_csv(path, zero_function(UniformGrid([0], [1], [2]))),
+    lambda path: write_csv(path, "a,b", [(1.0, 2.0)]),
+], ids=["pgrid", "nodes-csv", "study-csv"])
+def test_written_files_follow_the_umask(tmp_path, writer):
+    # As with open(): mode 0o666 less the umask, for a new file and for one
+    # that replaces a file written under another umask.
+    old = os.umask(0o022)
+    try:
+        for k, umask in enumerate((0o022, 0o077, 0o022)):
+            os.umask(umask)
+            for path in (tmp_path / f"new{k}", tmp_path / "replaced"):  # replaced from k = 1 on
+                writer(path)
+                assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    finally:
+        os.umask(old)
 
 
 def test_text_values_preserve_precision(tmp_path):
@@ -199,11 +222,14 @@ def test_rejects_repeated_header_key(tmp_path):
         ("dim 4\nbounds 0 1 0 1 0 1 0 1\npanels 2 2 2 2\n", "dim 4"),
         ("dim 2\nbounds -1 1 -1 x\npanels 2 2\n", "bounds -1 1 -1 x"),
         ("dim 1\nbounds 1 -1\npanels 2\n", "bounds 1 -1"),
+        ("dim 2\nbounds -1 1 -1 inf\npanels 2 2\n", "bounds -1 1 -1 inf"),
+        ("dim 1\nbounds -1e308 1e308\npanels 2\n", "bounds -1e308 1e308"),
         ("dim 1\nbounds 0 1\npanels 2.5\n", "panels 2.5"),
         ("dim 1\nbounds 0 1\npanels 1\n", "panels 1"),
         ("dim 1\nbounds 0 1\npanels \xe9\n", "panels \ufffd"),
     ],
     ids=["dim-empty", "dim-word", "dim-4", "bounds-word", "bounds-reversed",
+         "bounds-infinite", "bounds-overflowing-extent",
          "panels-fraction", "panels-one", "panels-non-ascii"],
 )
 def test_rejects_malformed_header_naming_the_line(tmp_path, header, line):
@@ -395,6 +421,15 @@ def test_binary_read_and_write_hold_no_copy(tmp_path):
     assert _traced_peak(lambda: read_pgrid(path)) <= 1.02 * f.values.nbytes
     assert _traced_peak(lambda: write_pgrid(path, f, binary=True)) <= 0.02 * f.values.nbytes
     assert np.array_equal(read_pgrid(path).values, f.values)
+
+
+def test_text_write_scratch_is_a_fixed_cost_below_a_node_array(tmp_path):
+    # One buffer of cell words and one chunk's temporaries, whatever the
+    # grid: about 1.35 MiB, two thirds of this grid's node array.
+    f = GridFunction(_GRID_512, _dense_values())
+    path = tmp_path / "f.pgrid"
+    write_pgrid(path, f)  # lazy tables
+    assert _traced_peak(lambda: write_pgrid(path, f)) <= 0.75 * f.values.nbytes
 
 
 _WRITE_FAULTS_PROBE = """
